@@ -2,7 +2,6 @@
 polynomial rings: construction, verification, localization, Stanley depth,
 fdepth via prime filtrations, and total-absolute-degree Hilbert series."""
 
-from ._intervals import BACKEND as KERNEL_BACKEND
 from .errors import (
     BudgetExceededError,
     ContainmentError,
@@ -68,3 +67,6 @@ from .stanley import (
 )
 
 __version__ = "0.1.0"
+
+# name of the interval-search kernel; there is one, in pure Python
+KERNEL_BACKEND = "py"

@@ -1,24 +1,112 @@
-"""Kernel selection: compiled extension when available, else pure Python.
+"""Interval-partition search kernel.
 
-Set STANLEYDEC_KERNEL=py (or =cy) to force a backend.
+Decides whether the characteristic poset admits a partition into intervals
+[b, c] whose upper corners all touch the bound g in at least k coordinates:
+
+    find_partition(elements, g, k, budget) -> (status, intervals, nodes)
+
+elements are exponent tuples inside the box [0, g].  They must form an
+order-convex set (b <= a <= c with b, c in it puts a in it), as the
+monomials of I'\\J' do, so [b, c] lies in it once b and c do.  status is
+one of "found" / "infeasible" / "budget"; intervals is the partition (a list
+of (b, c) pairs in search order) when found, else None; nodes counts the
+intervals placed.  Exceeding the budget stops at nodes == budget + 1.
+
+The search always extends from the lexicographically smallest uncovered
+element, which is forced to be the lower corner of its interval, and tries
+upper corners in lexicographic order, so the first partition found is the
+lexicographically smallest one.
+
+Each box cell is one bit of a Python int.  Its bit index is the
+mixed-radix code of the cell with the first coordinate most significant,
+so bit order is lex order and the next lower corner is the lowest set bit
+of the mask of uncovered elements.  The cells of [b, c] form the mask
+bit(b) * prod_i comb_i[c_i - b_i] with comb_i[L] = sum_{t<=L} 2^(t*stride_i).
+An explicit stack of (lower corner, option index) replaces recursion, so
+the depth is bounded only by the number of elements.
 """
 
-import os
+from itertools import product
 
-_forced = os.environ.get("STANLEYDEC_KERNEL", "").strip().lower()
 
-if _forced == "py":
-    from . import _intervals_py as _impl
-    BACKEND = "py"
-elif _forced == "cy":
-    from . import _intervals_cy as _impl  # noqa: F401
-    BACKEND = "cy"
-else:
-    try:
-        from . import _intervals_cy as _impl  # type: ignore[no-redef]
-        BACKEND = "cy"
-    except ImportError:
-        from . import _intervals_py as _impl  # type: ignore[no-redef]
-        BACKEND = "py"
+def find_partition(elements, g, k, budget):
+    n = len(g)
+    strides = [1] * n
+    for i in range(n - 2, -1, -1):
+        strides[i] = strides[i + 1] * (g[i + 1] + 1)
+    # comb[i][L]: the cells 0, 1, ..., L steps up along axis i
+    comb = []
+    for i in range(n):
+        row, acc = [], 0
+        for t in range(g[i] + 1):
+            acc |= 1 << (t * strides[i])
+            row.append(acc)
+        comb.append(row)
 
-find_partition = _impl.find_partition
+    def code(a):
+        return sum(ai * si for ai, si in zip(a, strides))
+
+    poset = 0
+    for e in elements:
+        poset |= 1 << code(e)
+
+    def options(b):
+        """(c, mask of [b, c]) for every upper corner c in the poset with
+        rho(c) >= k, in lex order of c."""
+        base = 1 << code(b)
+        for c in product(*[range(bi, gi + 1) for bi, gi in zip(b, g)]):
+            if sum(ci == gi for ci, gi in zip(c, g)) < k or not poset >> code(c) & 1:
+                continue
+            mask = base
+            for i in range(n):
+                mask *= comb[i][c[i] - b[i]]
+            yield c, mask
+
+    corners = {}  # bit index of b -> (b, options of b so far, generator of the rest)
+
+    def corner(free):
+        """The entry of the lowest uncovered element."""
+        bit = (free & -free).bit_length() - 1
+        entry = corners.get(bit)
+        if entry is None:
+            b = tuple(bit // s % (gi + 1) for s, gi in zip(strides, g))
+            entry = corners[bit] = (b, [], options(b))
+        return entry
+
+    free = poset
+    if not free:
+        return "found", [], 0
+    stack = []  # (corner entry, index of the option placed there)
+    nodes = 0
+    entry, i = corner(free), 0
+    while True:
+        _, opts, more = entry
+        # advance i to the first option that fits into the uncovered cells
+        while True:
+            count = len(opts)
+            while i < count:
+                mask = opts[i][1]
+                if mask & free == mask:
+                    break
+                i += 1
+            if i < count:
+                break
+            option = next(more, None)  # the list ran out: draw one more option
+            if option is None:
+                break
+            opts.append(option)
+        if i == len(opts):
+            if not stack:
+                return "infeasible", None, nodes
+            entry, i = stack.pop()  # undo the last interval, try its next option
+            free |= entry[1][i][1]
+            i += 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            return "budget", None, nodes
+        free ^= mask
+        stack.append((entry, i))
+        if not free:
+            return "found", [(b, placed[j][0]) for (b, placed, _), j in stack], nodes
+        entry, i = corner(free), 0

@@ -200,14 +200,10 @@ def build_parser():
         p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
         p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
         p.add_argument("--box-bound", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("normalize")
     common(p)
-    p = sub.add_parser("sdepth")
-    common(p)
-    p.add_argument("--witness", action="store_true")
-    for name in ("decompose", "hilbert", "fdepth"):
+    for name in ("sdepth", "decompose", "hilbert", "fdepth"):
         common(sub.add_parser(name))
     p = sub.add_parser("localize")
     common(p)

@@ -5,7 +5,7 @@ non-inverted variables (each inverted variable contributes +1 to sdepth).
 There the monomials of I'\\J' below the componentwise generator bound g
 form a finite poset whose interval partitions correspond to Stanley
 decompositions; sdepth is the best achievable minimum corner count.  The
-partition search runs in a compiled kernel when available.
+partition search runs in the iterative bitmask kernel of ``_intervals``.
 """
 
 from dataclasses import dataclass
@@ -105,7 +105,7 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
     raise AssertionError("k=0 singleton partition must always exist")
 
 
-def partition_to_decomposition(poset, partition, Ip, Jp):
+def partition_to_decomposition(poset, partition):
     """Map an interval partition to the Stanley decomposition it encodes.
 
     The interval [b, c] gets the admissible set Z = {x_i : c_i = g_i} and
@@ -165,6 +165,6 @@ def sdepth(I, J, budget=DEFAULT_BUDGET):
         raise ZeroModuleError("I/J is the zero module; sdepth undefined")
     poset = build_characteristic_poset(Ip, Jp)
     k, partition = max_interval_partition(poset, budget)
-    Dp = partition_to_decomposition(poset, partition, Ip, Jp)
+    Dp = partition_to_decomposition(poset, partition)
     witness = _embed_and_invert(Dp, I.context, kept)
     return SdepthResult(k + offset, witness)

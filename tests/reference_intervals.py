@@ -1,19 +1,14 @@
-"""Pure-Python interval-partition search kernel.
+"""Recursive reference kernel for the interval-partition search.
 
-Decides whether the characteristic poset admits a partition into intervals
-[b, c] whose upper corners all touch the bound g in at least k coordinates.
-The search always extends from the lexicographically smallest uncovered
-element (which is forced to be the lower corner of its interval) and tries
-upper corners in lexicographic order, so the first partition found is the
-lexicographically smallest one - both kernels must return it identically.
-
-Contract shared with the compiled kernel:
+The plain backtracking search that ``stanleydec._intervals`` replaced, kept
+as the oracle of the kernel parity test.  It follows the same contract,
 
     find_partition(elements, g, k, budget) -> (status, intervals, nodes)
 
-elements is a lex-sorted list of exponent tuples, status is one of
-"found" / "infeasible" / "budget", intervals is the partition (list of
-(b, c) pairs) when found, nodes counts candidate expansions.
+and the same search order: extend from the lexicographically smallest
+uncovered element and try upper corners in lexicographic order, so both
+return the lexicographically smallest partition and the same node count.
+It recurses once per interval, so it is only fit for small posets.
 """
 
 from itertools import product

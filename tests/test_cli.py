@@ -214,3 +214,19 @@ class TestBatch:
         code, out = run(["batch"], json.dumps(requests[0]) + "\n")
         assert code == 3
         assert not json.loads(out)["ok"]
+
+    def test_large_poset_keeps_stream_alive(self):
+        """1331 singleton intervals, then a second request on the same
+        stream: neither may hit a recursion limit."""
+        requests = [
+            {"command": "decompose", "ring": "n=3", "I": "(1)",
+             "J": "(x^11, y^11, z^11)"},
+            {"command": "sdepth", "ring": "n=3", "I": "(x, y, z)"},
+        ]
+        stdin = "\n".join(json.dumps(r) for r in requests) + "\n"
+        code, out = run(["batch"], stdin)
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 0 and len(lines) == 2
+        assert lines[0]["ok"] and lines[0]["sdepth"] == 0
+        assert len(lines[0]["decomposition"]["spaces"]) == 1331
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2

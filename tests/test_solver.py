@@ -4,16 +4,12 @@ from itertools import product
 
 import pytest
 
-from stanleydec import _intervals_py, ring, solver, stanley
+from stanleydec import _intervals, ring, solver, stanley
 from stanleydec.errors import BudgetExceededError, ZeroModuleError
 from stanleydec.ring import MonomialIdeal, RingContext
 
+import reference_intervals
 from util import localize_pair, polynomial_quotient, random_quotient
-
-try:
-    from stanleydec import _intervals_cy
-except ImportError:
-    _intervals_cy = None
 
 
 def naive_best_min_rho(elements, g):
@@ -148,22 +144,31 @@ class TestPartitionSearch:
         with pytest.raises(BudgetExceededError):
             solver.max_interval_partition(poset, budget=2)
 
-    @pytest.mark.skipif(_intervals_cy is None, reason="compiled kernel absent")
-    def test_kernels_agree(self):
+    def test_kernel_matches_reference(self):
+        """Same status, witness and node count as the recursive oracle on
+        random quotients with n = 1..5 and every k, also with budgets just
+        below and at the node count."""
         rng = random.Random(5)
-        for _ in range(40):
-            ctx, I, J = polynomial_quotient(rng, max_exp=2)
+        checked = 0
+        while checked < 300:
+            n = checked % 5 + 1
+            ctx, I, J = polynomial_quotient(rng, n=n, max_exp=3 if n <= 3 else 2)
             poset = solver.build_characteristic_poset(I, J)
-            if not poset.elements:
+            if len(poset.elements) > 80:
                 continue
-            for k in range(poset.context.n, -1, -1):
-                out_py = _intervals_py.find_partition(
-                    list(poset.elements), poset.bound, k, 10**6
-                )
-                out_cy = _intervals_cy.find_partition(
-                    list(poset.elements), poset.bound, k, 10**6
-                )
-                assert out_py == out_cy
+            for k in range(n, -1, -1):
+                args = (list(poset.elements), poset.bound, k)
+                expected = reference_intervals.find_partition(*args, 10**6)
+                assert _intervals.find_partition(*args, 10**6) == expected
+                nodes = expected[2]
+                for budget in (nodes - 1, nodes):
+                    if budget < 0:
+                        continue
+                    want = reference_intervals.find_partition(*args, budget)
+                    assert _intervals.find_partition(*args, budget) == want
+                    if budget < nodes:
+                        assert want == ("budget", None, budget + 1)
+            checked += 1
 
 
 class TestPartitionToDecomposition:
@@ -172,7 +177,7 @@ class TestPartitionToDecomposition:
         I = ring.ideal(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1))
         poset = solver.build_characteristic_poset(I, MonomialIdeal(ctx))
         part = solver.IntervalPartition((((1, 1, 1), (1, 1, 1)),))
-        D = solver.partition_to_decomposition(poset, part, I, MonomialIdeal(ctx))
+        D = solver.partition_to_decomposition(poset, part)
         assert D.spaces[0].key() == ((1, 1, 1), (0, 1, 2), ())
 
     def test_edge_interval(self):
@@ -181,7 +186,7 @@ class TestPartitionToDecomposition:
         Jp = ring.ideal(ctx, (2, 0))
         poset = solver.build_characteristic_poset(Ip, Jp)
         part = solver.IntervalPartition((((1, 0), (1, 2)),))
-        D = solver.partition_to_decomposition(poset, part, Ip, Jp)
+        D = solver.partition_to_decomposition(poset, part)
         assert D.spaces[0].key() == ((1, 0), (1,), ())
 
     def test_full_pipeline_verifies(self):
@@ -190,7 +195,7 @@ class TestPartitionToDecomposition:
         J = MonomialIdeal(ctx)
         poset = solver.build_characteristic_poset(I, J)
         k, part = solver.max_interval_partition(poset)
-        D = solver.partition_to_decomposition(poset, part, I, J)
+        D = solver.partition_to_decomposition(poset, part)
         assert len(D.spaces) == 4
         assert stanley.sdepth_of(D) == 2
         assert stanley.verify_decomposition(D, I, J).valid
