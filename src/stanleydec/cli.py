@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 mathematical or parse error, 3 budget exhausted.
-The `batch` command reads one JSON request per stdin line and writes one
-JSON report per line.
+Exit codes: 0 success, 1 internal error, 2 mathematical, parse or bad
+request error, 3 budget exhausted.  The `batch` command reads one JSON
+request per stdin line and writes one JSON report per line.  A line that
+raises an unexpected exception is answered with an "internal error" report
+(exit 1) and the stream goes on with the next line; the exit code of the
+stream is the largest of its lines.
 """
 
 import argparse
@@ -13,6 +16,7 @@ from . import filtration, hilbert, parsing, ring, solver, stanley
 from .errors import BudgetExceededError, StanleyError
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_MATH = 2
 EXIT_BUDGET = 3
 
@@ -77,8 +81,9 @@ def _cmd_localize(opts):
 
 def _cmd_hilbert(opts):
     ctx, I, J = _parse_pair(opts)
-    res = solver.sdepth(I, J, budget=opts.get("budget", solver.DEFAULT_BUDGET))
-    series = hilbert.series_of_decomposition(res.witness)
+    # the series is the same for every decomposition, so take one that
+    # needs no search
+    series = hilbert.series_of_decomposition(solver.singleton_decomposition(I, J))
     dmax = opts.get("max_degree", DEFAULT_MAX_DEGREE)
     coeffs = [dc.count for dc in hilbert.expand(series, dmax)]
     return {
@@ -160,6 +165,34 @@ def _emit(report, code, fmt, out):
     return code
 
 
+def _batch_request(line):
+    """(command, opts) of one batch line; ValueError when it is malformed."""
+    req = json.loads(line)
+    if not isinstance(req, dict):
+        raise ValueError("a request must be a JSON object")
+    command = req.get("command")
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise ValueError("unknown command %r" % (command,))
+    opts = req.get("options", {})
+    if not isinstance(opts, dict):
+        raise ValueError("options must be a JSON object")
+    opts = dict(opts)
+    for key in ("ring", "I", "J", "D", "A"):
+        if key in req:
+            opts[key] = req[key]
+        if key in opts and not isinstance(opts[key], str):
+            raise ValueError("%s must be a string" % key)
+    for key in ("budget", "max_degree", "box_bound"):
+        if key not in opts or (key == "box_bound" and opts[key] is None):
+            continue
+        value = opts[key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError("%s must be an integer, not %r" % (key, value))
+        if value < 0 and key != "box_bound":
+            raise ValueError("%s must be nonnegative, not %d" % (key, value))
+    return command, opts
+
+
 def _batch(args, stdin, stdout):
     worst = EXIT_OK
     for line in stdin:
@@ -167,17 +200,18 @@ def _batch(args, stdin, stdout):
         if not line:
             continue
         try:
-            req = json.loads(line)
-            command = req["command"]
-            if command not in _COMMANDS:
-                raise KeyError(command)
-            opts = dict(req.get("options", {}))
-            for key in ("ring", "I", "J", "D", "A"):
-                if key in req:
-                    opts[key] = req[key]
+            command, opts = _batch_request(line)
             report, code = run_request(command, opts)
         except (ValueError, KeyError) as exc:
             report, code = {"error": "bad request: %s" % exc}, EXIT_MATH
+        except Exception as exc:
+            # the stream must outlive any one line; imported here to keep
+            # traceback off the start-up path of every run
+            import traceback
+
+            traceback.print_exc()
+            report = {"error": "internal error: %s: %s" % (type(exc).__name__, exc)}
+            code = EXIT_INTERNAL
         payload = {k: v for k, v in report.items() if k != "text"}
         payload["ok"] = code == EXIT_OK
         stdout.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -13,7 +13,7 @@ from itertools import product
 
 from . import ring
 from .errors import MalformedInputError
-from .stanley import StanleyDecomposition, StanleySpace
+from .stanley import StanleyDecomposition
 
 
 def _poly_trim(p):
@@ -132,32 +132,40 @@ def _t_power(k):
     return (0,) * k + (1,)
 
 
-def series_of_space(s):
-    """Series of a single Stanley space by the split-toward-zero recursion.
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _poly_trim(out)
 
-    While the root points against an admissible direction (positive
-    exponent with the inverse admissible, or negative exponent with the
-    plain variable admissible), peel off the degree-zero-slice summand and
-    shift the root one step toward zero.  The conflict-free base case is
+
+def series_of_space(s):
+    """Series of a single Stanley space, as a product of one factor per
+    coordinate.
+
+    The space is a product of per-coordinate sets and absolute degree is
+    additive, so its series is the product of their series.  A fixed
+    coordinate gives t^{|r|}, an admissible direction pointing away from
+    zero gives t^{|r|}/(1-t), and a direction pointing back through zero
+    (positive root with the inverse admissible, or negative root with the
+    plain variable admissible) gives t^{|r|} + ... + t plus 1/(1-t), that
+    is (1 + t - t^{|r|+1})/(1-t).  The conflict-free case is
     t^{|root|}/(1-t)^{|Z|}.
     """
     root = s.root
-    conflict = None
-    for i in range(s.context.n):
-        if (root[i] > 0 and i in s.zminus) or (root[i] < 0 and i in s.zplus):
-            conflict = i
-            break
-    if conflict is None:
+    conflicts = [
+        i
+        for i in range(s.context.n)
+        if (root[i] > 0 and i in s.zminus) or (root[i] < 0 and i in s.zplus)
+    ]
+    if not conflicts:
         return HilbertSeries(_t_power(ring.abs_degree(root)), s.dimension)
-    i = conflict
-    if root[i] > 0:
-        slab = StanleySpace(s.context, root, s.zplus, s.zminus - {i})
-        shifted = root[:i] + (root[i] - 1,) + root[i + 1:]
-    else:
-        slab = StanleySpace(s.context, root, s.zplus - {i}, s.zminus)
-        shifted = root[:i] + (root[i] + 1,) + root[i + 1:]
-    rest = StanleySpace(s.context, shifted, s.zplus, s.zminus)
-    return series_of_space(slab) + series_of_space(rest)
+    num = _t_power(sum(abs(e) for i, e in enumerate(root) if i not in conflicts))
+    for i in conflicts:
+        num = _poly_mul(num, (1, 1) + (0,) * (abs(root[i]) - 1) + (-1,))
+    return HilbertSeries(num, s.dimension)
 
 
 def series_of_laurent_ring(u, inverted, extra_vars):

@@ -158,13 +158,29 @@ def _embed_and_invert(D, ctx, kept):
     return StanleyDecomposition(ctx, tuple(spaces))
 
 
-def sdepth(I, J, budget=DEFAULT_BUDGET):
-    """Exact Stanley depth of I/J with a verifying witness decomposition."""
+def _poset_of(I, J):
+    """The characteristic poset of the contraction of I/J, with the
+    offset and kept map of ``reduce_to_polynomial``."""
     Ip, Jp, offset, kept = reduce_to_polynomial(I, J)
     if Ip == Jp:
         raise ZeroModuleError("I/J is the zero module; sdepth undefined")
-    poset = build_characteristic_poset(Ip, Jp)
+    return build_characteristic_poset(Ip, Jp), offset, kept
+
+
+def sdepth(I, J, budget=DEFAULT_BUDGET):
+    """Exact Stanley depth of I/J with a verifying witness decomposition."""
+    poset, offset, kept = _poset_of(I, J)
     k, partition = max_interval_partition(poset, budget)
     Dp = partition_to_decomposition(poset, partition)
     witness = _embed_and_invert(Dp, I.context, kept)
     return SdepthResult(k + offset, witness)
+
+
+def singleton_decomposition(I, J):
+    """A Stanley decomposition of I/J found without search: every element
+    of the characteristic poset is its own interval (the k = 0 partition,
+    which always exists), lifted back to the ring of I/J."""
+    poset, _, kept = _poset_of(I, J)
+    partition = IntervalPartition(tuple((e, e) for e in poset.elements))
+    Dp = partition_to_decomposition(poset, partition)
+    return _embed_and_invert(Dp, I.context, kept)

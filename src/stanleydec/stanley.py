@@ -161,13 +161,56 @@ def clamp_bound(D, I, J):
     return b + 1
 
 
+def _generator_bounds(g, ctx):
+    """The Region bounds of the multiples of the generator g: AtLeast g_i
+    on the plain coordinates, unbounded on the inverted ones."""
+    return tuple(
+        (None, None) if i in ctx.inverted else (e, None) for i, e in enumerate(g)
+    )
+
+
+def _axis_cells(boxes, i, low, high):
+    """Compress coordinate i of the box [low, high] to cells.
+
+    Returns (corner, bits) pairs in ascending order, one per cell: the
+    corner is the cell's lowest value and bit k of bits is set when the
+    k-th (lo, hi) constraint in boxes admits the cell's values.  The cuts
+    are every lo and hi+1, so each constraint is constant on a cell.
+    """
+    cuts = {low}
+    for bounds in boxes:
+        lo, hi = bounds[i]
+        if lo is not None:
+            cuts.add(lo)
+        if hi is not None:
+            cuts.add(hi + 1)
+    cells = []
+    for c in sorted(x for x in cuts if low <= x <= high):
+        bits = 0
+        for k, bounds in enumerate(boxes):
+            lo, hi = bounds[i]
+            if (lo is None or lo <= c) and (hi is None or c <= hi):
+                bits |= 1 << k
+        cells.append((c, bits))
+    return cells
+
+
 def verify_decomposition(D, I, J, box_bound=None):
     """Exact validity check of D against I/J on the clamp box.
 
-    Reports the first failure found with a witness monomial:
-    a monomial of I\\J covered by no space (coverage), a monomial covered
-    by two spaces (disjointness), or a space monomial outside I\\J
-    (containment).
+    Reports the failure at the lexicographically first box monomial that
+    fails, with that monomial as witness: a monomial of I\\J covered by no
+    space (coverage), a monomial covered by two spaces (disjointness), or
+    a space monomial outside I\\J (containment).
+
+    The box is never enumerated point by point.  Each coordinate is cut at
+    every threshold of a space region and of a generator of I or J, so
+    every membership test is constant on each cell of the resulting grid.
+    One bitset per (coordinate, cell) records which regions and generators
+    admit it; the AND over the coordinates of a cell says which regions
+    cover the cell and whether it lies in I and in J.  Cells are walked in
+    lex order of their lower corners, so the lower corner of the first
+    failing cell is the lex-first failing monomial of the box.
     """
     if D.context != I.context or I.context != J.context:
         raise ContextMismatchError("decomposition and ideals must share a ring")
@@ -179,16 +222,34 @@ def verify_decomposition(D, I, J, box_bound=None):
                 "box bound %d is below the required clamp bound %d" % (box_bound, B)
             )
         B = box_bound
-    regions = [space_region(s) for s in D.spaces]
-    for m in ring.box_monomials(D.context, B):
-        hits = [r for r in regions if r.contains(m)]
-        member = ring.contains(I, m) and not ring.contains(J, m)
-        if len(hits) > 1:
-            return VerificationReport(False, "disjointness", m, B)
-        if member and not hits:
-            return VerificationReport(False, "coverage", m, B)
-        if not member and hits:
-            return VerificationReport(False, "containment", m, B)
+    ctx = D.context
+    # one bit per space, then per generator of I, then per generator of J
+    boxes = [space_region(s).bounds for s in D.spaces]
+    for ideal_ in (I, J):
+        boxes += [_generator_bounds(g, ctx) for g in ideal_.generators]
+    everything = (1 << len(boxes)) - 1
+    spaces_mask = (1 << len(D.spaces)) - 1
+    I_mask = ((1 << len(I.generators)) - 1) << len(D.spaces)
+    J_mask = everything - spaces_mask - I_mask
+    axes = [
+        _axis_cells(boxes, i, -B if i in ctx.inverted else 0, B)
+        for i in range(ctx.n)
+    ]
+    for cell in product(*axes):
+        bits = everything
+        for _, axis_bits in cell:
+            bits &= axis_bits
+        hits = bits & spaces_mask
+        member = bits & I_mask and not bits & J_mask
+        if hits & (hits - 1):
+            failure = "disjointness"
+        elif member and not hits:
+            failure = "coverage"
+        elif not member and hits:
+            failure = "containment"
+        else:
+            continue
+        return VerificationReport(False, failure, tuple(c for c, _ in cell), B)
     return VerificationReport(True, "", None, B)
 
 

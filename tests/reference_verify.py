@@ -1,0 +1,38 @@
+"""Enumerating reference verifier for Stanley decompositions.
+
+The box walk that ``stanley.verify_decomposition`` replaced, kept as the
+oracle of the verifier parity test.  It tests every monomial of the clamp
+box, in lex order, against every space region, so it returns the same
+``VerificationReport`` as the fast verifier: the failure at the lex-first
+failing box monomial, with that monomial as witness.  It costs
+(box side)^n times the number of spaces, so it is only fit for small
+instances.
+"""
+
+from stanleydec import ring, stanley
+from stanleydec.errors import ContextMismatchError, MalformedInputError
+from stanleydec.stanley import VerificationReport
+
+
+def verify_decomposition(D, I, J, box_bound=None):
+    if D.context != I.context or I.context != J.context:
+        raise ContextMismatchError("decomposition and ideals must share a ring")
+    ring.require_subquotient(I, J)
+    B = stanley.clamp_bound(D, I, J)
+    if box_bound is not None:
+        if box_bound < B:
+            raise MalformedInputError(
+                "box bound %d is below the required clamp bound %d" % (box_bound, B)
+            )
+        B = box_bound
+    regions = [stanley.space_region(s) for s in D.spaces]
+    for m in ring.box_monomials(D.context, B):
+        hits = [r for r in regions if r.contains(m)]
+        member = ring.contains(I, m) and not ring.contains(J, m)
+        if len(hits) > 1:
+            return VerificationReport(False, "disjointness", m, B)
+        if member and not hits:
+            return VerificationReport(False, "coverage", m, B)
+        if not member and hits:
+            return VerificationReport(False, "containment", m, B)
+    return VerificationReport(True, "", None, B)

@@ -1,5 +1,8 @@
 import io
 import json
+from math import comb
+
+import pytest
 
 from stanleydec import cli
 
@@ -62,6 +65,24 @@ class TestHilbert:
         )
         assert code == 0
         assert json.loads(out)["coefficients"] == [1, 1, 1, 1]
+
+    def test_no_search_behind_the_series(self):
+        """m in K[x1..x6] needs over 10^6 nodes for its sdepth; its series
+        needs none, whatever the budget."""
+        base = ["hilbert", "--ring", "n=6", "--I", "(x1, x2, x3, x4, x5, x6)",
+                "--format", "json"]
+        code, out = run(base + ["--budget", "1000"])
+        assert code == 0
+        payload = json.loads(out)
+        assert run(base) == (0, out)
+        # S/m is the field, so H = 1/(1-t)^6 - 1
+        assert payload["coefficients"] == [0] + [comb(d + 5, 5) for d in range(1, 11)]
+        assert payload["maximal_spaces"] == 1
+
+    def test_zero_module(self):
+        code, out = run(["hilbert", "--ring", "n=2", "--I", "(x)", "--J", "(x)"])
+        assert code == 2
+        assert "zero module" in out
 
 
 class TestLocalize:
@@ -229,4 +250,57 @@ class TestBatch:
         assert code == 0 and len(lines) == 2
         assert lines[0]["ok"] and lines[0]["sdepth"] == 0
         assert len(lines[0]["decomposition"]["spaces"]) == 1331
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
+    VALID = {"command": "sdepth", "ring": "n=3", "I": "(x, y, z)"}
+
+    @pytest.mark.parametrize("key, value", [
+        ("budget", "many"),
+        ("budget", -1),
+        ("budget", True),
+        ("budget", None),
+        ("max_degree", "5"),
+        ("max_degree", -2),
+        ("box_bound", "3"),
+        ("box_bound", False),
+        ("box_bound", 2.5),
+    ])
+    def test_bad_option_keeps_stream_alive(self, key, value):
+        bad = dict(self.VALID, options={key: value})
+        stdin = json.dumps(bad) + "\n" + json.dumps(self.VALID) + "\n"
+        code, out = run(["batch"], stdin)
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 2 and len(lines) == 2
+        assert not lines[0]["ok"] and lines[0]["error"].startswith("bad request")
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
+    def test_malformed_request_shapes(self):
+        requests = ["[1, 2]", json.dumps({"command": ["sdepth"]}),
+                    json.dumps(dict(self.VALID, options=5)),
+                    json.dumps(dict(self.VALID, ring=3)),
+                    json.dumps(self.VALID)]
+        code, out = run(["batch"], "\n".join(requests) + "\n")
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 2 and len(lines) == 5
+        assert all(l["error"].startswith("bad request") for l in lines[:4])
+        assert lines[4]["ok"]
+
+    def test_null_box_bound_means_the_clamp_bound(self):
+        req = {"command": "verify", "ring": "n=1", "I": "(x^3)", "D": "x^3*K[x]",
+               "options": {"box_bound": None}}
+        code, out = run(["batch"], json.dumps(req) + "\n")
+        assert code == 0
+        assert json.loads(out) == {"ok": True, "valid": True, "box_bound": 4}
+
+    def test_internal_error_keeps_stream_alive(self, monkeypatch):
+        def broken(opts):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "normalize", broken)
+        requests = [{"command": "normalize", "ring": "n=1"}, self.VALID]
+        stdin = "\n".join(json.dumps(r) for r in requests) + "\n"
+        code, out = run(["batch"], stdin)
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 1 and len(lines) == 2
+        assert lines[0] == {"ok": False, "error": "internal error: RuntimeError: boom"}
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2

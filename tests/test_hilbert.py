@@ -7,6 +7,7 @@ from stanleydec.hilbert import HilbertSeries
 from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
+from reference_series import series_of_space as reference_series_of_space
 from util import all_decomposition_variants, random_quotient
 
 
@@ -137,6 +138,35 @@ class TestSeriesOfSpace:
                     if stanley.space_contains(s, a)
                 )
                 assert coeffs[d] == direct, (s, d)
+
+    def test_matches_recursive_reference(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            A = frozenset(i for i in range(n) if rng.random() < 0.6)
+            ctx = RingContext(n, A)
+            root = tuple(
+                rng.randint(-5, 5) if i in A else rng.randint(0, 5)
+                for i in range(n)
+            )
+            zplus, zminus = set(), set()
+            for i in range(n):
+                r = rng.random()
+                if r < 0.4:
+                    zplus.add(i)
+                elif r < 0.8 and i in A:
+                    zminus.add(i)
+            s = space(ctx, root, zplus, zminus)
+            assert hilbert.series_of_space(s) == reference_series_of_space(s), s
+
+    def test_root_3000_against_inverse_direction(self):
+        ctx = RingContext(1, frozenset({0}))
+        for root, z in (((3000,), {"zminus": {0}}), ((-3000,), {"zplus": {0}})):
+            h = hilbert.series_of_space(space(ctx, root, **z))
+            assert h.pole == 1 and h.numerator_at_one() == 1
+            # degrees 3000, 2999, ..., 1 once each, then 0, 1, 2, ... once each
+            counts = [dc.count for dc in hilbert.expand(h, 3002)]
+            assert counts == [1] + [2] * 3000 + [1, 1]
 
 
 class TestLaurentRingClosedForm:

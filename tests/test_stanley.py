@@ -8,7 +8,13 @@ from stanleydec.errors import VerificationError, ZeroModuleError
 from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
-from util import polynomial_quotient, localize_pair
+from reference_verify import verify_decomposition as reference_verify
+from util import (
+    decomposition_from_partition,
+    greedy_partition,
+    polynomial_quotient,
+    random_quotient,
+)
 
 
 def space(ctx, root, zplus=(), zminus=()):
@@ -134,6 +140,59 @@ class TestVerify:
         D = StanleyDecomposition(ctx, (space(ctx, (0, 0), zplus={0, 1}),))
         report = stanley.verify_decomposition(D, I, MonomialIdeal(ctx))
         assert report.failure == "containment"
+
+
+def _broken_variants(D, I, J, rng):
+    """D itself and copies of D with one space dropped, duplicated,
+    shifted, or joined by a space rooted outside I\\J."""
+    ctx = D.context
+    spaces = list(D.spaces)
+    variants = [spaces]
+    k = rng.randrange(len(spaces))
+    variants.append(spaces[:k] + spaces[k + 1:])
+    variants.append(spaces + [spaces[k]])
+    s = spaces[k]
+    i = rng.randrange(ctx.n)
+    step = rng.choice((-1, 1)) if i in ctx.inverted else 1
+    root = tuple(e + step * (j == i) for j, e in enumerate(s.root))
+    variants.append(spaces[:k] + [StanleySpace(ctx, root, s.zplus, s.zminus)]
+                    + spaces[k + 1:])
+    B = stanley.clamp_bound(D, I, J)
+    outside = [m for m in ring.box_monomials(ctx, B)
+               if not (ring.contains(I, m) and not ring.contains(J, m))]
+    if outside:
+        variants.append(spaces + [StanleySpace(ctx, rng.choice(outside))])
+    return [StanleyDecomposition(ctx, tuple(v)) for v in variants]
+
+
+class TestVerifierParity:
+    def test_matches_enumeration(self):
+        """Same report, witness included, as the box enumeration on valid
+        and broken decompositions of random quotients."""
+        rng = random.Random(17)
+        kinds = set()
+        for case in range(160):
+            n = 1 + case % 4
+            inverted = frozenset() if case % 8 < 4 else None
+            ctx, I, J = random_quotient(
+                rng, n=n, inverted=inverted, max_exp=2 if n < 4 else 1
+            )
+            if case % 3:
+                D = solver.singleton_decomposition(I, J)
+            else:
+                Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
+                poset = solver.build_characteristic_poset(Ip, Jp)
+                D = decomposition_from_partition(
+                    I, J, greedy_partition(poset, rng)
+                )
+            for E in _broken_variants(D, I, J, rng):
+                box_bound = None
+                if case % 2:
+                    box_bound = stanley.clamp_bound(E, I, J) + rng.randint(0, 2)
+                got = stanley.verify_decomposition(E, I, J, box_bound)
+                assert got == reference_verify(E, I, J, box_bound), (I, J, E)
+                kinds.add(got.failure)
+        assert kinds == {"", "coverage", "disjointness", "containment"}
 
 
 class TestLocalize:
