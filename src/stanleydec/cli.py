@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 internal error, 2 mathematical, parse or bad
 request error, 3 budget exhausted.  The `batch` command reads one JSON
-request per stdin line and writes one JSON report per line.  A line that
-raises an unexpected exception is answered with an "internal error" report
-(exit 1) and the stream goes on with the next line; the exit code of the
-stream is the largest of its lines.
+request per stdin line and writes one JSON report per line.  A malformed
+line is answered with a "bad request" report (exit 2).  A line that raises
+an exception other than a library error is answered with an "internal
+error" report (exit 1).  Either way the stream goes on with the next line.
+The exit code of the stream is 1 when any line hit an internal error, and
+otherwise the largest code of its lines.
 """
 
 import argparse
@@ -165,6 +167,9 @@ def _emit(report, code, fmt, out):
     return code
 
 
+_REQUIRED = {"localize": ("ring", "D", "A"), "verify": ("ring", "D")}
+
+
 def _batch_request(line):
     """(command, opts) of one batch line; ValueError when it is malformed."""
     req = json.loads(line)
@@ -182,6 +187,9 @@ def _batch_request(line):
             opts[key] = req[key]
         if key in opts and not isinstance(opts[key], str):
             raise ValueError("%s must be a string" % key)
+    for key in _REQUIRED.get(command, ("ring",)):
+        if key not in opts:
+            raise ValueError("missing %s" % key)
     for key in ("budget", "max_degree", "box_bound"):
         if key not in opts or (key == "box_bound" and opts[key] is None):
             continue
@@ -195,28 +203,34 @@ def _batch_request(line):
 
 def _batch(args, stdin, stdout):
     worst = EXIT_OK
+    internal = False
     for line in stdin:
         line = line.strip()
         if not line:
             continue
         try:
             command, opts = _batch_request(line)
-            report, code = run_request(command, opts)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             report, code = {"error": "bad request: %s" % exc}, EXIT_MATH
-        except Exception as exc:
-            # the stream must outlive any one line; imported here to keep
-            # traceback off the start-up path of every run
-            import traceback
+        else:
+            try:
+                report, code = run_request(command, opts)
+            except Exception as exc:
+                # the stream must outlive any one line; imported here to
+                # keep traceback off the start-up path of every run
+                import traceback
 
-            traceback.print_exc()
-            report = {"error": "internal error: %s: %s" % (type(exc).__name__, exc)}
-            code = EXIT_INTERNAL
+                traceback.print_exc()
+                report = {
+                    "error": "internal error: %s: %s" % (type(exc).__name__, exc)
+                }
+                code = EXIT_INTERNAL
+                internal = True
         payload = {k: v for k, v in report.items() if k != "text"}
         payload["ok"] = code == EXIT_OK
         stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         worst = max(worst, code)
-    return worst
+    return EXIT_INTERNAL if internal else worst
 
 
 def build_parser():

@@ -151,8 +151,8 @@ def series_of_space(s):
     zero gives t^{|r|}/(1-t), and a direction pointing back through zero
     (positive root with the inverse admissible, or negative root with the
     plain variable admissible) gives t^{|r|} + ... + t plus 1/(1-t), that
-    is (1 + t - t^{|r|+1})/(1-t).  The conflict-free case is
-    t^{|root|}/(1-t)^{|Z|}.
+    is (1 + t - t^{|r|+1})/(1-t).  A conflict-free space is the product
+    with no conflict factors, t^{|root|}/(1-t)^{|Z|}.
     """
     root = s.root
     conflicts = [
@@ -160,8 +160,6 @@ def series_of_space(s):
         for i in range(s.context.n)
         if (root[i] > 0 and i in s.zminus) or (root[i] < 0 and i in s.zplus)
     ]
-    if not conflicts:
-        return HilbertSeries(_t_power(ring.abs_degree(root)), s.dimension)
     num = _t_power(sum(abs(e) for i, e in enumerate(root) if i not in conflicts))
     for i in conflicts:
         num = _poly_mul(num, (1, 1) + (0,) * (abs(root[i]) - 1) + (-1,))

