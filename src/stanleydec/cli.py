@@ -151,19 +151,20 @@ def run_request(command, opts):
     try:
         report = _COMMANDS[command](opts)
         return report, EXIT_OK
-    except BudgetExceededError as exc:
-        return {"error": str(exc), "text": "error: %s" % exc}, EXIT_BUDGET
     except StanleyError as exc:
-        return {"error": str(exc), "text": "error: %s" % exc}, EXIT_MATH
+        code = EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_MATH
+        return {"error": str(exc), "text": "error: %s" % exc}, code
+
+
+def _json_line(report, code):
+    """A report as one JSON line: every field but the text, and ok."""
+    payload = {k: v for k, v in report.items() if k != "text"}
+    payload["ok"] = code == EXIT_OK
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _emit(report, code, fmt, out):
-    if fmt == "json":
-        payload = {k: v for k, v in report.items() if k != "text"}
-        payload["ok"] = code == EXIT_OK
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        out.write(report["text"] + "\n")
+    out.write(_json_line(report, code) if fmt == "json" else report["text"] + "\n")
     return code
 
 
@@ -226,9 +227,7 @@ def _batch(args, stdin, stdout):
                 }
                 code = EXIT_INTERNAL
                 internal = True
-        payload = {k: v for k, v in report.items() if k != "text"}
-        payload["ok"] = code == EXIT_OK
-        stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        stdout.write(_json_line(report, code))
         worst = max(worst, code)
     return EXIT_INTERNAL if internal else worst
 

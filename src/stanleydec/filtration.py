@@ -7,18 +7,21 @@ The enumeration is restricted to witnesses below the characteristic-poset
 bound, which is a deliberate desk-scale limitation: a value obtained from
 an exhausted budget or a truncated candidate box is reported as a lower
 bound, never silently as exact.
+
+Every search here draws its prime steps from one generator, ``_steps``,
+and keeps its open chain on an explicit stack rather than the call
+stack, so the length of a chain is bounded only by memory, not by the
+recursion limit.
 """
 
 from dataclasses import dataclass
-from itertools import product
-
 from . import ring, solver
 from .errors import (
     BudgetExceededError,
     ContextMismatchError,
     ZeroModuleError,
 )
-from .ring import MonomialIdeal, RingContext
+from .ring import RingContext
 
 DEFAULT_BUDGET = 10**6
 
@@ -87,12 +90,6 @@ def verify_filtration(F, I, J):
     return FiltrationReport(True)
 
 
-def _candidates(Ip, Jp):
-    """Witness monomials a <= g, g the characteristic-poset bound."""
-    poset = solver.build_characteristic_poset(Ip, Jp)
-    return poset.elements
-
-
 def step_dimension(ctx, primes):
     """Krull dimension of the quotient by the variable prime; unchanged by
     inverting variables outside the prime."""
@@ -104,6 +101,29 @@ def fdepth_of(F):
     if not F.steps:
         raise ZeroModuleError("fdepth of an empty filtration is undefined")
     return min(step_dimension(F.context, s.primes) for s in F.steps)
+
+
+def _steps(current, cands):
+    """The prime steps out of `current`: (u, primes, current + (u)) for
+    every candidate u outside current whose colon (current : u) is the
+    variable prime on `primes`, in the order of cands.
+
+    Every candidate lies in I'\\J' and current lies between J' and I', so
+    current + (u) stays inside I'."""
+    for u in cands:
+        if ring.contains(current, u):
+            continue
+        primes = _prime_indices(ring.colon(current, u))
+        if primes is not None:
+            yield u, primes, current.plus(u)
+
+
+def _filtration(ctx, start, path):
+    """The prime filtration that starts at `start` and takes the
+    (u, primes, next ideal) steps of path."""
+    chain = (start,) + tuple(nxt for _, _, nxt in path)
+    steps = tuple(FiltrationStep(u, primes, u) for u, primes, _ in path)
+    return PrimeFiltration(ctx, chain, steps)
 
 
 def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
@@ -119,37 +139,26 @@ def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
     ring.require_subquotient(Ip, Jp)
     if Ip == Jp:
         raise ZeroModuleError("zero module has no prime filtration")
-    cands = _candidates(Ip, Jp)
+    cands = solver.build_characteristic_poset(Ip, Jp).elements
     found = []
-    state = {"nodes": 0, "complete": True}
-
-    def search(current, chain, steps):
-        if current == Ip:
-            found.append(PrimeFiltration(ctx, tuple(chain), tuple(steps)))
-            return
-        for u in cands:
-            if not ring.contains(Ip, u) or ring.contains(current, u):
-                continue
-            idx = _prime_indices(ring.colon(current, u))
-            if idx is None:
-                continue
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                state["complete"] = False
-                return
-            nxt = current.plus(u)
-            if not ring.is_subideal(nxt, Ip):
-                continue
-            chain.append(nxt)
-            steps.append(FiltrationStep(u, idx, u))
-            search(nxt, chain, steps)
-            chain.pop()
-            steps.pop()
-            if not state["complete"]:
-                return
-
-    search(Jp, [Jp], [])
-    return found, state["complete"]
+    nodes = 0
+    path = []                 # the steps of the open chain, one per frame
+    stack = [_steps(Jp, cands)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            return found, False
+        del path[len(stack) - 1:]
+        path.append(step)
+        if step[2] == Ip:
+            found.append(_filtration(ctx, Jp, path))
+        else:
+            stack.append(_steps(step[2], cands))
+    return found, True
 
 
 @dataclass(frozen=True)
@@ -165,76 +174,67 @@ class FdepthResult:
 def fdepth(I, J, budget=DEFAULT_BUDGET):
     """fdepth of I/J: contract to the polynomial ring on the non-inverted
     variables, search prime filtrations there (memoized over reachable
-    ideals), and add one per inverted variable."""
+    ideals), and add one per inverted variable.
+
+    The memo maps an ideal's generators to the best minimum step
+    dimension of a filtration from it up to I', or -1 when none
+    completes in the box.  Each frame of the search is [ideal, its step
+    generator, best so far, pending step]; the pending step's value is
+    read from the memo before the frame draws its next step."""
     Ip, Jp, offset, _ = solver.reduce_to_polynomial(I, J)
     if Ip == Jp:
         raise ZeroModuleError("I/J is the zero module; fdepth undefined")
     ctx = Ip.context
-    cands = _candidates(Ip, Jp)
-    memo = {}
-    state = {"nodes": 0, "complete": True}
+    cands = solver.build_characteristic_poset(Ip, Jp).elements
     NEG = -1
-
-    def best(current):
-        """Best achievable min-dimension from this partial chain; -1 when
-        no in-box filtration completes from here."""
-        if current == Ip:
-            return ctx.n + 1   # neutral element for min over the steps
-        key = current.generators
-        if key in memo:
-            return memo[key]
-        value = NEG
-        for u in cands:
-            if not ring.contains(Ip, u) or ring.contains(current, u):
-                continue
-            idx = _prime_indices(ring.colon(current, u))
-            if idx is None:
-                continue
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                state["complete"] = False
-                break
-            tail = best(current.plus(u))
-            if tail == NEG:
-                continue
-            value = max(value, min(step_dimension(ctx, idx), tail))
-        memo[key] = value
-        return value
-
-    value = best(Jp)
+    memo = {Ip.generators: ctx.n + 1}   # neutral element for min over the steps
+    nodes = 0
+    stack = [[Jp, _steps(Jp, cands), NEG, None]]
+    while stack:
+        frame = stack[-1]
+        current, steps, value, pending = frame
+        if pending is not None:
+            _, primes, nxt = pending
+            tail = memo[nxt.generators]
+            if tail != NEG:
+                value = max(value, min(step_dimension(ctx, primes), tail))
+        step = next(steps, None)
+        if step is not None:
+            nodes += 1
+        if step is None or nodes > budget:
+            memo[current.generators] = value
+            stack.pop()
+            continue
+        frame[2:] = value, step
+        if step[2].generators not in memo:
+            stack.append([step[2], _steps(step[2], cands), NEG, None])
+    complete = nodes <= budget
+    value = memo[Jp.generators]
     if value == NEG:
         raise BudgetExceededError(
-            "no prime filtration found within the search bound", state["nodes"]
+            "no prime filtration found within the search bound", nodes
         )
 
-    # reconstruct a witness chain achieving the value
-    chain = [Jp]
-    steps = []
+    # walk a witness chain achieving the value
+    path = []
     current = Jp
     while current != Ip:
-        for u in cands:
-            if not ring.contains(Ip, u) or ring.contains(current, u):
-                continue
-            idx = _prime_indices(ring.colon(current, u))
-            if idx is None or step_dimension(ctx, idx) < value:
-                continue
-            tail = memo.get(current.plus(u).generators)
-            if current.plus(u) == Ip:
-                tail = ctx.n + 1
-            if tail is not None and tail >= value:
-                current = current.plus(u)
-                chain.append(current)
-                steps.append(FiltrationStep(u, idx, u))
+        for step in _steps(current, cands):
+            _, primes, nxt = step
+            if (step_dimension(ctx, primes) >= value
+                    and memo.get(nxt.generators, NEG) >= value):
+                path.append(step)
+                current = nxt
                 break
         else:
-            if not state["complete"]:
+            if not complete:
                 raise BudgetExceededError(
                     "budget exhausted before a witness chain was certified",
-                    state["nodes"],
+                    nodes,
                 )
             raise AssertionError("witness reconstruction failed")
-    witness = PrimeFiltration(ctx, tuple(chain), tuple(steps))
-    return FdepthResult(value + offset, state["complete"], witness)
+    witness = _filtration(ctx, Jp, path)
+    return FdepthResult(value + offset, complete, witness)
 
 
 def localize_filtration(F, A):

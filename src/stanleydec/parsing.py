@@ -40,6 +40,11 @@ def _var_index(name, ctx):
 
 # ---------------------------------------------------------------- rings
 
+# every monomial is an n-tuple, so a huge n would fail with MemoryError at
+# the first allocation; no search here is feasible near this many anyway
+MAX_VARIABLES = 10_000
+
+
 def parse_ring(text):
     m = re.fullmatch(
         r"\s*(?:ring\s+)?n\s*=\s*(\d+)\s*(?:invert\s*=\s*\{([\d\s,]*)\}\s*)?",
@@ -47,7 +52,11 @@ def parse_ring(text):
     )
     if not m:
         raise ParseError("cannot parse ring %r" % text)
-    n = int(m.group(1))
+    digits = m.group(1).lstrip("0") or "0"
+    # lengths first: int() refuses strings of thousands of digits
+    if len(digits) > len(str(MAX_VARIABLES)) or int(digits) > MAX_VARIABLES:
+        raise ParseError("n exceeds the limit of %d variables" % MAX_VARIABLES)
+    n = int(digits)
     inverted = frozenset()
     if m.group(2):
         try:

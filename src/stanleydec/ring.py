@@ -17,8 +17,6 @@ from .errors import (
     MalformedInputError,
 )
 
-Exponents = tuple
-
 
 @dataclass(frozen=True)
 class RingContext:

@@ -139,21 +139,13 @@ class SdepthResult:
 def _embed_and_invert(D, ctx, kept):
     """Lift a decomposition over the kept variables back to the full ring,
     re-adjoining every inverted variable as an x, x^-1 pair of spaces."""
-    A = sorted(ctx.inverted)
-    back = dict(zip(range(len(kept)), kept))
-    spaces = []
+    bases = []
     for s in D.spaces:
-        base_root = [0] * ctx.n
-        for i, e in enumerate(s.root):
-            base_root[back[i]] = e
-        base_z = frozenset(back[i] for i in s.zplus)
-        for bits in product((False, True), repeat=len(A)):
-            L = frozenset(a for a, b in zip(A, bits) if b)
-            root = tuple(
-                -1 if i in L else e for i, e in enumerate(base_root)
-            )
-            zplus = base_z | (frozenset(A) - L)
-            spaces.append(StanleySpace(ctx, root, zplus, L))
+        root = [0] * ctx.n
+        for i, e in zip(kept, s.root):
+            root[i] = e
+        bases.append((root, frozenset(kept[i] for i in s.zplus) | ctx.inverted))
+    spaces = stanley._fan_out(ctx, bases, ctx.inverted)
     spaces.sort(key=lambda s: s.key())
     return StanleyDecomposition(ctx, tuple(spaces))
 

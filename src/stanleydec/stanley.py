@@ -63,14 +63,6 @@ class Region:
                 return False
         return True
 
-    def kind(self, i):
-        lo, hi = self.bounds[i]
-        if lo is not None and hi is not None:
-            return ("fixed", lo)
-        if lo is not None:
-            return ("atleast", lo)
-        return ("atmost", hi)
-
 
 def space_region(s):
     """The lattice region of u*K[Z]: coordinatewise AtLeast on zplus,
@@ -118,18 +110,35 @@ def sdepth_of(D):
     return min(s.dimension for s in D.spaces)
 
 
+def _fan_out(ctx, bases, A):
+    """Localize the spaces root*K[zplus] of bases, given as (root, zplus)
+    pairs with A inside every zplus, at the variables in A.
+
+    Each space becomes one space of ctx per subset L of A, with x_l^-1 in
+    place of x_l and the root divided by x_l for each l in L; the spaces
+    come in the order of bases, then of ``product`` over sorted A.  Every
+    new space keeps the dimension of the old one, which is why sdepth does
+    not drop under localization."""
+    A = sorted(A)
+    subsets = [
+        frozenset(a for a, b in zip(A, bits) if b)
+        for bits in product((False, True), repeat=len(A))
+    ]
+    spaces = []
+    for root, zplus in bases:
+        zplus = frozenset(zplus)
+        for L in subsets:
+            shifted = tuple(e - 1 if i in L else e for i, e in enumerate(root))
+            spaces.append(StanleySpace(ctx, shifted, zplus - L, L))
+    return spaces
+
+
 def canonical_sf_decomposition(ctx):
     """The canonical decomposition of the whole localized ring: one space
     per subset L of the inverted indices, with root prod_{l in L} x_l^-1
     and Z inverting exactly the variables in L.  2^|A| spaces, all of
     dimension n."""
-    A = sorted(ctx.inverted)
-    spaces = []
-    for bits in product((False, True), repeat=len(A)):
-        L = frozenset(a for a, b in zip(A, bits) if b)
-        root = tuple(-1 if i in L else 0 for i in range(ctx.n))
-        zplus = frozenset(i for i in range(ctx.n) if i not in L)
-        spaces.append(StanleySpace(ctx, root, zplus, L))
+    spaces = _fan_out(ctx, [(ring.one(ctx), range(ctx.n))], ctx.inverted)
     spaces.sort(key=lambda s: s.key())
     return StanleyDecomposition(ctx, tuple(spaces))
 
@@ -286,22 +295,10 @@ def localize_decomposition(D, I, J, A, check=True):
     new_ctx = RingContext(ctx.n, A)
     If = ring.extend_to(I, new_ctx)
     Jf = ring.extend_to(J, new_ctx)
-    A_sorted = sorted(A)
-    spaces = []
-    dropped = []
-    for idx, s in enumerate(D.spaces):
-        if not A <= s.zplus:
-            dropped.append(idx)
-            continue
-        for bits in product((False, True), repeat=len(A_sorted)):
-            L = frozenset(a for a, b in zip(A_sorted, bits) if b)
-            root = tuple(
-                e - 1 if i in L else e for i, e in enumerate(s.root)
-            )
-            zplus = frozenset(s.zplus - L)
-            spaces.append(StanleySpace(new_ctx, root, zplus, L))
-    Df = StanleyDecomposition(new_ctx, tuple(spaces))
-    return LocalizationResult(Df, tuple(dropped), If, Jf)
+    dropped = tuple(idx for idx, s in enumerate(D.spaces) if not A <= s.zplus)
+    bases = [(s.root, s.zplus) for s in D.spaces if A <= s.zplus]
+    Df = StanleyDecomposition(new_ctx, tuple(_fan_out(new_ctx, bases, A)))
+    return LocalizationResult(Df, dropped, If, Jf)
 
 
 def adjoin_ideal(I, laurent):

@@ -1,0 +1,153 @@
+"""Recursive reference search for prime filtrations and fdepth.
+
+The depth-first recursion that ``stanleydec.filtration`` replaced, kept as
+the oracle of the filtration parity test.  ``enumerate_prime_filtrations``
+and ``fdepth`` follow the same contracts and the same search order as the
+library: prime steps in lex order of the candidate monomial, the node
+budget counted per prime step, and ``fdepth`` memoized over the reachable
+ideals.  So both return the same filtrations, values, ``complete`` flags,
+witnesses and budget errors.  They recurse once per step of a chain, so
+they are only fit for short chains.
+"""
+
+from stanleydec import ring, solver
+from stanleydec.errors import (
+    BudgetExceededError,
+    ContextMismatchError,
+    ZeroModuleError,
+)
+from stanleydec.filtration import (
+    DEFAULT_BUDGET,
+    FdepthResult,
+    FiltrationStep,
+    PrimeFiltration,
+    _prime_indices,
+    step_dimension,
+)
+
+
+def _candidates(Ip, Jp):
+    """Witness monomials a <= g, g the characteristic-poset bound."""
+    poset = solver.build_characteristic_poset(Ip, Jp)
+    return poset.elements
+
+
+def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
+    """All prime filtrations of I'/J' whose witnesses stay below the
+    characteristic bound, found by depth-first search.
+
+    Returns (filtrations, complete); complete is False when the node
+    budget ran out and the list is only partial.
+    """
+    ctx = Ip.context
+    if ctx.inverted:
+        raise ContextMismatchError("enumeration expects a polynomial ring")
+    ring.require_subquotient(Ip, Jp)
+    if Ip == Jp:
+        raise ZeroModuleError("zero module has no prime filtration")
+    cands = _candidates(Ip, Jp)
+    found = []
+    state = {"nodes": 0, "complete": True}
+
+    def search(current, chain, steps):
+        if current == Ip:
+            found.append(PrimeFiltration(ctx, tuple(chain), tuple(steps)))
+            return
+        for u in cands:
+            if not ring.contains(Ip, u) or ring.contains(current, u):
+                continue
+            idx = _prime_indices(ring.colon(current, u))
+            if idx is None:
+                continue
+            state["nodes"] += 1
+            if state["nodes"] > budget:
+                state["complete"] = False
+                return
+            nxt = current.plus(u)
+            if not ring.is_subideal(nxt, Ip):
+                continue
+            chain.append(nxt)
+            steps.append(FiltrationStep(u, idx, u))
+            search(nxt, chain, steps)
+            chain.pop()
+            steps.pop()
+            if not state["complete"]:
+                return
+
+    search(Jp, [Jp], [])
+    return found, state["complete"]
+
+
+def fdepth(I, J, budget=DEFAULT_BUDGET):
+    """fdepth of I/J: contract to the polynomial ring on the non-inverted
+    variables, search prime filtrations there (memoized over reachable
+    ideals), and add one per inverted variable."""
+    Ip, Jp, offset, _ = solver.reduce_to_polynomial(I, J)
+    if Ip == Jp:
+        raise ZeroModuleError("I/J is the zero module; fdepth undefined")
+    ctx = Ip.context
+    cands = _candidates(Ip, Jp)
+    memo = {}
+    state = {"nodes": 0, "complete": True}
+    NEG = -1
+
+    def best(current):
+        """Best achievable min-dimension from this partial chain; -1 when
+        no in-box filtration completes from here."""
+        if current == Ip:
+            return ctx.n + 1   # neutral element for min over the steps
+        key = current.generators
+        if key in memo:
+            return memo[key]
+        value = NEG
+        for u in cands:
+            if not ring.contains(Ip, u) or ring.contains(current, u):
+                continue
+            idx = _prime_indices(ring.colon(current, u))
+            if idx is None:
+                continue
+            state["nodes"] += 1
+            if state["nodes"] > budget:
+                state["complete"] = False
+                break
+            tail = best(current.plus(u))
+            if tail == NEG:
+                continue
+            value = max(value, min(step_dimension(ctx, idx), tail))
+        memo[key] = value
+        return value
+
+    value = best(Jp)
+    if value == NEG:
+        raise BudgetExceededError(
+            "no prime filtration found within the search bound", state["nodes"]
+        )
+
+    # reconstruct a witness chain achieving the value
+    chain = [Jp]
+    steps = []
+    current = Jp
+    while current != Ip:
+        for u in cands:
+            if not ring.contains(Ip, u) or ring.contains(current, u):
+                continue
+            idx = _prime_indices(ring.colon(current, u))
+            if idx is None or step_dimension(ctx, idx) < value:
+                continue
+            tail = memo.get(current.plus(u).generators)
+            if current.plus(u) == Ip:
+                tail = ctx.n + 1
+            if tail is not None and tail >= value:
+                current = current.plus(u)
+                chain.append(current)
+                steps.append(FiltrationStep(u, idx, u))
+                break
+        else:
+            if not state["complete"]:
+                raise BudgetExceededError(
+                    "budget exhausted before a witness chain was certified",
+                    state["nodes"],
+                )
+            raise AssertionError("witness reconstruction failed")
+    witness = PrimeFiltration(ctx, tuple(chain), tuple(steps))
+    return FdepthResult(value + offset, state["complete"], witness)

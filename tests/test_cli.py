@@ -6,6 +6,8 @@ import pytest
 
 from stanleydec import cli
 
+from util import recursion_headroom
+
 
 def run(argv, stdin_text=""):
     out = io.StringIO()
@@ -252,6 +254,35 @@ class TestBatch:
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
     VALID = {"command": "sdepth", "ring": "n=3", "I": "(x, y, z)"}
+
+    def test_long_filtration_keeps_stream_alive(self):
+        """fdepth of K[x]/(x^300) walks a 300-step chain; with the recursion
+        limit 100 frames above the current depth it must still be answered,
+        and so must the next line."""
+        requests = [
+            {"command": "fdepth", "ring": "n=1", "I": "(1)", "J": "(x^300)"},
+            self.VALID,
+        ]
+        stdin = "\n".join(json.dumps(r) for r in requests) + "\n"
+        with recursion_headroom(100):
+            code, out = run(["batch"], stdin)
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 0 and len(lines) == 2
+        assert lines[0]["ok"] and lines[0]["fdepth"] == 0 and lines[0]["complete"]
+        assert len(lines[0]["witness"]["steps"]) == 300
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
+    @pytest.mark.parametrize("n", ["99999999999", "9" * 5000], ids=["11-digits", "5000-digits"])
+    def test_too_many_variables_is_bad_input(self, n):
+        """A huge n is refused before anything is allocated for it, also
+        when it has more digits than int() converts."""
+        huge = {"command": "sdepth", "ring": "n=" + n, "I": "(x1)"}
+        stdin = json.dumps(huge) + "\n" + json.dumps(self.VALID) + "\n"
+        code, out = run(["batch"], stdin)
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 2 and len(lines) == 2
+        assert lines[0] == {"ok": False, "error": "n exceeds the limit of 10000 variables"}
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
     @pytest.mark.parametrize("key, value", [
         ("budget", "many"),

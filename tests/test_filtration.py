@@ -3,11 +3,17 @@ import random
 import pytest
 
 from stanleydec import filtration, hilbert, ring, solver, stanley
-from stanleydec.errors import ZeroModuleError
+from stanleydec.errors import StanleyError, ZeroModuleError
 from stanleydec.filtration import FiltrationStep, PrimeFiltration
 from stanleydec.ring import MonomialIdeal, RingContext
 
-from util import localize_pair, polynomial_quotient
+import reference_fdepth
+from util import (
+    localize_pair,
+    polynomial_quotient,
+    random_quotient,
+    recursion_headroom,
+)
 
 
 def chain_filtration(ctx, J, monomials):
@@ -152,6 +158,97 @@ class TestFdepth:
         I = ring.ideal(ctx, (1,))
         with pytest.raises(ZeroModuleError):
             filtration.fdepth(I, I)
+
+
+def plain_filtration(F):
+    """A filtration as plain tuples: chain generators, then per step the
+    monomial, the sorted primes and the shift."""
+    chain = tuple(tuple(sorted(I.generators)) for I in F.chain)
+    steps = tuple((s.monomial, tuple(sorted(s.primes)), s.shift) for s in F.steps)
+    return F.context, chain, steps
+
+
+def outcome(search, *args):
+    """What a search returns, as plain tuples, or the type, message and
+    node count of the library error it raises."""
+    try:
+        result = search(*args)
+    except StanleyError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "nodes", None)
+    if isinstance(result, tuple):                 # (filtrations, complete)
+        found, complete = result
+        return [plain_filtration(F) for F in found], complete
+    return result.value, result.complete, plain_filtration(result.witness)
+
+
+class TestIterativeSearch:
+    def test_matches_recursive_reference(self):
+        """Same values, complete flags, witnesses, enumerations and budget
+        errors as the recursive oracle on 300 random quotients with and
+        without inverted variables, at a dozen budgets up to 100 and at a
+        large one.  A run that completes within its budget is the same run
+        at every larger budget, so the small budgets stop there."""
+        rng = random.Random(17)
+        kinds = set()
+
+        def check(I, J, budget):
+            want = outcome(reference_fdepth.fdepth, I, J, budget)
+            assert outcome(filtration.fdepth, I, J, budget) == want, (I, J, budget)
+            kinds.add(want[0] if isinstance(want[0], str) else want[1])
+            done = want[0] == "ZeroModuleError" or want[1] is True
+            Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
+            if Ip != Jp:
+                cap = min(budget, 3000)   # full enumeration is exponential
+                want = outcome(reference_fdepth.enumerate_prime_filtrations, Ip, Jp, cap)
+                got = outcome(filtration.enumerate_prime_filtrations, Ip, Jp, cap)
+                assert got == want, (Ip, Jp, cap)
+                done = done and want[1]
+            return done
+
+        checked = 0
+        while checked < 300:
+            inverted = None if checked % 2 else frozenset()
+            ctx, I, J = random_quotient(rng, n=checked % 3 + 1, inverted=inverted)
+            Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
+            if Ip != Jp and len(solver.build_characteristic_poset(Ip, Jp).elements) > 7:
+                continue
+            for budget in sorted(rng.sample(range(101), 12)):
+                if check(I, J, budget):
+                    break
+            check(I, J, 10**6)
+            checked += 1
+        assert {True, False, "BudgetExceededError"} <= kinds
+
+    def test_long_chain_needs_no_recursion(self):
+        """K[x]/(x^300) has one prime filtration, 300 steps long; neither
+        search may recurse once per step."""
+        ctx = RingContext(1)
+        I, J = ring.ideal(ctx, (0,)), ring.ideal(ctx, (300,))
+        with recursion_headroom(100):
+            res = filtration.fdepth(I, J)
+            found, complete = filtration.enumerate_prime_filtrations(I, J)
+        assert res.value == 0 and res.complete
+        assert [s.monomial for s in res.witness.steps] == [(e,) for e in range(299, -1, -1)]
+        assert complete and [F.steps for F in found] == [res.witness.steps]
+
+    def test_value_is_best_enumerated_filtration(self):
+        """A complete fdepth is the largest fdepth_of over all prime
+        filtrations of I'/J', plus one per inverted variable, and its
+        witness is one of them."""
+        rng = random.Random(23)
+        checked = 0
+        while checked < 60:
+            ctx, I, J = random_quotient(rng, n=checked % 3 + 1, max_exp=2)
+            Ip, Jp, offset, _ = solver.reduce_to_polynomial(I, J)
+            if Ip == Jp:
+                continue
+            res = filtration.fdepth(I, J)
+            found, complete = filtration.enumerate_prime_filtrations(Ip, Jp, 3000)
+            if not (res.complete and complete):
+                continue
+            assert res.value == max(filtration.fdepth_of(F) for F in found) + offset
+            assert res.witness in found
+            checked += 1
 
 
 class TestLocalizeFiltration:

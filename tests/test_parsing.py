@@ -27,6 +27,13 @@ class TestRingText:
         with pytest.raises(ParseError):
             parsing.parse_ring("m=3")
 
+    def test_variable_limit(self):
+        limit = parsing.MAX_VARIABLES
+        assert parsing.parse_ring("n=%d" % limit).n == limit
+        assert parsing.parse_ring("n=00%d" % limit).n == limit
+        with pytest.raises(ParseError):
+            parsing.parse_ring("n=%d" % (limit + 1))
+
     def test_index_set(self):
         assert parsing.parse_index_set("{1, 3}") == frozenset({0, 2})
         assert parsing.parse_index_set("{}") == frozenset()

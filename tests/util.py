@@ -1,6 +1,8 @@
 """Shared helpers for randomized test instances."""
 
 import random
+import sys
+from contextlib import contextmanager
 
 from stanleydec import ring, solver
 from stanleydec.ring import MonomialIdeal, RingContext
@@ -116,3 +118,20 @@ def all_decomposition_variants(I, J, rng):
         split_refinement(best, poset),
     ]
     return [decomposition_from_partition(I, J, p) for p in parts]
+
+
+@contextmanager
+def recursion_headroom(frames):
+    """Lower the recursion limit to the current stack depth plus frames,
+    so that any search recursing once per step of a longer chain raises
+    RecursionError."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
