@@ -17,50 +17,30 @@ element, which is forced to be the lower corner of its interval, and tries
 upper corners in lexicographic order, so the first partition found is the
 lexicographically smallest one.
 
-Each box cell is one bit of a Python int.  Its bit index is the
-mixed-radix code of the cell with the first coordinate most significant,
-so bit order is lex order and the next lower corner is the lowest set bit
-of the mask of uncovered elements.  The cells of [b, c] form the mask
-bit(b) * prod_i comb_i[c_i - b_i] with comb_i[L] = sum_{t<=L} 2^(t*stride_i).
-An explicit stack of (lower corner, option index) replaces recursion, so
-the depth is bounded only by the number of elements.
+Each box cell is one bit of a Python int, in the cell arithmetic of
+``_box.Box``: bit order is lex order, so the next lower corner is the
+lowest set bit of the mask of uncovered elements.  An explicit stack of
+(lower corner, option index) replaces recursion, so the depth is bounded
+only by the number of elements.
 """
 
 from itertools import product
 
+from ._box import Box
+
 
 def find_partition(elements, g, k, budget):
-    n = len(g)
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * (g[i + 1] + 1)
-    # comb[i][L]: the cells 0, 1, ..., L steps up along axis i
-    comb = []
-    for i in range(n):
-        row, acc = [], 0
-        for t in range(g[i] + 1):
-            acc |= 1 << (t * strides[i])
-            row.append(acc)
-        comb.append(row)
-
-    def code(a):
-        return sum(ai * si for ai, si in zip(a, strides))
-
-    poset = 0
-    for e in elements:
-        poset |= 1 << code(e)
+    box = Box(g)
+    code = box.code
+    poset = box.mask(elements)
 
     def options(b):
         """(c, mask of [b, c]) for every upper corner c in the poset with
         rho(c) >= k, in lex order of c."""
-        base = 1 << code(b)
         for c in product(*[range(bi, gi + 1) for bi, gi in zip(b, g)]):
             if sum(ci == gi for ci, gi in zip(c, g)) < k or not poset >> code(c) & 1:
                 continue
-            mask = base
-            for i in range(n):
-                mask *= comb[i][c[i] - b[i]]
-            yield c, mask
+            yield c, box.interval(b, c)
 
     corners = {}  # bit index of b -> (b, options of b so far, generator of the rest)
 
@@ -69,7 +49,7 @@ def find_partition(elements, g, k, budget):
         bit = (free & -free).bit_length() - 1
         entry = corners.get(bit)
         if entry is None:
-            b = tuple(bit // s % (gi + 1) for s, gi in zip(strides, g))
+            b = box.cell(bit)
             entry = corners[bit] = (b, [], options(b))
         return entry
 

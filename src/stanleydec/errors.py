@@ -25,6 +25,10 @@ class VerificationError(StanleyError, ValueError):
     """A decomposition that was required to be valid is not."""
 
 
+class BoxTooLargeError(StanleyError, ValueError):
+    """The box of exponents a search would walk has too many cells."""
+
+
 class BudgetExceededError(StanleyError, RuntimeError):
     """The search node budget ran out before an exact answer was certified."""
 

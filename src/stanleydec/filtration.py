@@ -8,14 +8,33 @@ bound, which is a deliberate desk-scale limitation: a value obtained from
 an exhausted budget or a truncated candidate box is reported as a lower
 bound, never silently as exact.
 
-Every search here draws its prime steps from one generator, ``_steps``,
-and keeps its open chain on an explicit stack rather than the call
-stack, so the length of a chain is bounded only by memory, not by the
-recursion limit.
+The searches run on the ideals L with J' <= L <= I' as masks of the clamp
+box [0, g], g the bound of the characteristic poset, in the cell
+arithmetic of ``_box.Box``: bit a of the mask is set when x^a is in L.
+Every generator of such an L is <= g, so the mask determines L, and x^a
+is in L exactly when its clamp min(a, g) is.  For a candidate u:
+
+- u in L is one bit test, and L + (u) is L | up(u), up(u) the mask of
+  the cells >= u;
+- x_i is in (L : u) exactly when u_i < g_i and u + e_i is in L; call the
+  set of these i P;
+- (L : u) is the prime generated by the x_i, i in P, exactly when no
+  monomial x^v with v_i = 0 on P has u + v in L.  Clamped, the points
+  u + v fill the face of the box with a_i = u_i on P and u_i <= a_i <= g_i
+  elsewhere, whose mask is bit(u) * prod over i not in P of
+  comb_i[g_i - u_i].  So the colon test is one AND of that mask with L.
+
+Every search here draws its prime steps from one generator, built by
+``_prime_steps``, and keeps its open chain on an explicit stack rather
+than the call stack, so the length of a chain is bounded only by memory,
+not by the recursion limit.  Only the chains it returns are built as
+MonomialIdeals; ``verify_filtration`` still checks each step with
+``ring.colon``, independently of the masks.
 """
 
 from dataclasses import dataclass
 from . import ring, solver
+from ._box import Box
 from .errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -103,27 +122,60 @@ def fdepth_of(F):
     return min(step_dimension(F.context, s.primes) for s in F.steps)
 
 
-def _steps(current, cands):
-    """The prime steps out of `current`: (u, primes, current + (u)) for
-    every candidate u outside current whose colon (current : u) is the
-    variable prime on `primes`, in the order of cands.
+def _prime_steps(Ip, Jp):
+    """The ideals between J' and I' as masks of the clamp box, and the
+    prime steps between them.
 
-    Every candidate lies in I'\\J' and current lies between J' and I', so
-    current + (u) stays inside I'."""
-    for u in cands:
-        if ring.contains(current, u):
-            continue
-        primes = _prime_indices(ring.colon(current, u))
-        if primes is not None:
-            yield u, primes, current.plus(u)
+    Returns (start, end, steps): the masks of J' and I', and a generator
+    function; steps(L) yields (u, primes, L + (u)) for every candidate u
+    outside L whose colon (L : u) is the variable prime on `primes`, in
+    lex order of u.  The candidates are the elements of I'\\J' in the box,
+    so every step stays between J' and I'.
+    """
+    poset = solver.build_characteristic_poset(Ip, Jp)
+    g = poset.bound
+    box = Box(g)
+    cands = []
+    for u in poset.elements:
+        bit = 1 << box.code(u)
+        # per axis i that can still grow: the bit of u + e_i and the
+        # comb that spans the face of u along i
+        axes = [
+            (i, bit << box.strides[i], box.comb[i][gi - ui])
+            for i, (ui, gi) in enumerate(zip(u, g))
+            if ui < gi
+        ]
+        cands.append((u, bit, box.up(u), axes))
+    start = 0
+    for h in Jp.generators:
+        start |= box.up(h)
+    end = start | box.mask(poset.elements)
+
+    def steps(L):
+        for u, bit, up, axes in cands:
+            if L & bit:
+                continue
+            primes = []
+            face = bit
+            for i, grown, comb in axes:
+                if L & grown:
+                    primes.append(i)
+                else:
+                    face *= comb
+            if not face & L:
+                yield u, frozenset(primes), L | up
+
+    return start, end, steps
 
 
 def _filtration(ctx, start, path):
-    """The prime filtration that starts at `start` and takes the
-    (u, primes, next ideal) steps of path."""
-    chain = (start,) + tuple(nxt for _, _, nxt in path)
+    """The prime filtration that starts at the ideal `start` and takes the
+    (u, primes, next mask) steps of path."""
+    chain = [start]
+    for u, _, _ in path:
+        chain.append(chain[-1].plus(u))
     steps = tuple(FiltrationStep(u, primes, u) for u, primes, _ in path)
-    return PrimeFiltration(ctx, chain, steps)
+    return PrimeFiltration(ctx, tuple(chain), steps)
 
 
 def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
@@ -139,11 +191,11 @@ def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
     ring.require_subquotient(Ip, Jp)
     if Ip == Jp:
         raise ZeroModuleError("zero module has no prime filtration")
-    cands = solver.build_characteristic_poset(Ip, Jp).elements
+    start, end, steps = _prime_steps(Ip, Jp)
     found = []
     nodes = 0
     path = []                 # the steps of the open chain, one per frame
-    stack = [_steps(Jp, cands)]
+    stack = [steps(start)]
     while stack:
         step = next(stack[-1], None)
         if step is None:
@@ -154,10 +206,10 @@ def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
             return found, False
         del path[len(stack) - 1:]
         path.append(step)
-        if step[2] == Ip:
+        if step[2] == end:
             found.append(_filtration(ctx, Jp, path))
         else:
-            stack.append(_steps(step[2], cands))
+            stack.append(steps(step[2]))
     return found, True
 
 
@@ -176,40 +228,40 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
     variables, search prime filtrations there (memoized over reachable
     ideals), and add one per inverted variable.
 
-    The memo maps an ideal's generators to the best minimum step
-    dimension of a filtration from it up to I', or -1 when none
-    completes in the box.  Each frame of the search is [ideal, its step
-    generator, best so far, pending step]; the pending step's value is
-    read from the memo before the frame draws its next step."""
+    The memo maps an ideal's mask to the best minimum step dimension of
+    a filtration from it up to I', or -1 when none completes in the box.
+    Each frame of the search is [mask, its step generator, best so far,
+    pending step]; the pending step's value is read from the memo before
+    the frame draws its next step."""
     Ip, Jp, offset, _ = solver.reduce_to_polynomial(I, J)
     if Ip == Jp:
         raise ZeroModuleError("I/J is the zero module; fdepth undefined")
     ctx = Ip.context
-    cands = solver.build_characteristic_poset(Ip, Jp).elements
+    start, end, steps = _prime_steps(Ip, Jp)
     NEG = -1
-    memo = {Ip.generators: ctx.n + 1}   # neutral element for min over the steps
+    memo = {end: ctx.n + 1}   # neutral element for min over the steps
     nodes = 0
-    stack = [[Jp, _steps(Jp, cands), NEG, None]]
+    stack = [[start, steps(start), NEG, None]]
     while stack:
         frame = stack[-1]
-        current, steps, value, pending = frame
+        current, frame_steps, value, pending = frame
         if pending is not None:
             _, primes, nxt = pending
-            tail = memo[nxt.generators]
+            tail = memo[nxt]
             if tail != NEG:
                 value = max(value, min(step_dimension(ctx, primes), tail))
-        step = next(steps, None)
+        step = next(frame_steps, None)
         if step is not None:
             nodes += 1
         if step is None or nodes > budget:
-            memo[current.generators] = value
+            memo[current] = value
             stack.pop()
             continue
         frame[2:] = value, step
-        if step[2].generators not in memo:
-            stack.append([step[2], _steps(step[2], cands), NEG, None])
+        if step[2] not in memo:
+            stack.append([step[2], steps(step[2]), NEG, None])
     complete = nodes <= budget
-    value = memo[Jp.generators]
+    value = memo[start]
     if value == NEG:
         raise BudgetExceededError(
             "no prime filtration found within the search bound", nodes
@@ -217,12 +269,12 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
 
     # walk a witness chain achieving the value
     path = []
-    current = Jp
-    while current != Ip:
-        for step in _steps(current, cands):
+    current = start
+    while current != end:
+        for step in steps(current):
             _, primes, nxt = step
             if (step_dimension(ctx, primes) >= value
-                    and memo.get(nxt.generators, NEG) >= value):
+                    and memo.get(nxt, NEG) >= value):
                 path.append(step)
                 current = nxt
                 break

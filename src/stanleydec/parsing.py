@@ -29,9 +29,10 @@ def var_name(i, ctx):
 def _var_index(name, ctx):
     m = re.fullmatch(r"x(\d+)", name)
     if m:
-        i = int(m.group(1)) - 1
-        if 0 <= i < ctx.n:
-            return i
+        digits = m.group(1).lstrip("0") or "0"
+        # lengths first: int() refuses strings of thousands of digits
+        if len(digits) <= len(str(ctx.n)) and 0 < int(digits) <= ctx.n:
+            return int(digits) - 1
         raise ParseError("variable %s out of range for n=%d" % (name, ctx.n))
     if ctx.n <= 4 and name in _ALIASES[: ctx.n]:
         return _ALIASES.index(name)
@@ -87,6 +88,11 @@ def parse_index_set(text):
 
 # ------------------------------------------------------------ monomials
 
+# int() refuses strings of more than 4300 digits and str() refuses to
+# print such ints; sums of exponents stay far below that at this length
+MAX_EXPONENT_DIGITS = 1000
+
+
 def parse_monomial(text, ctx):
     exps = [0] * ctx.n
     pos = 0
@@ -100,7 +106,12 @@ def parse_monomial(text, ctx):
         if not m:
             raise ParseError("bad monomial factor %r" % factor, col)
         i = _var_index(m.group(1), ctx)
-        exps[i] += int(m.group(2)) if m.group(2) else 1
+        exp = m.group(2) or "1"
+        if len(exp.lstrip("-0")) > MAX_EXPONENT_DIGITS:
+            raise ParseError(
+                "exponent of more than %d digits" % MAX_EXPONENT_DIGITS, col
+            )
+        exps[i] += int(exp)
     return tuple(exps)
 
 

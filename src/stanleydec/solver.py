@@ -14,6 +14,7 @@ from itertools import product
 from . import ring, stanley
 from ._intervals import find_partition
 from .errors import (
+    BoxTooLargeError,
     BudgetExceededError,
     ContextMismatchError,
     ZeroModuleError,
@@ -22,6 +23,11 @@ from .ring import MonomialIdeal, RingContext
 from .stanley import StanleyDecomposition, StanleySpace
 
 DEFAULT_BUDGET = 10**6
+
+# the poset is found by walking the box [0, g] cell by cell, and the
+# searches keep one bit per cell; the boxes any search here can finish
+# are far smaller than this
+MAX_BOX_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,9 @@ def reduce_to_polynomial(I, J):
 
 def build_characteristic_poset(Ip, Jp):
     """The finite poset of exponent vectors a <= g with x^a in I'\\J',
-    where g is the componentwise maximum over all generators."""
+    where g is the componentwise maximum over all generators.  Raises
+    BoxTooLargeError when the box [0, g] has more than MAX_BOX_CELLS
+    cells."""
     ctx = Ip.context
     if ctx.inverted or Jp.context.inverted:
         raise ContextMismatchError("characteristic poset needs a polynomial ring")
@@ -68,6 +76,13 @@ def build_characteristic_poset(Ip, Jp):
     g = tuple(
         max((gen[i] for gen in gens), default=0) for i in range(ctx.n)
     )
+    cells = 1
+    for gi in g:
+        cells *= gi + 1
+        if cells > MAX_BOX_CELLS:
+            raise BoxTooLargeError(
+                "the characteristic box has more than %d cells" % MAX_BOX_CELLS
+            )
     elements = [
         a
         for a in product(*[range(gi + 1) for gi in g])

@@ -284,6 +284,23 @@ class TestBatch:
         assert lines[0] == {"ok": False, "error": "n exceeds the limit of 10000 variables"}
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
+    @pytest.mark.parametrize("I, error", [
+        ("(x^%s)" % ("9" * 5000), "exponent of more than 1000 digits (column 0)"),
+        ("(x%s)" % ("9" * 5000), "variable x%s out of range for n=2" % ("9" * 5000)),
+        ("(x^99999999999999999999, y)", "the characteristic box has more than 1000000 cells"),
+        ("(x^1000, y^999)", "the characteristic box has more than 1000000 cells"),
+    ], ids=["5000-digit-exponent", "5000-digit-variable", "20-digit-exponent", "box-cap"])
+    def test_huge_numbers_are_bad_input(self, I, error):
+        """Digit strings too long for int() and boxes too large to walk
+        are refused with exit 2, and the stream goes on."""
+        huge = {"command": "fdepth", "ring": "n=2", "I": I}
+        stdin = json.dumps(huge) + "\n" + json.dumps(self.VALID) + "\n"
+        code, out = run(["batch"], stdin)
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 2 and len(lines) == 2
+        assert lines[0] == {"ok": False, "error": error}
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
     @pytest.mark.parametrize("key, value", [
         ("budget", "many"),
         ("budget", -1),

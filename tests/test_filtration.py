@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -218,6 +219,68 @@ class TestIterativeSearch:
             check(I, J, 10**6)
             checked += 1
         assert {True, False, "BudgetExceededError"} <= kinds
+
+    def test_matches_recursive_reference_in_more_variables(self):
+        """The same parity on quotients in four and five variables, with
+        and without inverted variables, and on the maximal ideal for
+        n = 3..5, at the budget of the benchmark requests and at three small
+        ones.  fdepth(m) for n = 5 runs out of the largest budget too."""
+        rng = random.Random(29)
+        cases = []
+        for n in (3, 4, 5):
+            ctx = RingContext(n)
+            cases.append((ring.ideal(ctx, *[tuple(int(i == j) for i in range(n))
+                                            for j in range(n)]), MonomialIdeal(ctx)))
+        while len(cases) < 43:
+            inverted = None if len(cases) % 2 else frozenset()
+            ctx, I, J = random_quotient(rng, n=len(cases) % 2 + 4, inverted=inverted,
+                                        max_exp=1)
+            Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
+            if Ip == Jp or len(solver.build_characteristic_poset(Ip, Jp).elements) <= 12:
+                cases.append((I, J))
+        kinds = set()
+        for I, J in cases:
+            for budget in (20000, 50, 7, 2):
+                want = outcome(reference_fdepth.fdepth, I, J, budget)
+                assert outcome(filtration.fdepth, I, J, budget) == want, (I, J, budget)
+                kinds.add(want[0] if isinstance(want[0], str) else want[1])
+        assert {True, False, "BudgetExceededError"} <= kinds
+
+    def test_step_test_matches_colon(self):
+        """For ideals L between J' and I' and every candidate u, the mask
+        step test agrees with ring.contains(L, u) and with the variable
+        prime of ring.colon(L, u), and L + (u) is the mask of L.plus(u)."""
+        rng = random.Random(31)
+        seen = set()
+
+        def mask(L, g):
+            # cells of the box in lex order, so the i-th cell is bit i
+            cells = product(*[range(gi + 1) for gi in g])
+            return sum(1 << i for i, a in enumerate(cells) if ring.contains(L, a))
+
+        for trial in range(120):
+            _, Ip, Jp = polynomial_quotient(rng, n=trial % 4 + 1)
+            poset = solver.build_characteristic_poset(Ip, Jp)
+            start, end, steps = filtration._prime_steps(Ip, Jp)
+            assert (start, end) == (mask(Jp, poset.bound), mask(Ip, poset.bound))
+            for _ in range(3):
+                extra = [u for u in poset.elements if rng.random() < 0.3]
+                L = MonomialIdeal(Ip.context, Jp.generators | frozenset(extra))
+                found = {u: (primes, nxt) for u, primes, nxt in steps(mask(L, poset.bound))}
+                assert list(found) == sorted(found)
+                for u in poset.elements:
+                    if ring.contains(L, u):
+                        assert u not in found
+                        seen.add("in L")
+                        continue
+                    primes = filtration._prime_indices(ring.colon(L, u))
+                    if primes is None:
+                        assert u not in found
+                        seen.add("not prime")
+                    else:
+                        assert found[u] == (primes, mask(L.plus(u), poset.bound))
+                        seen.add(len(primes))
+        assert {"in L", "not prime", 0, 1, 2, 3} <= seen
 
     def test_long_chain_needs_no_recursion(self):
         """K[x]/(x^300) has one prime filtration, 300 steps long; neither

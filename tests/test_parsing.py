@@ -34,6 +34,16 @@ class TestRingText:
         with pytest.raises(ParseError):
             parsing.parse_ring("n=%d" % (limit + 1))
 
+    def test_digit_limits(self):
+        ctx = RingContext(12)
+        limit = parsing.MAX_EXPONENT_DIGITS
+        assert parsing.parse_monomial("x012^-00" + "9" * limit, ctx)[11] == -int("9" * limit)
+        with pytest.raises(ParseError):
+            parsing.parse_monomial("x1^1" + "0" * limit, ctx)
+        for name in ("x0", "x13", "x" + "9" * 5000):
+            with pytest.raises(ParseError):
+                parsing.parse_monomial(name, ctx)
+
     def test_index_set(self):
         assert parsing.parse_index_set("{1, 3}") == frozenset({0, 2})
         assert parsing.parse_index_set("{}") == frozenset()

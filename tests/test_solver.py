@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from stanleydec import _intervals, ring, solver, stanley
-from stanleydec.errors import BudgetExceededError, ZeroModuleError
+from stanleydec.errors import BoxTooLargeError, BudgetExceededError, ZeroModuleError
 from stanleydec.ring import MonomialIdeal, RingContext
 
 import reference_intervals
@@ -100,6 +100,16 @@ class TestPoset:
         I = ring.ideal(ctx, (1,))
         poset = solver.build_characteristic_poset(I, I)
         assert poset.elements == ()
+
+    def test_box_cap(self, monkeypatch):
+        """The box [0, g] may have MAX_BOX_CELLS cells and no more."""
+        ctx = RingContext(2)
+        monkeypatch.setattr(solver, "MAX_BOX_CELLS", 12)
+        poset = solver.build_characteristic_poset(ring.ideal(ctx, (2, 3)), MonomialIdeal(ctx))
+        assert poset.elements == ((2, 3),)
+        for g in ((3, 3), (2, 4), (10**30, 0)):
+            with pytest.raises(BoxTooLargeError):
+                solver.build_characteristic_poset(ring.ideal(ctx, g), MonomialIdeal(ctx))
 
 
 class TestPartitionSearch:
