@@ -2,10 +2,14 @@
 
 The cell a, 0 <= a <= g, has the mixed-radix code sum_i a_i * stride_i with
 the first coordinate most significant, so bit order is lex order.
-comb[i][L] = sum_{t<=L} 2^(t*stride_i) is the mask of the cells 0, 1, ...,
-L steps up along axis i, so the cells of the interval [b, c] form the mask
-bit(b) * prod_i comb[i][c_i - b_i].  The interval search kernel and the
-prime-filtration search both work on these masks.
+row_i = sum_{t<=g_i} 2^(t*stride_i) is the mask of the cells on axis i,
+and row_i >> ((g_i - L) * stride_i) the mask of the cells 0, 1, ..., L
+steps up along it, so the cells of the interval [b, c] form the mask
+bit(b) times the product of these over the axes, with L = c_i - b_i.  A
+Box keeps only the strides and the rows, at most one box of bits per axis
+with g_i > 0, and builds every other mask when it is asked for.  The
+interval search kernel and the prime-filtration search both work on
+these masks.
 """
 
 
@@ -16,14 +20,18 @@ class Box:
         self.strides = strides = [1] * n
         for i in range(n - 2, -1, -1):
             strides[i] = strides[i + 1] * (g[i + 1] + 1)
-        # comb[i][L]: the cells 0, 1, ..., L steps up along axis i
-        self.comb = []
-        for i in range(n):
-            row, acc = [], 0
-            for t in range(g[i] + 1):
-                acc |= 1 << (t * strides[i])
-                row.append(acc)
-            self.comb.append(row)
+        cells = strides[0] * (g[0] + 1) if n else 1
+        self.nbytes = cells // 8 + 1     # the bytes that hold a mask
+        self.rows = [self._bits(range(0, (gi + 1) * s, s)) if gi else 1
+                     for s, gi in zip(strides, g)]
+
+    def _bits(self, codes):
+        """The mask with the bits at the indices codes set, built in one
+        buffer: or-ing in one bit at a time would copy the mask each time."""
+        buf = bytearray(self.nbytes)
+        for c in codes:
+            buf[c >> 3] |= 1 << (c & 7)
+        return int.from_bytes(buf, "little")
 
     def code(self, a):
         """The bit index of the cell a."""
@@ -35,17 +43,15 @@ class Box:
 
     def mask(self, cells):
         """The mask of a set of cells."""
-        mask = 0
-        for a in cells:
-            mask |= 1 << self.code(a)
-        return mask
+        return self._bits(self.code(a) for a in cells)
 
     def interval(self, b, c):
         """The mask of the cells of [b, c], for b <= c <= g."""
-        mask = 1 << self.code(b)
-        for row, bi, ci in zip(self.comb, b, c):
-            mask *= row[ci - bi]
-        return mask
+        mask = 1
+        for row, s, bi, ci, gi in zip(self.rows, self.strides, b, c, self.g):
+            if ci > bi:
+                mask *= row >> ((gi - ci + bi) * s)
+        return mask << self.code(b)
 
     def up(self, a):
         """The mask of the cells >= a: the ideal x^a generates, clamped."""

@@ -11,8 +11,9 @@ bound, never silently as exact.
 The searches run on the ideals L with J' <= L <= I' as masks of the clamp
 box [0, g], g the bound of the characteristic poset, in the cell
 arithmetic of ``_box.Box``: bit a of the mask is set when x^a is in L.
-Every generator of such an L is <= g, so the mask determines L, and x^a
-is in L exactly when its clamp min(a, g) is.  For a candidate u:
+Every generator of such an L is <= g, so the mask determines L, x^a is
+in L exactly when its clamp min(a, g) is, and the set bits form an
+up-set of the box.  For a candidate u:
 
 - u in L is one bit test, and L + (u) is L | up(u), up(u) the mask of
   the cells >= u;
@@ -21,8 +22,9 @@ is in L exactly when its clamp min(a, g) is.  For a candidate u:
 - (L : u) is the prime generated by the x_i, i in P, exactly when no
   monomial x^v with v_i = 0 on P has u + v in L.  Clamped, the points
   u + v fill the face of the box with a_i = u_i on P and u_i <= a_i <= g_i
-  elsewhere, whose mask is bit(u) * prod over i not in P of
-  comb_i[g_i - u_i].  So the colon test is one AND of that mask with L.
+  elsewhere.  L is an up-set, so it meets the face exactly when it holds
+  the top corner of the face, u + sum over i not in P of (g_i - u_i) e_i:
+  the colon test is one more bit test.
 
 Every search here draws its prime steps from one generator, built by
 ``_prime_steps``, and keeps its open chain on an explicit stack rather
@@ -30,6 +32,11 @@ than the call stack, so the length of a chain is bounded only by memory,
 not by the recursion limit.  Only the chains it returns are built as
 MonomialIdeals; ``verify_filtration`` still checks each step with
 ``ring.colon``, independently of the masks.
+
+A search keeps u and its bit index per candidate and one mask, one bit
+per box cell, per ideal it holds: each open frame and each memo entry.
+up(u) is built only when u is drawn as a step.  So beyond the poset its
+memory is O(cells) bits per node drawn, which the node budget bounds.
 """
 
 from dataclasses import dataclass
@@ -130,40 +137,36 @@ def _prime_steps(Ip, Jp):
     function; steps(L) yields (u, primes, L + (u)) for every candidate u
     outside L whose colon (L : u) is the variable prime on `primes`, in
     lex order of u.  The candidates are the elements of I'\\J' in the box,
-    so every step stays between J' and I'.
+    so every step stays between J' and I'.  Per candidate only u and its
+    bit index are kept; up(u) is built when u is yielded.
     """
     poset = solver.build_characteristic_poset(Ip, Jp)
     g = poset.bound
     box = Box(g)
-    cands = []
-    for u in poset.elements:
-        bit = 1 << box.code(u)
-        # per axis i that can still grow: the bit of u + e_i and the
-        # comb that spans the face of u along i
-        axes = [
-            (i, bit << box.strides[i], box.comb[i][gi - ui])
-            for i, (ui, gi) in enumerate(zip(u, g))
-            if ui < gi
-        ]
-        cands.append((u, bit, box.up(u), axes))
+    cands = [(u, box.code(u)) for u in poset.elements]
+    axes = [(i, s, gi) for i, (s, gi) in enumerate(zip(box.strides, g)) if gi]
     start = 0
     for h in Jp.generators:
         start |= box.up(h)
     end = start | box.mask(poset.elements)
 
     def steps(L):
-        for u, bit, up, axes in cands:
-            if L & bit:
+        bits = L.to_bytes(box.nbytes, "little")   # a bit test without a shift of L
+        for u, code in cands:
+            if bits[code >> 3] >> (code & 7) & 1:
                 continue
             primes = []
-            face = bit
-            for i, grown, comb in axes:
-                if L & grown:
-                    primes.append(i)
-                else:
-                    face *= comb
-            if not face & L:
-                yield u, frozenset(primes), L | up
+            top = code      # the top corner of the face of u fixed on primes
+            for i, s, gi in axes:
+                ui = u[i]
+                if ui < gi:
+                    grown = code + s
+                    if bits[grown >> 3] >> (grown & 7) & 1:
+                        primes.append(i)
+                    else:
+                        top += (gi - ui) * s
+            if not bits[top >> 3] >> (top & 7) & 1:
+                yield u, frozenset(primes), L | box.up(u)
 
     return start, end, steps
 

@@ -29,10 +29,12 @@ def var_name(i, ctx):
 def _var_index(name, ctx):
     m = re.fullmatch(r"x(\d+)", name)
     if m:
-        digits = m.group(1).lstrip("0") or "0"
-        # lengths first: int() refuses strings of thousands of digits
-        if len(digits) <= len(str(ctx.n)) and 0 < int(digits) <= ctx.n:
-            return int(digits) - 1
+        try:
+            i = int(m.group(1)) - 1
+        except ValueError:      # more digits than int() converts
+            i = -1
+        if 0 <= i < ctx.n:
+            return i
         raise ParseError("variable %s out of range for n=%d" % (name, ctx.n))
     if ctx.n <= 4 and name in _ALIASES[: ctx.n]:
         return _ALIASES.index(name)

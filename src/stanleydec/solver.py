@@ -24,9 +24,9 @@ from .stanley import StanleyDecomposition, StanleySpace
 
 DEFAULT_BUDGET = 10**6
 
-# the poset is found by walking the box [0, g] cell by cell, and the
-# searches keep one bit per cell; the boxes any search here can finish
-# are far smaller than this
+# the poset is found by walking the box [0, g] cell by cell, and every
+# mask a search keeps has one bit per cell; the boxes any search here can
+# finish are far smaller than this
 MAX_BOX_CELLS = 10**6
 
 

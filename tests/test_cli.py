@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -299,6 +302,35 @@ class TestBatch:
         lines = [json.loads(l) for l in out.splitlines()]
         assert code == 2 and len(lines) == 2
         assert lines[0] == {"ok": False, "error": error}
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
+    def test_near_cap_box_answers_in_bounded_memory(self):
+        """fdepth over a box of 100,001 cells with budget 1, then a short
+        request, in a process whose address space is capped at 256 MB.
+        The search keeps O(cells) bits per mask it holds, a few kilobytes
+        here; masks kept per candidate would take gigabytes."""
+        requests = [
+            {"command": "fdepth", "ring": "n=1", "I": "(1)", "J": "(x^100000)",
+             "options": {"budget": 1}},
+            self.VALID,
+        ]
+        limit = 256 << 20
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (%d, %d))\n"
+            "from stanleydec import cli\n"
+            "sys.exit(cli.main(['batch']))\n" % (limit, limit)
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            input="\n".join(json.dumps(r) for r in requests) + "\n", timeout=120,
+        )
+        lines = [json.loads(l) for l in proc.stdout.splitlines()]
+        assert proc.returncode == 3 and len(lines) == 2, proc.stderr
+        assert lines[0] == {"ok": False,
+                            "error": "no prime filtration found within the search bound"}
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
     @pytest.mark.parametrize("key, value", [

@@ -185,10 +185,14 @@ def outcome(search, *args):
 class TestIterativeSearch:
     def test_matches_recursive_reference(self):
         """Same values, complete flags, witnesses, enumerations and budget
-        errors as the recursive oracle on 300 random quotients with and
-        without inverted variables, at a dozen budgets up to 100 and at a
-        large one.  A run that completes within its budget is the same run
-        at every larger budget, so the small budgets stop there."""
+        errors as the recursive oracle.  Cases: 300 random quotients in one
+        to three variables, at a dozen budgets up to 100 and at a large
+        one; the maximal ideal for n = 3..5 and 40 random quotients in four
+        and five variables, at budgets 2, 7 and 50 and at 20,000, the budget
+        of the benchmark requests, which fdepth(m) for n = 5 runs out of.
+        The random ones come with and without inverted variables.  A run
+        that completes within its budget is the same run at every larger
+        budget, so the small budgets stop there."""
         rng = random.Random(17)
         kinds = set()
 
@@ -206,44 +210,34 @@ class TestIterativeSearch:
                 done = done and want[1]
             return done
 
-        checked = 0
-        while checked < 300:
-            inverted = None if checked % 2 else frozenset()
-            ctx, I, J = random_quotient(rng, n=checked % 3 + 1, inverted=inverted)
-            Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
-            if Ip != Jp and len(solver.build_characteristic_poset(Ip, Jp).elements) > 7:
-                continue
-            for budget in sorted(rng.sample(range(101), 12)):
-                if check(I, J, budget):
-                    break
-            check(I, J, 10**6)
-            checked += 1
-        assert {True, False, "BudgetExceededError"} <= kinds
+        def quotients(count, n, max_elements, **kwargs):
+            """count random quotients whose posets have at most
+            max_elements elements; the i-th is in n(i) variables, none of
+            them inverted when i is even, some maybe inverted when odd."""
+            found = []
+            while len(found) < count:
+                inverted = None if len(found) % 2 else frozenset()
+                ctx, I, J = random_quotient(rng, n=n(len(found)), inverted=inverted,
+                                            **kwargs)
+                Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
+                if Ip == Jp or len(
+                        solver.build_characteristic_poset(Ip, Jp).elements) <= max_elements:
+                    found.append((I, J))
+            return found
 
-    def test_matches_recursive_reference_in_more_variables(self):
-        """The same parity on quotients in four and five variables, with
-        and without inverted variables, and on the maximal ideal for
-        n = 3..5, at the budget of the benchmark requests and at three small
-        ones.  fdepth(m) for n = 5 runs out of the largest budget too."""
-        rng = random.Random(29)
-        cases = []
+        cases = [(I, J, sorted(rng.sample(range(101), 12)), 10**6)
+                 for I, J in quotients(300, lambda i: i % 3 + 1, 7)]
         for n in (3, 4, 5):
             ctx = RingContext(n)
-            cases.append((ring.ideal(ctx, *[tuple(int(i == j) for i in range(n))
-                                            for j in range(n)]), MonomialIdeal(ctx)))
-        while len(cases) < 43:
-            inverted = None if len(cases) % 2 else frozenset()
-            ctx, I, J = random_quotient(rng, n=len(cases) % 2 + 4, inverted=inverted,
-                                        max_exp=1)
-            Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
-            if Ip == Jp or len(solver.build_characteristic_poset(Ip, Jp).elements) <= 12:
-                cases.append((I, J))
-        kinds = set()
-        for I, J in cases:
-            for budget in (20000, 50, 7, 2):
-                want = outcome(reference_fdepth.fdepth, I, J, budget)
-                assert outcome(filtration.fdepth, I, J, budget) == want, (I, J, budget)
-                kinds.add(want[0] if isinstance(want[0], str) else want[1])
+            m = ring.ideal(ctx, *[tuple(int(i == j) for i in range(n)) for j in range(n)])
+            cases.append((m, MonomialIdeal(ctx), (2, 7, 50), 20000))
+        cases += [(I, J, (2, 7, 50), 20000)
+                  for I, J in quotients(40, lambda i: i % 2 + 4, 12, max_exp=1)]
+        for I, J, budgets, last in cases:
+            for budget in budgets:
+                if check(I, J, budget):
+                    break
+            check(I, J, last)
         assert {True, False, "BudgetExceededError"} <= kinds
 
     def test_step_test_matches_colon(self):
