@@ -31,6 +31,7 @@ from .hilbert import (
     hilbert_count,
     series_of_decomposition,
     series_of_laurent_ring,
+    series_of_quotient,
     series_of_space,
 )
 from .ring import (

@@ -8,8 +8,8 @@ steps up along it, so the cells of the interval [b, c] form the mask
 bit(b) times the product of these over the axes, with L = c_i - b_i.  A
 Box keeps only the strides and the rows, at most one box of bits per axis
 with g_i > 0, and builds every other mask when it is asked for.  The
-interval search kernel and the prime-filtration search both work on
-these masks.
+characteristic poset is one such mask, and the interval search kernel
+and the prime-filtration search both work on it.
 """
 
 
@@ -41,9 +41,13 @@ class Box:
         """The cell whose bit index is bit."""
         return tuple(bit // s % (gi + 1) for s, gi in zip(self.strides, self.g))
 
-    def mask(self, cells):
-        """The mask of a set of cells."""
-        return self._bits(self.code(a) for a in cells)
+    def codes(self, mask):
+        """The set bits of mask, ascending, read by bytes: popping bits is quadratic."""
+        for i, byte in enumerate(mask.to_bytes(self.nbytes, "little")):
+            while byte:
+                low = byte & -byte
+                yield i << 3 | low.bit_length() - 1
+                byte ^= low
 
     def interval(self, b, c):
         """The mask of the cells of [b, c], for b <= c <= g."""
@@ -56,3 +60,10 @@ class Box:
     def up(self, a):
         """The mask of the cells >= a: the ideal x^a generates, clamped."""
         return self.interval(a, self.g)
+
+    def ideal(self, generators):
+        """The mask of the ideal the generators, all <= g, generate."""
+        mask = 0
+        for h in generators:
+            mask |= self.up(h)
+        return mask

@@ -3,9 +3,10 @@
 Decides whether the characteristic poset admits a partition into intervals
 [b, c] whose upper corners all touch the bound g in at least k coordinates:
 
-    find_partition(elements, g, k, budget) -> (status, intervals, nodes)
+    find_partition(box, poset, k, budget) -> (status, intervals, nodes)
 
-elements are exponent tuples inside the box [0, g].  They must form an
+box is the ``_box.Box`` of the bound g and poset the mask of the elements,
+as ``solver.CharacteristicPoset`` keeps them.  They must form an
 order-convex set (b <= a <= c with b, c in it puts a in it), as the
 monomials of I'\\J' do, so [b, c] lies in it once b and c do.  status is
 one of "found" / "infeasible" / "budget"; intervals is the partition (a list
@@ -26,13 +27,10 @@ only by the number of elements.
 
 from itertools import product
 
-from ._box import Box
 
-
-def find_partition(elements, g, k, budget):
-    box = Box(g)
+def find_partition(box, poset, k, budget):
+    g = box.g
     code = box.code
-    poset = box.mask(elements)
 
     def options(b):
         """(c, mask of [b, c]) for every upper corner c in the poset with

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import filtration, hilbert, parsing, ring, solver, stanley
+from . import filtration, hilbert, parsing, solver, stanley
 from .errors import BudgetExceededError, StanleyError
 
 EXIT_OK = 0
@@ -83,22 +83,16 @@ def _cmd_localize(opts):
 
 def _cmd_hilbert(opts):
     ctx, I, J = _parse_pair(opts)
-    # the series is the same for every decomposition, so take one that
-    # needs no search
-    series = hilbert.series_of_decomposition(solver.singleton_decomposition(I, J))
+    series = hilbert.series_of_quotient(I, J)
     dmax = opts.get("max_degree", DEFAULT_MAX_DEGREE)
     coeffs = [dc.count for dc in hilbert.expand(series, dmax)]
+    maximal = hilbert.count_maximal_spaces(series)
     return {
         "series": parsing.series_to_json(series),
-        "maximal_spaces": hilbert.count_maximal_spaces(series),
+        "maximal_spaces": maximal,
         "coefficients": coeffs,
         "text": "H(t) = %s\nmaximal spaces: %d\ncoefficients (d<=%d): %s"
-        % (
-            parsing.series_str(series),
-            hilbert.count_maximal_spaces(series),
-            dmax,
-            coeffs,
-        ),
+        % (parsing.series_str(series), maximal, dmax, coeffs),
     }
 
 
@@ -168,7 +162,10 @@ def _emit(report, code, fmt, out):
     return code
 
 
+# a command reads ring, I, J and the strings it requires, also at the top level
 _REQUIRED = {"localize": ("ring", "D", "A"), "verify": ("ring", "D")}
+_NUMERIC_KEYS = {"sdepth": ("budget",), "decompose": ("budget",), "fdepth": ("budget",),
+                 "hilbert": ("max_degree",), "verify": ("box_bound",)}
 
 
 def _batch_request(line):
@@ -179,11 +176,19 @@ def _batch_request(line):
     command = req.get("command")
     if not isinstance(command, str) or command not in _COMMANDS:
         raise ValueError("unknown command %r" % (command,))
+    strings = ("ring", "I", "J") + _REQUIRED.get(command, ("ring",))[1:]
+    numbers = _NUMERIC_KEYS.get(command, ())
+    for key in req:
+        if key not in ("command", "options") + strings:
+            raise ValueError("unknown key %r for %s" % (key, command))
     opts = req.get("options", {})
     if not isinstance(opts, dict):
         raise ValueError("options must be a JSON object")
+    for key in opts:
+        if key not in strings + numbers:
+            raise ValueError("unknown option %r for %s" % (key, command))
     opts = dict(opts)
-    for key in ("ring", "I", "J", "D", "A"):
+    for key in strings:
         if key in req:
             opts[key] = req[key]
         if key in opts and not isinstance(opts[key], str):
@@ -191,7 +196,7 @@ def _batch_request(line):
     for key in _REQUIRED.get(command, ("ring",)):
         if key not in opts:
             raise ValueError("missing %s" % key)
-    for key in ("budget", "max_degree", "box_bound"):
+    for key in numbers:
         if key not in opts or (key == "box_bound" and opts[key] is None):
             continue
         value = opts[key]

@@ -41,7 +41,6 @@ memory is O(cells) bits per node drawn, which the node budget bounds.
 
 from dataclasses import dataclass
 from . import ring, solver
-from ._box import Box
 from .errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -129,26 +128,23 @@ def fdepth_of(F):
     return min(step_dimension(F.context, s.primes) for s in F.steps)
 
 
-def _prime_steps(Ip, Jp):
-    """The ideals between J' and I' as masks of the clamp box, and the
-    prime steps between them.
+def _prime_steps(poset, Jp):
+    """The ideals between J' and I' as masks of the clamp box of the
+    characteristic poset of I'/J', and the prime steps between them.
 
     Returns (start, end, steps): the masks of J' and I', and a generator
     function; steps(L) yields (u, primes, L + (u)) for every candidate u
     outside L whose colon (L : u) is the variable prime on `primes`, in
-    lex order of u.  The candidates are the elements of I'\\J' in the box,
-    so every step stays between J' and I'.  Per candidate only u and its
-    bit index are kept; up(u) is built when u is yielded.
+    lex order of u.  The candidates are the elements of the poset, so
+    every step stays between J' and I'.  Only the mask of J' is built
+    here; per candidate u and its bit index are kept, up(u) when drawn.
     """
-    poset = solver.build_characteristic_poset(Ip, Jp)
+    box = poset.box
     g = poset.bound
-    box = Box(g)
     cands = [(u, box.code(u)) for u in poset.elements]
     axes = [(i, s, gi) for i, (s, gi) in enumerate(zip(box.strides, g)) if gi]
-    start = 0
-    for h in Jp.generators:
-        start |= box.up(h)
-    end = start | box.mask(poset.elements)
+    start = box.ideal(Jp.generators)
+    end = start | poset.mask
 
     def steps(L):
         bits = L.to_bytes(box.nbytes, "little")   # a bit test without a shift of L
@@ -194,7 +190,7 @@ def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
     ring.require_subquotient(Ip, Jp)
     if Ip == Jp:
         raise ZeroModuleError("zero module has no prime filtration")
-    start, end, steps = _prime_steps(Ip, Jp)
+    start, end, steps = _prime_steps(solver.build_characteristic_poset(Ip, Jp), Jp)
     found = []
     nodes = 0
     path = []                 # the steps of the open chain, one per frame
@@ -240,7 +236,7 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
     if Ip == Jp:
         raise ZeroModuleError("I/J is the zero module; fdepth undefined")
     ctx = Ip.context
-    start, end, steps = _prime_steps(Ip, Jp)
+    start, end, steps = _prime_steps(solver.build_characteristic_poset(Ip, Jp), Jp)
     NEG = -1
     memo = {end: ctx.n + 1}   # neutral element for min over the steps
     nodes = 0

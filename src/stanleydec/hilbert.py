@@ -8,10 +8,11 @@ with integer P, kept in the canonical form where P is not divisible by
 here ever multiplies two graded components.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from operator import eq
 
-from . import ring
+from . import ring, solver
 from .errors import MalformedInputError
 from .stanley import StanleyDecomposition
 
@@ -190,6 +191,21 @@ def series_of_decomposition(D):
     for s in D.spaces:
         total = total + series_of_space(s)
     return total
+
+
+def series_of_quotient(I, J):
+    """The series of I/J with no decomposition built: the sum over the poset
+    elements a of t^{|a|}/(1-t)^{rho(a)}, times (1+t)/(1-t) per inverted
+    variable.  Raises ZeroModuleError when I/J is the zero module."""
+    poset, _, _ = solver._poset_of(I, J)
+    g = poset.bound
+    pairs = Counter((sum(map(eq, a, g)), sum(a)) for a in poset.elements)
+    plain = ZERO_SERIES
+    for rho in {rho for rho, _ in pairs}:
+        plain += HilbertSeries(tuple(pairs[rho, d] for d in range(sum(g) + 1)), rho)
+    laurent = series_of_laurent_ring((0,) * I.context.n, I.context.inverted, 0)
+    return HilbertSeries(_poly_mul(plain.numerator, laurent.numerator),
+                         plain.pole + laurent.pole)
 
 
 def count_maximal_spaces(obj):

@@ -8,10 +8,11 @@ decompositions; sdepth is the best achievable minimum corner count.  The
 partition search runs in the iterative bitmask kernel of ``_intervals``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from . import ring, stanley
+from ._box import Box
 from ._intervals import find_partition
 from .errors import (
     BoxTooLargeError,
@@ -24,9 +25,9 @@ from .stanley import StanleyDecomposition, StanleySpace
 
 DEFAULT_BUDGET = 10**6
 
-# the poset is found by walking the box [0, g] cell by cell, and every
-# mask a search keeps has one bit per cell; the boxes any search here can
-# finish are far smaller than this
+# the poset is a mask with one bit per cell of the box [0, g], and so is
+# every mask a search keeps; the boxes any search here can finish are far
+# smaller than this
 MAX_BOX_CELLS = 10**6
 
 
@@ -35,6 +36,8 @@ class CharacteristicPoset:
     context: RingContext          # polynomial ring on the kept variables
     bound: tuple                  # componentwise generator maximum g
     elements: tuple               # lex-sorted exponent vectors of I'\J' below g
+    box: Box = field(repr=False, compare=False)   # the cells of [0, g]
+    mask: int = field(repr=False)                 # the elements as bits of box
 
 
 @dataclass(frozen=True)
@@ -64,18 +67,15 @@ def reduce_to_polynomial(I, J):
 
 
 def build_characteristic_poset(Ip, Jp):
-    """The finite poset of exponent vectors a <= g with x^a in I'\\J',
-    where g is the componentwise maximum over all generators.  Raises
-    BoxTooLargeError when the box [0, g] has more than MAX_BOX_CELLS
-    cells."""
+    """The finite poset of exponent vectors a <= g with x^a in I'\\J', g the
+    componentwise maximum over all generators, as the mask of I' minus J' in
+    the box [0, g].  Raises BoxTooLargeError beyond MAX_BOX_CELLS cells."""
     ctx = Ip.context
     if ctx.inverted or Jp.context.inverted:
         raise ContextMismatchError("characteristic poset needs a polynomial ring")
     ring.require_subquotient(Ip, Jp)
     gens = list(Ip.generators) + list(Jp.generators)
-    g = tuple(
-        max((gen[i] for gen in gens), default=0) for i in range(ctx.n)
-    )
+    g = tuple(max((gen[i] for gen in gens), default=0) for i in range(ctx.n))
     cells = 1
     for gi in g:
         cells *= gi + 1
@@ -83,13 +83,10 @@ def build_characteristic_poset(Ip, Jp):
             raise BoxTooLargeError(
                 "the characteristic box has more than %d cells" % MAX_BOX_CELLS
             )
-    elements = [
-        a
-        for a in product(*[range(gi + 1) for gi in g])
-        if ring.contains(Ip, a) and not ring.contains(Jp, a)
-    ]
-    elements.sort()
-    return CharacteristicPoset(ctx, g, tuple(elements))
+    box = Box(g)
+    mask = box.ideal(Ip.generators) & ~box.ideal(Jp.generators)
+    elements = tuple(map(box.cell, box.codes(mask)))
+    return CharacteristicPoset(ctx, g, elements, box, mask)
 
 
 def max_interval_partition(poset, budget=DEFAULT_BUDGET):
@@ -106,9 +103,7 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
     remaining = budget
     total = 0
     for k in range(poset.context.n, -1, -1):
-        status, intervals, nodes = find_partition(
-            list(poset.elements), poset.bound, k, remaining
-        )
+        status, intervals, nodes = find_partition(poset.box, poset.mask, k, remaining)
         total += nodes
         remaining -= nodes
         if status == "budget":
@@ -181,13 +176,3 @@ def sdepth(I, J, budget=DEFAULT_BUDGET):
     Dp = partition_to_decomposition(poset, partition)
     witness = _embed_and_invert(Dp, I.context, kept)
     return SdepthResult(k + offset, witness)
-
-
-def singleton_decomposition(I, J):
-    """A Stanley decomposition of I/J found without search: every element
-    of the characteristic poset is its own interval (the k = 0 partition,
-    which always exists), lifted back to the ring of I/J."""
-    poset, _, kept = _poset_of(I, J)
-    partition = IntervalPartition(tuple((e, e) for e in poset.elements))
-    Dp = partition_to_decomposition(poset, partition)
-    return _embed_and_invert(Dp, I.context, kept)

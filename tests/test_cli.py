@@ -304,16 +304,10 @@ class TestBatch:
         assert lines[0] == {"ok": False, "error": error}
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
-    def test_near_cap_box_answers_in_bounded_memory(self):
-        """fdepth over a box of 100,001 cells with budget 1, then a short
-        request, in a process whose address space is capped at 256 MB.
-        The search keeps O(cells) bits per mask it holds, a few kilobytes
-        here; masks kept per candidate would take gigabytes."""
-        requests = [
-            {"command": "fdepth", "ring": "n=1", "I": "(1)", "J": "(x^100000)",
-             "options": {"budget": 1}},
-            self.VALID,
-        ]
+    @staticmethod
+    def run_capped(requests):
+        """The batch answers to requests, from a process whose address
+        space is capped at 256 MB."""
         limit = 256 << 20
         code = (
             "import resource, sys\n"
@@ -327,11 +321,58 @@ class TestBatch:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             input="\n".join(json.dumps(r) for r in requests) + "\n", timeout=120,
         )
-        lines = [json.loads(l) for l in proc.stdout.splitlines()]
-        assert proc.returncode == 3 and len(lines) == 2, proc.stderr
+        return proc.returncode, [json.loads(l) for l in proc.stdout.splitlines()], proc.stderr
+
+    def test_near_cap_box_answers_in_bounded_memory(self):
+        """fdepth over a box of 100,001 cells with budget 1, then a short
+        request, in a capped process.  The search keeps O(cells) bits per
+        mask it holds, a few kilobytes here; masks kept per candidate
+        would take gigabytes."""
+        code, lines, stderr = self.run_capped([
+            {"command": "fdepth", "ring": "n=1", "I": "(1)", "J": "(x^100000)",
+             "options": {"budget": 1}},
+            self.VALID,
+        ])
+        assert code == 3 and len(lines) == 2, stderr
         assert lines[0] == {"ok": False,
                             "error": "no prime filtration found within the search bound"}
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
+    def test_near_cap_hilbert_answers_in_bounded_memory(self):
+        """The series of a quotient whose poset is 998,000 cells of a box
+        of 10^6, then a short request, in a capped process.  The series is
+        counted off the poset; a decomposition of one space per cell would
+        not fit."""
+        code, lines, stderr = self.run_capped([
+            {"command": "hilbert", "ring": "n=2", "I": "(x1, x2)",
+             "J": "(x1^999, x2^999)"},
+            self.VALID,
+        ])
+        assert code == 0 and len(lines) == 2, stderr
+        assert lines[0]["ok"] and lines[0]["maximal_spaces"] == 998000
+        assert lines[0]["coefficients"] == [0] + [d + 1 for d in range(1, 11)]
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
+    @pytest.mark.parametrize("bad, error", [
+        (dict(VALID, budget=1), "unknown key 'budget' for sdepth"),
+        (dict(VALID, options={"budget": 1, "depth": 2}), "unknown option 'depth' for sdepth"),
+        (dict(VALID, options={"max_degree": 3}), "unknown option 'max_degree' for sdepth"),
+    ], ids=["top-level-budget", "unknown-option", "option-of-another-command"])
+    def test_unknown_key_is_bad_request(self, bad, error):
+        """A key the command does not read is refused, not ignored: a
+        top-level budget would otherwise run at the default budget."""
+        stdin = json.dumps(bad) + "\n" + json.dumps(self.VALID) + "\n"
+        code, out = run(["batch"], stdin)
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 2 and len(lines) == 2
+        assert lines[0] == {"ok": False, "error": "bad request: " + error}
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
+    # a request of a command that reads each numeric option
+    READS = {"budget": VALID,
+             "max_degree": {"command": "hilbert", "ring": "n=1", "I": "(x)"},
+             "box_bound": {"command": "verify", "ring": "n=1", "I": "(x^3)",
+                           "D": "x^3*K[x]"}}
 
     @pytest.mark.parametrize("key, value", [
         ("budget", "many"),
@@ -345,12 +386,13 @@ class TestBatch:
         ("box_bound", 2.5),
     ])
     def test_bad_option_keeps_stream_alive(self, key, value):
-        bad = dict(self.VALID, options={key: value})
+        bad = dict(self.READS[key], options={key: value})
         stdin = json.dumps(bad) + "\n" + json.dumps(self.VALID) + "\n"
         code, out = run(["batch"], stdin)
         lines = [json.loads(l) for l in out.splitlines()]
         assert code == 2 and len(lines) == 2
-        assert not lines[0]["ok"] and lines[0]["error"].startswith("bad request")
+        assert not lines[0]["ok"]
+        assert lines[0]["error"].startswith("bad request: %s must be" % key)
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
     def test_malformed_request_shapes(self):

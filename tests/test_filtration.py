@@ -255,7 +255,7 @@ class TestIterativeSearch:
         for trial in range(120):
             _, Ip, Jp = polynomial_quotient(rng, n=trial % 4 + 1)
             poset = solver.build_characteristic_poset(Ip, Jp)
-            start, end, steps = filtration._prime_steps(Ip, Jp)
+            start, end, steps = filtration._prime_steps(poset, Jp)
             assert (start, end) == (mask(Jp, poset.bound), mask(Ip, poset.bound))
             for _ in range(3):
                 extra = [u for u in poset.elements if rng.random() < 0.3]

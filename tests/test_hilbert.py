@@ -3,12 +3,13 @@ import random
 import pytest
 
 from stanleydec import hilbert, ring, solver, stanley
+from stanleydec.errors import ZeroModuleError
 from stanleydec.hilbert import HilbertSeries
 from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
 from reference_series import series_of_space as reference_series_of_space
-from util import all_decomposition_variants, random_quotient
+from util import all_decomposition_variants, random_quotient, singleton_decomposition
 
 
 def space(ctx, root, zplus=(), zminus=()):
@@ -239,7 +240,7 @@ class TestSeriesOfDecomposition:
         rng = random.Random(41)
         for _ in range(60):
             ctx, I, J = random_quotient(rng)
-            D = solver.singleton_decomposition(I, J)
+            D = singleton_decomposition(I, J)
             assert stanley.verify_decomposition(D, I, J).valid, (I, J)
             searched = solver.sdepth(I, J).witness
             assert hilbert.series_of_decomposition(
@@ -255,6 +256,41 @@ class TestSeriesOfDecomposition:
             series = {hilbert.series_of_decomposition(D) for D in variants}
             assert len(series) == 1, (I, J)
             done += 1
+
+
+class TestSeriesOfQuotient:
+    def test_matches_singleton_decomposition(self):
+        """The series counted off the poset equals the series of the
+        search-free decomposition, with and without inverted variables."""
+        rng = random.Random(43)
+        inverted = set()
+        for case in range(200):
+            ctx, I, J = random_quotient(
+                rng, n=case % 4 + 1, inverted=frozenset() if case % 2 else None
+            )
+            expected = hilbert.series_of_decomposition(singleton_decomposition(I, J))
+            assert hilbert.series_of_quotient(I, J) == expected, (I, J)
+            inverted.add(len(ctx.inverted))
+        assert {0, 1, 2} <= inverted
+
+    def test_expansion_matches_direct_count(self):
+        rng = random.Random(47)
+        for case in range(60):
+            ctx, I, J = random_quotient(rng, n=case % 3 + 1)
+            coeffs = hilbert.expand(hilbert.series_of_quotient(I, J), 6)
+            assert [dc.count for dc in coeffs] == [
+                hilbert.hilbert_count(I, J, d) for d in range(7)
+            ], (I, J)
+
+    def test_final_example(self):
+        ctx, I, J, D = final_example()
+        assert hilbert.series_of_quotient(I, J) == HilbertSeries((0, 1, 2, 1), 2)
+
+    def test_zero_module(self):
+        ctx = RingContext(2, frozenset({1}))
+        I = ring.ideal(ctx, (1, 0))
+        with pytest.raises(ZeroModuleError):
+            hilbert.series_of_quotient(I, I)
 
 
 class TestExpand:

@@ -9,6 +9,7 @@ from stanleydec.errors import BoxTooLargeError, BudgetExceededError, ZeroModuleE
 from stanleydec.ring import MonomialIdeal, RingContext
 
 import reference_intervals
+from reference_poset import characteristic_cells
 from util import localize_pair, polynomial_quotient, random_quotient
 
 
@@ -78,6 +79,44 @@ class TestPoset:
         )
         assert list(poset.elements) == expected
         assert set(poset.elements) == {(0, 2), (1, 0), (1, 1), (1, 2)}
+
+    def test_mask_matches_cell_walk(self):
+        """elements and mask equal those of the cell-by-cell membership
+        walk on random quotients with n = 1..5, on empty posets and in
+        the ring with no variables."""
+        rng = random.Random(11)
+        cases = []
+        for trial in range(150):
+            n = trial % 5 + 1
+            cases.append(polynomial_quotient(rng, n=n, max_exp=3 if n <= 3 else 2)[1:])
+        for n in (0, 2):
+            ctx = RingContext(n)
+            unit = ring.ideal(ctx, (0,) * n)
+            cases += [(unit, MonomialIdeal(ctx)), (unit, unit), (MonomialIdeal(ctx),) * 2]
+        for Ip, Jp in cases:
+            poset = solver.build_characteristic_poset(Ip, Jp)
+            g, elements, mask = characteristic_cells(Ip, Jp)
+            assert (poset.bound, poset.elements, poset.mask) == (g, elements, mask), (Ip, Jp)
+            assert poset.box.g == g
+
+    def test_no_membership_test_per_cell(self, monkeypatch):
+        """The mask is built from the generators: the only membership
+        tests left are those of the containment check J' <= I', one per
+        generator of J'."""
+        asked = []
+        contains = ring.contains
+
+        def recorded(I, m):
+            asked.append(m)
+            return contains(I, m)
+
+        monkeypatch.setattr(ring, "contains", recorded)
+        rng = random.Random(13)
+        for trial in range(40):
+            _, Ip, Jp = polynomial_quotient(rng, n=trial % 4 + 1)
+            del asked[:]
+            solver.build_characteristic_poset(Ip, Jp)
+            assert sorted(asked) == sorted(Jp.generators)
 
     def test_principal_ideal(self):
         ctx = RingContext(1)
@@ -168,14 +207,15 @@ class TestPartitionSearch:
                 continue
             for k in range(n, -1, -1):
                 args = (list(poset.elements), poset.bound, k)
+                mask_args = (poset.box, poset.mask, k)
                 expected = reference_intervals.find_partition(*args, 10**6)
-                assert _intervals.find_partition(*args, 10**6) == expected
+                assert _intervals.find_partition(*mask_args, 10**6) == expected
                 nodes = expected[2]
                 for budget in (nodes - 1, nodes):
                     if budget < 0:
                         continue
                     want = reference_intervals.find_partition(*args, budget)
-                    assert _intervals.find_partition(*args, budget) == want
+                    assert _intervals.find_partition(*mask_args, budget) == want
                     if budget < nodes:
                         assert want == ("budget", None, budget + 1)
             checked += 1

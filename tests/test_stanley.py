@@ -14,6 +14,7 @@ from util import (
     greedy_partition,
     polynomial_quotient,
     random_quotient,
+    singleton_decomposition,
 )
 
 
@@ -178,7 +179,7 @@ class TestVerifierParity:
                 rng, n=n, inverted=inverted, max_exp=2 if n < 4 else 1
             )
             if case % 3:
-                D = solver.singleton_decomposition(I, J)
+                D = singleton_decomposition(I, J)
             else:
                 Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
                 poset = solver.build_characteristic_poset(Ip, Jp)

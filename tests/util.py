@@ -106,6 +106,14 @@ def decomposition_from_partition(I, J, partition):
     return solver._embed_and_invert(Dp, I.context, kept)
 
 
+def singleton_decomposition(I, J):
+    """The decomposition of I/J with every poset element its own interval,
+    found without search."""
+    Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
+    poset = solver.build_characteristic_poset(Ip, Jp)
+    return decomposition_from_partition(I, J, singleton_partition(poset))
+
+
 def all_decomposition_variants(I, J, rng):
     """Several structurally different valid decompositions of I/J."""
     Ip, Jp, _, kept = solver.reduce_to_polynomial(I, J)
