@@ -11,6 +11,7 @@ otherwise the largest code of its lines.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -237,6 +238,13 @@ def _batch(args, stdin, stdout):
     return EXIT_INTERNAL if internal else worst
 
 
+def _nonnegative_int(text):
+    if not text.isascii() or not text.isdigit():
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, not %r" % text)
+    return int(text)
+
+
+@functools.cache   # building it costs more than a short request
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stanleydec",
@@ -249,8 +257,8 @@ def build_parser():
         p.add_argument("--I", default="(0)", help='ideal, e.g. "(x, y^2)"')
         p.add_argument("--J", default="(0)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
-        p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+        p.add_argument("--budget", type=_nonnegative_int, default=solver.DEFAULT_BUDGET)
+        p.add_argument("--max-degree", type=_nonnegative_int, default=DEFAULT_MAX_DEGREE)
         p.add_argument("--box-bound", type=int, default=None)
 
     p = sub.add_parser("normalize")

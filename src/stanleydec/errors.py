@@ -30,11 +30,13 @@ class BoxTooLargeError(StanleyError, ValueError):
 
 
 class BudgetExceededError(StanleyError, RuntimeError):
-    """The search node budget ran out before an exact answer was certified."""
+    """The search node budget ran out before an exact answer was certified;
+    nodes_by_target maps each target tried to the nodes spent on it."""
 
-    def __init__(self, message, nodes=None):
+    def __init__(self, message, nodes=None, nodes_by_target=None):
         super().__init__(message)
         self.nodes = nodes
+        self.nodes_by_target = nodes_by_target
 
 
 class ParseError(StanleyError, ValueError):

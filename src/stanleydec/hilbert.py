@@ -193,16 +193,42 @@ def series_of_decomposition(D):
     return total
 
 
-def series_of_quotient(I, J):
-    """The series of I/J with no decomposition built: the sum over the poset
-    elements a of t^{|a|}/(1-t)^{rho(a)}, times (1+t)/(1-t) per inverted
-    variable.  Raises ZeroModuleError when I/J is the zero module."""
-    poset, _, _ = solver._poset_of(I, J)
+def series_of_poset(poset):
+    """The series of I'/J' from its characteristic poset: the sum over the
+    elements a of t^{|a|}/(1-t)^{rho(a)}, counted by the pairs (rho, |a|)."""
     g = poset.bound
     pairs = Counter((sum(map(eq, a, g)), sum(a)) for a in poset.elements)
     plain = ZERO_SERIES
     for rho in {rho for rho, _ in pairs}:
         plain += HilbertSeries(tuple(pairs[rho, d] for d in range(sum(g) + 1)), rho)
+    return plain
+
+
+def hdepth_bound(series):
+    """The largest r <= d for which (1-t)^r H(t), H = P(t)/(1-t)^d, has no
+    negative coefficient up to degree deg P: d-r rounds of prefix sums of P.
+
+    The Hilbert depth, the largest r with no negative coefficient in any
+    degree, passes this test, so it is at most the value returned.  A
+    Stanley decomposition into spaces u K[Z] with |Z| >= k makes (1-t)^k H
+    the sum of the series t^{deg u}/(1-t)^{|Z|-k}, so sdepth <= hdepth
+    (Uliczka, manuscripta math. 132, 2010)."""
+    coeffs = list(series.numerator)
+    r = series.pole
+    while r > 0 and min(coeffs, default=0) < 0:
+        r -= 1
+        acc = 0
+        for i, c in enumerate(coeffs):
+            acc += c
+            coeffs[i] = acc
+    return r
+
+
+def series_of_quotient(I, J):
+    """The series of I/J with no decomposition built: the series of the
+    poset of its contraction, times (1+t)/(1-t) per inverted variable.
+    Raises ZeroModuleError when I/J is the zero module."""
+    plain = series_of_poset(solver._poset_of(I, J)[0])
     laurent = series_of_laurent_ring((0,) * I.context.n, I.context.inverted, 0)
     return HilbertSeries(_poly_mul(plain.numerator, laurent.numerator),
                          plain.pole + laurent.pole)

@@ -10,8 +10,9 @@ partition search runs in the iterative bitmask kernel of ``_intervals``.
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import eq
 
-from . import ring, stanley
+from . import hilbert, ring, stanley
 from ._box import Box
 from ._intervals import find_partition
 from .errors import (
@@ -89,27 +90,47 @@ def build_characteristic_poset(Ip, Jp):
     return CharacteristicPoset(ctx, g, elements, box, mask)
 
 
+def maximal_element_bound(poset):
+    """The least rho(c) over the maximal elements c of a nonempty poset.
+    The interval holding c has an upper corner >= c, so c is that corner,
+    and no partition has a larger k.  c is maximal when no c + e_i with
+    c_i < g_i is an element, as the poset is order-convex: one shift of
+    the mask per axis, ignored on the cells with c_i = g_i."""
+    box, mask, g = poset.box, poset.mask, poset.bound
+    maximal = mask
+    for i, stride in enumerate(box.strides):
+        top = tuple(gj if j == i else 0 for j, gj in enumerate(g))
+        maximal &= ~(mask >> stride) | box.up(top)
+    return min(sum(map(eq, box.cell(c), g)) for c in box.codes(maximal))
+
+
 def max_interval_partition(poset, budget=DEFAULT_BUDGET):
     """Best interval partition of the poset: maximizes the minimum corner
     count rho(c) = #{i: c_i = g_i} over its intervals.
 
-    Tries the decision problem for each target k from the dimension down;
-    the first feasible k wins and the witness is the lexicographically
-    smallest optimal partition.  The node budget is shared across targets
-    and exhausting it raises rather than returning a possibly wrong value.
+    Tries the decision problem for each target k from an upper bound down,
+    the least of ``maximal_element_bound`` and ``hilbert.hdepth_bound``.
+    No k above it is feasible, so the first feasible k and its witness,
+    the lexicographically smallest optimal partition, are those a start at
+    k = n finds.  The node budget is shared across targets and exhausting
+    it raises rather than returning a possibly wrong value.
     """
     if not poset.elements:
         raise ZeroModuleError("empty poset: the quotient is the zero module")
+    bounds = {"the maximal elements": maximal_element_bound(poset),
+              "the Hilbert depth": hilbert.hdepth_bound(hilbert.series_of_poset(poset))}
+    start = min(bounds.values())
     remaining = budget
-    total = 0
-    for k in range(poset.context.n, -1, -1):
+    spent = {}
+    for k in range(start, -1, -1):
         status, intervals, nodes = find_partition(poset.box, poset.mask, k, remaining)
-        total += nodes
+        spent[k] = nodes
         remaining -= nodes
         if status == "budget":
-            raise BudgetExceededError(
-                "interval search budget exceeded after %d nodes" % total, total
-            )
+            total = sum(spent.values())
+            setters = " and ".join(name for name, b in bounds.items() if b == start)
+            raise BudgetExceededError("interval search budget exceeded after %d nodes, from "
+                                      "k = %d set by %s" % (total, start, setters), total, spent)
         if status == "found":
             return k, IntervalPartition(tuple(intervals))
     raise AssertionError("k=0 singleton partition must always exist")

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -72,11 +73,11 @@ class TestHilbert:
         assert json.loads(out)["coefficients"] == [1, 1, 1, 1]
 
     def test_no_search_behind_the_series(self):
-        """m in K[x1..x6] needs over 10^6 nodes for its sdepth; its series
-        needs none, whatever the budget."""
+        """m in K[x1..x6] needs 42 nodes for its sdepth; its series needs
+        none, so it is answered with a budget of one node."""
         base = ["hilbert", "--ring", "n=6", "--I", "(x1, x2, x3, x4, x5, x6)",
                 "--format", "json"]
-        code, out = run(base + ["--budget", "1000"])
+        code, out = run(base + ["--budget", "1"])
         assert code == 0
         payload = json.loads(out)
         # S/m is the field, so H = 1/(1-t)^6 - 1
@@ -187,6 +188,56 @@ class TestExitCodes:
         )
         assert code == 3
         assert "budget" in out
+
+
+class TestParser:
+    SDEPTH = ["sdepth", "--ring", "n=3", "--I", "(x, y, z)"]
+
+    def test_built_once_per_process(self, monkeypatch):
+        """Only the first of several calls builds parsers."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def recorded(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+        assert run(self.SDEPTH)[0] == 0
+        assert "stanleydec" in built
+        del built[:]
+        for argv in (self.SDEPTH, ["hilbert", "--ring", "n=1", "--I", "(x)"], ["batch"]):
+            assert run(argv)[0] == 0
+        assert built == []
+
+    def test_options_do_not_carry_over(self, monkeypatch):
+        budgets = []
+        sdepth = cli.solver.sdepth
+
+        def recorded(I, J, budget):
+            budgets.append(budget)
+            return sdepth(I, J, budget=budget)
+
+        monkeypatch.setattr(cli.solver, "sdepth", recorded)
+        assert run(self.SDEPTH + ["--budget", "5"])[0] == 0
+        assert run(self.SDEPTH)[0] == 0
+        assert budgets == [5, cli.solver.DEFAULT_BUDGET]
+
+    @pytest.mark.parametrize("argv", [
+        ["sdepth", "--ring", "n=2", "--I", "(x, y)", "--budget", "-5"],
+        ["hilbert", "--ring", "n=2", "--I", "(x, y)", "--max-degree", "-1"],
+        ["sdepth", "--ring", "n=2", "--I", "(x, y)", "--budget", "many"],
+    ], ids=["negative-budget", "negative-max-degree", "word-budget"])
+    def test_usage_error_leaves_the_next_call_alone(self, argv, capsys):
+        """A negative --budget or --max-degree is a usage error (exit 2), as
+        in batch, not a search that runs out after one node."""
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert "expected a nonnegative integer" in capsys.readouterr().err
+        code, out = run(self.SDEPTH)
+        assert code == 0 and out.splitlines()[0] == "sdepth = 2"
 
 
 class TestNormalize:

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from stanleydec import _intervals, ring, solver, stanley
+from stanleydec import _intervals, hilbert, parsing, ring, solver, stanley
 from stanleydec.errors import BoxTooLargeError, BudgetExceededError, ZeroModuleError
 from stanleydec.ring import MonomialIdeal, RingContext
 
@@ -219,6 +219,88 @@ class TestPartitionSearch:
                     if budget < nodes:
                         assert want == ("budget", None, budget + 1)
             checked += 1
+
+
+def parsed_poset(n, I, J="(0)"):
+    ctx = parsing.parse_ring("n=%d" % n)
+    return solver._poset_of(parsing.parse_ideal(I, ctx), parsing.parse_ideal(J, ctx))[0]
+
+
+def power_of_maximal(n, d):
+    """The poset of m^d in K[x1..xn]."""
+    ctx = RingContext(n)
+    gens = [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+    return solver.build_characteristic_poset(ring.ideal(ctx, *gens), MonomialIdeal(ctx))
+
+
+def bounds(poset):
+    return (solver.maximal_element_bound(poset),
+            hilbert.hdepth_bound(hilbert.series_of_poset(poset)))
+
+
+class TestBound:
+    def test_search_from_bound_matches_reference(self):
+        """The same k and partition as the recursive oracle tried from k = n
+        down, on random quotients with n = 1..5, with and without inverted
+        variables; both bounds are >= that k."""
+        rng = random.Random(23)
+        checked = 0
+        while checked < 200:
+            n = checked % 5 + 1
+            inverted = None if checked % 2 else frozenset()
+            ctx, I, J = random_quotient(rng, n=n, inverted=inverted,
+                                        max_exp=3 if n <= 3 else 2)
+            poset = solver._poset_of(I, J)[0]
+            if len(poset.elements) > 80:
+                continue
+            for k in range(poset.context.n, -1, -1):
+                status, intervals, _ = reference_intervals.find_partition(
+                    list(poset.elements), poset.bound, k, 10**6)
+                if status == "found":
+                    break
+            assert solver.max_interval_partition(poset) == (
+                k, solver.IntervalPartition(tuple(intervals))), (I, J)
+            assert min(bounds(poset)) >= k
+            checked += 1
+
+    @pytest.mark.parametrize("n, d, value", [(n, 1, (n + 1) // 2) for n in range(1, 9)]
+                             + [(5, 2, 2), (4, 3, 1)])
+    def test_powers_of_the_maximal_ideal(self, n, d, value):
+        """sdepth(m) = ceil(n/2) (Biro-Howard-Keller-Trotter-Young, JCTA 117,
+        2010), and two powers of m, each within 1,000 nodes: from k = n, m
+        with n = 7 alone exhausts 3*10^6."""
+        k, _ = solver.max_interval_partition(power_of_maximal(n, d), budget=1000)
+        assert k == value
+
+    def test_hdepth_of_ring_and_maximal_ideal(self):
+        for n in range(0, 7):
+            ctx = RingContext(n)
+            poset = solver.build_characteristic_poset(ring.ideal(ctx, (0,) * n),
+                                                      MonomialIdeal(ctx))
+            assert bounds(poset) == (n, n)
+        for n in range(1, 9):
+            assert bounds(power_of_maximal(n, 1)) == (n, (n + 1) // 2)
+
+    @pytest.mark.parametrize("n, I, J, b_max, b_H, value", [
+        (3, "(y*z, x*y, x^2*z^2)", "(x*y^2*z, x^2*y*z)", 1, 2, 1),
+        (2, "(x*y^2, x^2*y)", "(0)", 2, 1, 1),
+    ], ids=["maximal-elements-lower", "hdepth-lower"])
+    def test_either_bound_can_be_the_lower(self, n, I, J, b_max, b_H, value):
+        poset = parsed_poset(n, I, J)
+        assert bounds(poset) == (b_max, b_H)
+        assert solver.max_interval_partition(poset)[0] == value
+
+    def test_budget_error_says_where_the_nodes_went(self):
+        """(x, y, z)/(y^2 z^2) has both bounds 2 and sdepth 1: k = 2 takes
+        21 nodes to refute, and the budget runs out at k = 1."""
+        poset = parsed_poset(3, "(x, y, z)", "(y^2*z^2)")
+        with pytest.raises(BudgetExceededError) as info:
+            solver.max_interval_partition(poset, budget=25)
+        assert info.value.nodes == 26
+        assert info.value.nodes_by_target == {2: 21, 1: 5}
+        assert str(info.value) == (
+            "interval search budget exceeded after 26 nodes, from k = 2 set by "
+            "the maximal elements and the Hilbert depth")
 
 
 class TestPartitionToDecomposition:
