@@ -163,10 +163,18 @@ def _emit(report, code, fmt, out):
     return code
 
 
-# a command reads ring, I, J and the strings it requires, also at the top level
-_REQUIRED = {"localize": ("ring", "D", "A"), "verify": ("ring", "D")}
-_NUMERIC_KEYS = {"sdepth": ("budget",), "decompose": ("budget",), "fdepth": ("budget",),
-                 "hilbert": ("max_degree",), "verify": ("box_bound",)}
+def _nonnegative_int(text):
+    if not text.isascii() or not text.isdigit():
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, not %r" % text)
+    return int(text)
+
+
+# per command, the keys it reads besides ring, I and J; it requires D and A
+_KEYS = {"normalize": (), "sdepth": ("budget",), "decompose": ("budget",),
+         "localize": ("D", "A"), "hilbert": ("max_degree",),
+         "verify": ("D", "box_bound"), "fdepth": ("budget",)}
+# the argparse type of each number; box_bound may be negative, or null in batch
+_NUMBERS = {"budget": _nonnegative_int, "max_degree": _nonnegative_int, "box_bound": int}
 
 
 def _batch_request(line):
@@ -177,33 +185,30 @@ def _batch_request(line):
     command = req.get("command")
     if not isinstance(command, str) or command not in _COMMANDS:
         raise ValueError("unknown command %r" % (command,))
-    strings = ("ring", "I", "J") + _REQUIRED.get(command, ("ring",))[1:]
-    numbers = _NUMERIC_KEYS.get(command, ())
+    keys = ("ring", "I", "J") + _KEYS[command]
+    strings = [key for key in keys if key not in _NUMBERS]
     for key in req:
-        if key not in ("command", "options") + strings:
+        if key not in ["command", "options"] + strings:
             raise ValueError("unknown key %r for %s" % (key, command))
     opts = req.get("options", {})
     if not isinstance(opts, dict):
         raise ValueError("options must be a JSON object")
     for key in opts:
-        if key not in strings + numbers:
+        if key not in keys:
             raise ValueError("unknown option %r for %s" % (key, command))
-    opts = dict(opts)
-    for key in strings:
-        if key in req:
-            opts[key] = req[key]
-        if key in opts and not isinstance(opts[key], str):
-            raise ValueError("%s must be a string" % key)
-    for key in _REQUIRED.get(command, ("ring",)):
+    opts = dict(opts, **{key: req[key] for key in strings if key in req})
+    for key in keys:
+        value = opts.get(key)
         if key not in opts:
-            raise ValueError("missing %s" % key)
-    for key in numbers:
-        if key not in opts or (key == "box_bound" and opts[key] is None):
-            continue
-        value = opts[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError("%s must be an integer, not %r" % (key, value))
-        if value < 0 and key != "box_bound":
+            if key in strings and key not in ("I", "J"):
+                raise ValueError("missing %s" % key)
+        elif key in strings:
+            if not isinstance(value, str):
+                raise ValueError("%s must be a string" % key)
+        elif isinstance(value, bool) or not isinstance(value, int):
+            if not (key == "box_bound" and value is None):
+                raise ValueError("%s must be an integer, not %r" % (key, value))
+        elif value < 0 and key != "box_bound":
             raise ValueError("%s must be nonnegative, not %d" % (key, value))
     return command, opts
 
@@ -238,10 +243,8 @@ def _batch(args, stdin, stdout):
     return EXIT_INTERNAL if internal else worst
 
 
-def _nonnegative_int(text):
-    if not text.isascii() or not text.isdigit():
-        raise argparse.ArgumentTypeError("expected a nonnegative integer, not %r" % text)
-    return int(text)
+_HELP = {"ring": 'e.g. "n=3 invert={2,3}"', "I": 'ideal, e.g. "(x, y^2)"',
+         "A": "indices to invert, e.g. {1}"}
 
 
 @functools.cache   # building it costs more than a short request
@@ -251,27 +254,16 @@ def build_parser():
         description="Stanley decompositions in localized polynomial rings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--ring", required=True, help='e.g. "n=3 invert={2,3}"')
-        p.add_argument("--I", default="(0)", help='ideal, e.g. "(x, y^2)"')
-        p.add_argument("--J", default="(0)")
+    for command, keys in _KEYS.items():
+        # an option left out is left out of opts too: its default is the _cmd_ one
+        p = sub.add_parser(command, argument_default=argparse.SUPPRESS)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=_nonnegative_int, default=solver.DEFAULT_BUDGET)
-        p.add_argument("--max-degree", type=_nonnegative_int, default=DEFAULT_MAX_DEGREE)
-        p.add_argument("--box-bound", type=int, default=None)
-
-    p = sub.add_parser("normalize")
-    common(p)
-    for name in ("sdepth", "decompose", "hilbert", "fdepth"):
-        common(sub.add_parser(name))
-    p = sub.add_parser("localize")
-    common(p)
-    p.add_argument("--D", required=True, help="decomposition over the polynomial ring")
-    p.add_argument("--A", required=True, help="indices to invert, e.g. {1}")
-    p = sub.add_parser("verify")
-    common(p)
-    p.add_argument("--D", required=True)
+        for key in ("ring", "I", "J") + keys:
+            flag = "--" + key.replace("_", "-")
+            if key in _NUMBERS:
+                p.add_argument(flag, type=_NUMBERS[key])
+            else:
+                p.add_argument(flag, required=key not in ("I", "J"), help=_HELP.get(key))
     sub.add_parser("batch")
     return parser
 
@@ -282,19 +274,10 @@ def main(argv=None, stdin=None, stdout=None):
     args = build_parser().parse_args(argv)
     if args.command == "batch":
         return _batch(args, stdin, stdout)
-    opts = {
-        "ring": args.ring,
-        "I": args.I,
-        "J": args.J,
-        "budget": args.budget,
-        "max_degree": args.max_degree,
-        "box_bound": args.box_bound,
-    }
-    for key in ("D", "A"):
-        if hasattr(args, key):
-            opts[key] = getattr(args, key)
-    report, code = run_request(args.command, opts)
-    return _emit(report, code, args.format, stdout)
+    opts = vars(args)
+    command, fmt = opts.pop("command"), opts.pop("format")
+    report, code = run_request(command, opts)
+    return _emit(report, code, fmt, stdout)
 
 
 if __name__ == "__main__":

@@ -26,17 +26,14 @@ up-set of the box.  For a candidate u:
   the top corner of the face, u + sum over i not in P of (g_i - u_i) e_i:
   the colon test is one more bit test.
 
-Every search here draws its prime steps from one generator, built by
-``_prime_steps``, and keeps its open chain on an explicit stack rather
-than the call stack, so the length of a chain is bounded only by memory,
-not by the recursion limit.  Only the chains it returns are built as
-MonomialIdeals; ``verify_filtration`` still checks each step with
-``ring.colon``, independently of the masks.
-
-A search keeps u and its bit index per candidate and one mask, one bit
-per box cell, per ideal it holds: each open frame and each memo entry.
-up(u) is built only when u is drawn as a step.  So beyond the poset its
-memory is O(cells) bits per node drawn, which the node budget bounds.
+The enumeration and fdepth walk one depth-first search, ``_descend``,
+over the steps of ``_prime_steps``, with the open chain on an explicit
+stack: a chain's length is bounded by memory, not the recursion limit.
+fdepth decides one target at a time, from ``last_step_bound`` down, as
+the sdepth search does.  Only the chains returned are built as
+MonomialIdeals; ``verify_filtration`` checks each step with ``ring.colon``,
+independently of the masks.  Beyond the poset, a search keeps a mask of
+the box per step of its open chain and per dead ideal: O(cells) bits a node.
 """
 
 from dataclasses import dataclass
@@ -133,11 +130,11 @@ def _prime_steps(poset, Jp):
     characteristic poset of I'/J', and the prime steps between them.
 
     Returns (start, end, steps): the masks of J' and I', and a generator
-    function; steps(L) yields (u, primes, L + (u)) for every candidate u
-    outside L whose colon (L : u) is the variable prime on `primes`, in
-    lex order of u.  The candidates are the elements of the poset, so
-    every step stays between J' and I'.  Only the mask of J' is built
-    here; per candidate u and its bit index are kept, up(u) when drawn.
+    function; steps(L, most) yields (u, primes, L + (u)) for every
+    candidate u outside L whose colon (L : u) is the variable prime on
+    `primes`, at most `most` of them, in lex order of u.  The candidates
+    are the poset's elements, so steps stay between J' and I'.  Only the
+    mask of J' is built here; per candidate u and its bit index are kept.
     """
     box = poset.box
     g = poset.bound
@@ -146,7 +143,7 @@ def _prime_steps(poset, Jp):
     start = box.ideal(Jp.generators)
     end = start | poset.mask
 
-    def steps(L):
+    def steps(L, most):
         bits = L.to_bytes(box.nbytes, "little")   # a bit test without a shift of L
         for u, code in cands:
             if bits[code >> 3] >> (code & 7) & 1:
@@ -161,7 +158,7 @@ def _prime_steps(poset, Jp):
                         primes.append(i)
                     else:
                         top += (gi - ui) * s
-            if not bits[top >> 3] >> (top & 7) & 1:
+            if len(primes) <= most and not bits[top >> 3] >> (top & 7) & 1:
                 yield u, frozenset(primes), L | box.up(u)
 
     return start, end, steps
@@ -175,6 +172,39 @@ def _filtration(ctx, start, path):
         chain.append(chain[-1].plus(u))
     steps = tuple(FiltrationStep(u, primes, u) for u, primes, _ in path)
     return PrimeFiltration(ctx, tuple(chain), steps)
+
+
+def _descend(steps, start, end, most, tickets):
+    """Depth-first search, in the lex order of ``_prime_steps``, for
+    chains from the mask start to the mask end of steps with at most
+    `most` primes; each step taken is a node and takes an item of the
+    iterator tickets.  Yields each chain found, as a list of (u, primes,
+    next mask) the search goes on to change, and None when tickets run
+    out.  An ideal with no chain to end below it is dead and not entered
+    again.  With most = n none is: each L, J' <= L < I', has the step of
+    a box-maximal u of I' outside L, primes {i : u_i < g_i}, top corner u."""
+    dead = set()
+    path = []
+    stack = [steps(start, most)]
+    alive = 0           # the open ideals stack[:alive] have a chain to end
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if stack and len(stack) >= alive:
+                dead.add(path[len(stack) - 1][2])
+            alive = min(alive, len(stack))
+        elif step[2] not in dead:
+            if next(tickets, None) is None:
+                yield None
+                return
+            del path[len(stack) - 1:]
+            path.append(step)
+            if step[2] == end:
+                alive = len(stack)
+                yield path
+            else:
+                stack.append(steps(step[2], most))
 
 
 def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
@@ -192,24 +222,34 @@ def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
         raise ZeroModuleError("zero module has no prime filtration")
     start, end, steps = _prime_steps(solver.build_characteristic_poset(Ip, Jp), Jp)
     found = []
-    nodes = 0
-    path = []                 # the steps of the open chain, one per frame
-    stack = [steps(start)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            continue
-        nodes += 1
-        if nodes > budget:
+    for path in _descend(steps, start, end, ctx.n, iter(range(budget))):
+        if path is None:
             return found, False
-        del path[len(stack) - 1:]
-        path.append(step)
-        if step[2] == end:
-            found.append(_filtration(ctx, Jp, path))
-        else:
-            stack.append(steps(step[2]))
+        found.append(_filtration(ctx, Jp, path))
     return found, True
+
+
+def last_step_bound(poset, generators, start):
+    """An upper bound on fdepth I'/J', given the generators of I' and the
+    mask start of J'.  The last step of a chain adds to some L, J' <= L <
+    I', a minimal generator u of I' outside J'; every other one is in L,
+    as u does not divide it.  So x_i is in (L : u) when u + e_i is in J'
+    (its cell in start, for u_i < g_i: else the index leaves u's row) or
+    is a multiple of another generator h (h exceeds u by one at i only),
+    and the step has dimension at most n minus the number of such i.
+    """
+    box, g = poset.box, poset.bound
+    gens = [u for u in generators if not start >> box.code(u) & 1]
+    best = 0
+    for u in gens:
+        code = box.code(u)
+        forced = {i for i, s in enumerate(box.strides) if u[i] < g[i] and start >> code + s & 1}
+        for h in gens:
+            over = [i for i, (hi, ui) in enumerate(zip(h, u)) if hi > ui]
+            if len(over) == 1 and h[over[0]] == u[over[0]] + 1:
+                forced.add(over[0])
+        best = max(best, len(g) - len(forced))
+    return best
 
 
 @dataclass(frozen=True)
@@ -224,68 +264,39 @@ class FdepthResult:
 
 def fdepth(I, J, budget=DEFAULT_BUDGET):
     """fdepth of I/J: contract to the polynomial ring on the non-inverted
-    variables, search prime filtrations there (memoized over reachable
-    ideals), and add one per inverted variable.
-
-    The memo maps an ideal's mask to the best minimum step dimension of
-    a filtration from it up to I', or -1 when none completes in the box.
-    Each frame of the search is [mask, its step generator, best so far,
-    pending step]; the pending step's value is read from the memo before
-    the frame draws its next step."""
+    variables, search prime filtrations there, and add one per inverted
+    variable.  The lex-first chain gives a lower bound v0; then each
+    target t from ``last_step_bound`` down to v0 + 1 is tried, and the
+    first chain found, the lex-first one with every step >= t, is the
+    witness.  The targets share the node budget; when it runs out, the
+    best chain found is returned with complete=False."""
     Ip, Jp, offset, _ = solver.reduce_to_polynomial(I, J)
     if Ip == Jp:
         raise ZeroModuleError("I/J is the zero module; fdepth undefined")
     ctx = Ip.context
-    start, end, steps = _prime_steps(solver.build_characteristic_poset(Ip, Jp), Jp)
-    NEG = -1
-    memo = {end: ctx.n + 1}   # neutral element for min over the steps
-    nodes = 0
-    stack = [[start, steps(start), NEG, None]]
-    while stack:
-        frame = stack[-1]
-        current, frame_steps, value, pending = frame
-        if pending is not None:
-            _, primes, nxt = pending
-            tail = memo[nxt]
-            if tail != NEG:
-                value = max(value, min(step_dimension(ctx, primes), tail))
-        step = next(frame_steps, None)
-        if step is not None:
-            nodes += 1
-        if step is None or nodes > budget:
-            memo[current] = value
-            stack.pop()
-            continue
-        frame[2:] = value, step
-        if step[2] not in memo:
-            stack.append([step[2], steps(step[2]), NEG, None])
-    complete = nodes <= budget
-    value = memo[start]
-    if value == NEG:
-        raise BudgetExceededError(
-            "no prime filtration found within the search bound", nodes
-        )
+    poset = solver.build_characteristic_poset(Ip, Jp)
+    start, end, steps = _prime_steps(poset, Jp)
+    tickets = iter(range(budget))   # one per node, for all targets
 
-    # walk a witness chain achieving the value
-    path = []
-    current = start
-    while current != end:
-        for step in steps(current):
-            _, primes, nxt = step
-            if (step_dimension(ctx, primes) >= value
-                    and memo.get(nxt, NEG) >= value):
-                path.append(step)
-                current = nxt
-                break
-        else:
-            if not complete:
-                raise BudgetExceededError(
-                    "budget exhausted before a witness chain was certified",
-                    nodes,
-                )
-            raise AssertionError("witness reconstruction failed")
-    witness = _filtration(ctx, Jp, path)
-    return FdepthResult(value + offset, complete, witness)
+    def search(t):
+        """The first chain with steps >= t; None out of budget, False if none."""
+        return next(_descend(steps, start, end, ctx.n - t, tickets), False)
+
+    path = search(0)
+    if not path:
+        raise BudgetExceededError("no prime filtration found within the search bound",
+                                  budget + 1, {0: budget + 1})
+    value = min(step_dimension(ctx, primes) for _, primes, _ in path)
+    complete = True
+    for t in range(last_step_bound(poset, Ip.generators, start), value, -1):
+        found = search(t)
+        if found is None:
+            complete = False
+            break
+        if found:
+            path, value = found, t
+            break
+    return FdepthResult(value + offset, complete, _filtration(ctx, Jp, path))
 
 
 def localize_filtration(F, A):

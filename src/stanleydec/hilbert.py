@@ -242,10 +242,15 @@ def count_maximal_spaces(obj):
     return obj.numerator_at_one()
 
 
+MAX_DEGREE = 10**5   # expand lists a coefficient per degree: 10^12 would not fit in memory
+
+
 def expand(series, d_max):
     """Power-series coefficients up to degree d_max (exact integers)."""
     if d_max < 0:
         raise MalformedInputError("expansion degree must be nonnegative")
+    if d_max > MAX_DEGREE:
+        raise MalformedInputError("expansion degree exceeds the limit of %d" % MAX_DEGREE)
     coeffs = list(series.numerator[: d_max + 1])
     coeffs += [0] * (d_max + 1 - len(coeffs))
     for _ in range(series.pole):

@@ -2,12 +2,16 @@
 
 The depth-first recursion that ``stanleydec.filtration`` replaced, kept as
 the oracle of the filtration parity test.  ``enumerate_prime_filtrations``
-and ``fdepth`` follow the same contracts and the same search order as the
-library: prime steps in lex order of the candidate monomial, the node
-budget counted per prime step, and ``fdepth`` memoized over the reachable
-ideals.  So both return the same filtrations, values, ``complete`` flags,
-witnesses and budget errors.  They recurse once per step of a chain, so
-they are only fit for short chains.
+follows the library's contract and search order: prime steps in lex order
+of the candidate monomial, the node budget counted per prime step, so it
+returns the same filtrations and ``complete`` flags.  ``fdepth`` is the
+memoized max-min search over the reachable ideals that the library's
+target search replaced, with a witness walk: the lex-first chain whose
+steps all reach the value.  Where it completes, the library returns the
+same value and witness.  Its budget runs out sooner on some inputs, the
+maximal ideal in five variables among them, and an exhausted budget
+reports the value of the best chain found so far.  Both recurse once per
+step of a chain, so they are only fit for short chains.
 """
 
 from stanleydec import ring, solver

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from stanleydec import cli
+from stanleydec import cli, hilbert
 
 from util import recursion_headroom
 
@@ -72,12 +72,15 @@ class TestHilbert:
         assert code == 0
         assert json.loads(out)["coefficients"] == [1, 1, 1, 1]
 
-    def test_no_search_behind_the_series(self):
-        """m in K[x1..x6] needs 42 nodes for its sdepth; its series needs
-        none, so it is answered with a budget of one node."""
-        base = ["hilbert", "--ring", "n=6", "--I", "(x1, x2, x3, x4, x5, x6)",
-                "--format", "json"]
-        code, out = run(base + ["--budget", "1"])
+    def test_no_search_behind_the_series(self, monkeypatch):
+        """m in K[x1..x6] needs 42 nodes for its sdepth; its series is
+        answered with the interval search out of reach."""
+        def no_search(*args):
+            raise AssertionError("hilbert ran the interval search")
+
+        monkeypatch.setattr(cli.solver, "find_partition", no_search)
+        code, out = run(["hilbert", "--ring", "n=6", "--I", "(x1, x2, x3, x4, x5, x6)",
+                         "--format", "json"])
         assert code == 0
         payload = json.loads(out)
         # S/m is the field, so H = 1/(1-t)^6 - 1
@@ -239,6 +242,28 @@ class TestParser:
         code, out = run(self.SDEPTH)
         assert code == 0 and out.splitlines()[0] == "sdepth = 2"
 
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--ring", "n=1", "--I", "(x)", "--budget", "1"],
+        ["sdepth", "--ring", "n=1", "--I", "(x)", "--box-bound", "3"],
+    ], ids=["hilbert-budget", "sdepth-box-bound"])
+    def test_flag_of_another_command_is_a_usage_error(self, argv, capsys):
+        """A command takes only the flags it reads, as batch takes only
+        the options it reads: a flag it would ignore is refused."""
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_huge_max_degree_is_refused(self):
+        """A coefficient per degree up to 10^12 would not fit in memory, so
+        the degree is refused (exit 2); the limit itself is answered."""
+        argv = ["hilbert", "--ring", "n=1", "--I", "(x)", "--format", "json", "--max-degree"]
+        code, out = run(argv + ["1000000000000"])
+        assert code == 2
+        assert json.loads(out)["error"] == "expansion degree exceeds the limit of 100000"
+        code, out = run(argv + [str(hilbert.MAX_DEGREE)])
+        assert code == 0 and json.loads(out)["coefficients"] == [0] + [1] * hilbert.MAX_DEGREE
+
 
 class TestNormalize:
     def test_strips_inverted_variables(self):
@@ -353,6 +378,16 @@ class TestBatch:
         lines = [json.loads(l) for l in out.splitlines()]
         assert code == 2 and len(lines) == 2
         assert lines[0] == {"ok": False, "error": error}
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
+    def test_huge_max_degree_keeps_stream_alive(self):
+        huge = {"command": "hilbert", "ring": "n=1", "I": "(x)",
+                "options": {"max_degree": 10**12}}
+        stdin = json.dumps(huge) + "\n" + json.dumps(self.VALID) + "\n"
+        code, out = run(["batch"], stdin)
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 2 and len(lines) == 2
+        assert lines[0] == {"ok": False, "error": "expansion degree exceeds the limit of 100000"}
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
     @staticmethod

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from stanleydec import filtration, hilbert, ring, solver, stanley
-from stanleydec.errors import StanleyError, ZeroModuleError
+from stanleydec.errors import BudgetExceededError, StanleyError, ZeroModuleError
 from stanleydec.filtration import FiltrationStep, PrimeFiltration
 from stanleydec.ring import MonomialIdeal, RingContext
 
@@ -161,6 +161,65 @@ class TestFdepth:
             filtration.fdepth(I, I)
 
 
+def maximal_ideal(n):
+    ctx = RingContext(n)
+    return ring.ideal(ctx, *[tuple(int(i == j) for i in range(n)) for j in range(n)])
+
+
+def bound_of(I, J):
+    """last_step_bound of the contraction of I/J, plus one per inverted
+    variable."""
+    Ip, Jp, offset, _ = solver.reduce_to_polynomial(I, J)
+    poset = solver.build_characteristic_poset(Ip, Jp)
+    start, _, _ = filtration._prime_steps(poset, Jp)
+    return filtration.last_step_bound(poset, Ip.generators, start) + offset
+
+
+class TestBound:
+    def test_never_below_fdepth(self):
+        """The bound is >= the oracle's fdepth on random quotients in one
+        to five variables, with and without inverted variables."""
+        rng = random.Random(29)
+        checked = tight = 0
+        for trial in range(240):
+            n = trial % 5 + 1
+            ctx, I, J = random_quotient(rng, n=n, max_exp=2 if n < 3 else 1,
+                                        inverted=None if trial % 2 else frozenset())
+            Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
+            if Ip == Jp:
+                continue
+            res = reference_fdepth.fdepth(I, J, 300)
+            if not res.complete:
+                continue
+            assert bound_of(I, J) >= res.value, (I, J)
+            checked += 1
+            tight += bound_of(I, J) == res.value
+        assert checked >= 200 and tight < checked
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_maximal_ideal(self, n):
+        """fdepth(m) = 1, and the last step adds x_j to the other variables,
+        whose colon is the prime of every other variable."""
+        m = maximal_ideal(n)
+        assert bound_of(m, MonomialIdeal(m.context)) == 1
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_maximal_ideal_completes(self, n):
+        """The lex-first chain of m reaches the bound 1: no target is left
+        to refute, so a budget of 20,000 nodes is plenty."""
+        m = maximal_ideal(n)
+        res = filtration.fdepth(m, MonomialIdeal(m.context), budget=20000)
+        assert res.value == 1 and res.complete
+        assert filtration.verify_filtration(res.witness, m, MonomialIdeal(m.context))
+
+    def test_budget_error_names_its_target(self):
+        """A budget too small for the first chain is spent on target 0."""
+        ctx = RingContext(1)
+        with pytest.raises(BudgetExceededError) as info:
+            filtration.fdepth(ring.ideal(ctx, (0,)), ring.ideal(ctx, (300,)), budget=5)
+        assert info.value.nodes == 6 and info.value.nodes_by_target == {0: 6}
+
+
 def plain_filtration(F):
     """A filtration as plain tuples: chain generators, then per step the
     monomial, the sorted primes and the shift."""
@@ -184,22 +243,47 @@ def outcome(search, *args):
 
 class TestIterativeSearch:
     def test_matches_recursive_reference(self):
-        """Same values, complete flags, witnesses, enumerations and budget
-        errors as the recursive oracle.  Cases: 300 random quotients in one
+        """Against the recursive oracle, whose memoized search can run out
+        of budget where the target search completes.  Where the oracle
+        completes: the same value, complete flag and witness.  Where only
+        the target search completes: the oracle's answer at a budget it
+        completes in.  Where neither does: a value no larger than that
+        answer and a valid witness.  Budget errors: the same type and
+        message, after budget + 1 nodes.  The enumerations and their
+        budget outcomes are the same.  Cases: 300 random quotients in one
         to three variables, at a dozen budgets up to 100 and at a large
         one; the maximal ideal for n = 3..5 and 40 random quotients in four
         and five variables, at budgets 2, 7 and 50 and at 20,000, the budget
-        of the benchmark requests, which fdepth(m) for n = 5 runs out of.
-        The random ones come with and without inverted variables.  A run
-        that completes within its budget is the same run at every larger
-        budget, so the small budgets stop there."""
+        of the benchmark requests.  The random ones come with and without
+        inverted variables.  A run the oracle completes within its budget
+        is the same run at every larger budget, so the small budgets stop
+        there."""
         rng = random.Random(17)
         kinds = set()
+        full = {}
 
         def check(I, J, budget):
             want = outcome(reference_fdepth.fdepth, I, J, budget)
-            assert outcome(filtration.fdepth, I, J, budget) == want, (I, J, budget)
-            kinds.add(want[0] if isinstance(want[0], str) else want[1])
+            got = outcome(filtration.fdepth, I, J, budget)
+            if want[0] == "BudgetExceededError":
+                assert got == want[:2] + (budget + 1,), (I, J, budget)
+                kinds.add(want[0])
+            elif want[0] == "ZeroModuleError" or want[1] is True:
+                assert got == want, (I, J, budget)
+                kinds.add(want[0] if isinstance(want[0], str) else want[1])
+            else:
+                if (I, J) not in full:
+                    full[I, J] = outcome(reference_fdepth.fdepth, I, J, 10**7)
+                assert full[I, J][1] is True
+                if got[1] is True:
+                    assert got == full[I, J], (I, J, budget)
+                    kinds.add("only the target search completes")
+                else:
+                    assert got[1] is False and got[0] <= full[I, J][0], (I, J, budget)
+                    witness = filtration.fdepth(I, J, budget).witness
+                    Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
+                    assert filtration.verify_filtration(witness, Ip, Jp)
+                    kinds.add("neither completes")
             done = want[0] == "ZeroModuleError" or want[1] is True
             Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
             if Ip != Jp:
@@ -228,9 +312,8 @@ class TestIterativeSearch:
         cases = [(I, J, sorted(rng.sample(range(101), 12)), 10**6)
                  for I, J in quotients(300, lambda i: i % 3 + 1, 7)]
         for n in (3, 4, 5):
-            ctx = RingContext(n)
-            m = ring.ideal(ctx, *[tuple(int(i == j) for i in range(n)) for j in range(n)])
-            cases.append((m, MonomialIdeal(ctx), (2, 7, 50), 20000))
+            m = maximal_ideal(n)
+            cases.append((m, MonomialIdeal(m.context), (2, 7, 50), 20000))
         cases += [(I, J, (2, 7, 50), 20000)
                   for I, J in quotients(40, lambda i: i % 2 + 4, 12, max_exp=1)]
         for I, J, budgets, last in cases:
@@ -238,12 +321,15 @@ class TestIterativeSearch:
                 if check(I, J, budget):
                     break
             check(I, J, last)
-        assert {True, False, "BudgetExceededError"} <= kinds
+        assert {True, "BudgetExceededError", "only the target search completes",
+                "neither completes"} <= kinds
 
     def test_step_test_matches_colon(self):
         """For ideals L between J' and I' and every candidate u, the mask
         step test agrees with ring.contains(L, u) and with the variable
-        prime of ring.colon(L, u), and L + (u) is the mask of L.plus(u)."""
+        prime of ring.colon(L, u), and L + (u) is the mask of L.plus(u).
+        Allowed at most one prime, it yields the same steps less those
+        with more."""
         rng = random.Random(31)
         seen = set()
 
@@ -260,8 +346,11 @@ class TestIterativeSearch:
             for _ in range(3):
                 extra = [u for u in poset.elements if rng.random() < 0.3]
                 L = MonomialIdeal(Ip.context, Jp.generators | frozenset(extra))
-                found = {u: (primes, nxt) for u, primes, nxt in steps(mask(L, poset.bound))}
+                found = {u: (primes, nxt)
+                         for u, primes, nxt in steps(mask(L, poset.bound), Ip.context.n)}
                 assert list(found) == sorted(found)
+                fewer = {u: (primes, nxt) for u, primes, nxt in steps(mask(L, poset.bound), 1)}
+                assert fewer == {u: s for u, s in found.items() if len(s[0]) <= 1}
                 for u in poset.elements:
                     if ring.contains(L, u):
                         assert u not in found
