@@ -16,7 +16,10 @@ intervals placed.  Exceeding the budget stops at nodes == budget + 1.
 The search always extends from the lexicographically smallest uncovered
 element, which is forced to be the lower corner of its interval, and tries
 upper corners in lexicographic order, so the first partition found is the
-lexicographically smallest one.
+lexicographically smallest one.  At k <= min rho(a) over the elements that
+is the singletons: [b, b] is the first corner tried and always fits.  So
+``solver.max_interval_partition`` only calls this above that level, and
+answers at it without a search.
 
 Each box cell is one bit of a Python int, in the cell arithmetic of
 ``_box.Box``: bit order is lex order, so the next lower corner is the

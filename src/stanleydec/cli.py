@@ -38,20 +38,19 @@ def _cmd_normalize(opts):
     return {
         "ring": parsing.ring_to_json(ctx),
         "I": parsing.ideal_to_json(I),
-        "text": "I = %s" % parsing.ideal_str(I, ctx),
+        "text": lambda: "I = %s" % parsing.ideal_str(I, ctx),
     }
 
 
 def _cmd_sdepth(opts):
     ctx, I, J = _parse_pair(opts)
     res = solver.sdepth(I, J, budget=opts.get("budget", solver.DEFAULT_BUDGET))
-    witness = parsing.decomposition_str(res.witness)
-    out = {
+    return {
         "sdepth": res.value,
         "witness": parsing.decomposition_to_json(res.witness),
-        "text": "sdepth = %d\nwitness: %s" % (res.value, witness),
+        "text": lambda: "sdepth = %d\nwitness: %s"
+        % (res.value, parsing.decomposition_str(res.witness)),
     }
-    return out
 
 
 def _cmd_decompose(opts):
@@ -60,7 +59,7 @@ def _cmd_decompose(opts):
     return {
         "decomposition": parsing.decomposition_to_json(res.witness),
         "sdepth": res.value,
-        "text": "%s\nsdepth = %d"
+        "text": lambda: "%s\nsdepth = %d"
         % (parsing.decomposition_str(res.witness), res.value),
     }
 
@@ -77,7 +76,7 @@ def _cmd_localize(opts):
         "sdepth_of": stanley.sdepth_of(res.decomposition)
         if res.decomposition.spaces
         else None,
-        "text": "%s\ndropped input spaces: %s"
+        "text": lambda: "%s\ndropped input spaces: %s"
         % (parsing.decomposition_str(res.decomposition), list(res.dropped)),
     }
 
@@ -92,7 +91,7 @@ def _cmd_hilbert(opts):
         "series": parsing.series_to_json(series),
         "maximal_spaces": maximal,
         "coefficients": coeffs,
-        "text": "H(t) = %s\nmaximal spaces: %d\ncoefficients (d<=%d): %s"
+        "text": lambda: "H(t) = %s\nmaximal spaces: %d\ncoefficients (d<=%d): %s"
         % (parsing.series_str(series), maximal, dmax, coeffs),
     }
 
@@ -104,15 +103,15 @@ def _cmd_verify(opts):
     out = {
         "valid": report.valid,
         "box_bound": report.box_bound,
-        "text": "valid (checked exactly on the clamp box, bound %d)" % report.box_bound,
+        "text": lambda: "valid (checked exactly on the clamp box, bound %d)"
+        % report.box_bound,
     }
     if not report.valid:
-        witness = parsing.monomial_str(report.witness, ctx)
         out["failure"] = report.failure
         out["witness"] = list(report.witness)
-        out["text"] = "invalid: %s fails at %s (box bound %d)" % (
+        out["text"] = lambda: "invalid: %s fails at %s (box bound %d)" % (
             report.failure,
-            witness,
+            parsing.monomial_str(report.witness, ctx),
             report.box_bound,
         )
     return out
@@ -126,7 +125,7 @@ def _cmd_fdepth(opts):
         "fdepth": res.value,
         "complete": res.complete,
         "witness": parsing.filtration_to_json(res.witness),
-        "text": "fdepth = %d%s" % (res.value, qualifier),
+        "text": lambda: "fdepth = %d%s" % (res.value, qualifier),
     }
 
 
@@ -142,13 +141,15 @@ _COMMANDS = {
 
 
 def run_request(command, opts):
-    """Dispatch one request; returns (report dict, exit code)."""
+    """Dispatch one request; returns (report dict, exit code).  The report's
+    "text" is a function that renders it, called only when it is printed."""
     try:
         report = _COMMANDS[command](opts)
         return report, EXIT_OK
     except StanleyError as exc:
         code = EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_MATH
-        return {"error": str(exc), "text": "error: %s" % exc}, code
+        error = str(exc)
+        return {"error": error, "text": lambda: "error: %s" % error}, code
 
 
 def _json_line(report, code):
@@ -159,7 +160,7 @@ def _json_line(report, code):
 
 
 def _emit(report, code, fmt, out):
-    out.write(_json_line(report, code) if fmt == "json" else report["text"] + "\n")
+    out.write(_json_line(report, code) if fmt == "json" else report["text"]() + "\n")
     return code
 
 

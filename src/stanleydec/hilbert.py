@@ -193,14 +193,20 @@ def series_of_decomposition(D):
     return total
 
 
-def series_of_poset(poset):
-    """The series of I'/J' from its characteristic poset: the sum over the
-    elements a of t^{|a|}/(1-t)^{rho(a)}, counted by the pairs (rho, |a|)."""
+def poset_counts(poset):
+    """How many elements a of the characteristic poset have each pair
+    (rho(a), |a|), with rho(a) = #{i: a_i = g_i}."""
     g = poset.bound
-    pairs = Counter((sum(map(eq, a, g)), sum(a)) for a in poset.elements)
+    return Counter((sum(map(eq, a, g)), sum(a)) for a in poset.elements)
+
+
+def series_of_counts(pairs):
+    """The series of I'/J' from the ``poset_counts`` of its characteristic
+    poset: the sum over the elements a of t^{|a|}/(1-t)^{rho(a)}."""
+    top = max((d for _, d in pairs), default=0)
     plain = ZERO_SERIES
     for rho in {rho for rho, _ in pairs}:
-        plain += HilbertSeries(tuple(pairs[rho, d] for d in range(sum(g) + 1)), rho)
+        plain += HilbertSeries(tuple(pairs[rho, d] for d in range(top + 1)), rho)
     return plain
 
 
@@ -228,7 +234,7 @@ def series_of_quotient(I, J):
     """The series of I/J with no decomposition built: the series of the
     poset of its contraction, times (1+t)/(1-t) per inverted variable.
     Raises ZeroModuleError when I/J is the zero module."""
-    plain = series_of_poset(solver._poset_of(I, J)[0])
+    plain = series_of_counts(poset_counts(solver._poset_of(I, J)[0]))
     laurent = series_of_laurent_ring((0,) * I.context.n, I.context.inverted, 0)
     return HilbertSeries(_poly_mul(plain.numerator, laurent.numerator),
                          plain.pole + laurent.pole)

@@ -19,6 +19,15 @@ from .stanley import StanleyDecomposition, StanleySpace
 
 _ALIASES = ("x", "y", "z", "w")
 
+# compiled once: a request parses thousands of factors and spaces
+_INDEXED_VAR = re.compile(r"x(\d+)")
+_RING = re.compile(r"\s*(?:ring\s+)?n\s*=\s*(\d+)\s*(?:invert\s*=\s*\{([\d\s,]*)\}\s*)?")
+_INDEX_SET = re.compile(r"\s*\{([\d\s,]*)\}\s*")
+_FACTOR = re.compile(r"([a-z]\d*)(?:\^(-?\d+))?")
+_IDEAL = re.compile(r"\s*\((.*)\)\s*", re.S)
+_SPACE = re.compile(r"\s*(?:(.*?)\s*\*\s*)?K(?:\[(.*?)\])?\s*", re.S)
+_ADMISSIBLE = re.compile(r"([a-z]\d*)(\^-1)?")
+
 
 def var_name(i, ctx):
     if ctx.n <= 4:
@@ -27,7 +36,7 @@ def var_name(i, ctx):
 
 
 def _var_index(name, ctx):
-    m = re.fullmatch(r"x(\d+)", name)
+    m = _INDEXED_VAR.fullmatch(name)
     if m:
         try:
             i = int(m.group(1)) - 1
@@ -49,10 +58,7 @@ MAX_VARIABLES = 10_000
 
 
 def parse_ring(text):
-    m = re.fullmatch(
-        r"\s*(?:ring\s+)?n\s*=\s*(\d+)\s*(?:invert\s*=\s*\{([\d\s,]*)\}\s*)?",
-        text,
-    )
+    m = _RING.fullmatch(text)
     if not m:
         raise ParseError("cannot parse ring %r" % text)
     digits = m.group(1).lstrip("0") or "0"
@@ -76,7 +82,7 @@ def ring_str(ctx):
 
 def parse_index_set(text):
     """A set of 1-based variable indices like {1,3} (or {})."""
-    m = re.fullmatch(r"\s*\{([\d\s,]*)\}\s*", text)
+    m = _INDEX_SET.fullmatch(text)
     if not m:
         raise ParseError("cannot parse index set %r" % text)
     body = m.group(1).strip()
@@ -104,7 +110,7 @@ def parse_monomial(text, ctx):
         factor = factor.strip()
         if factor == "1":
             continue
-        m = re.fullmatch(r"([a-z]\d*)(?:\^(-?\d+))?", factor)
+        m = _FACTOR.fullmatch(factor)
         if not m:
             raise ParseError("bad monomial factor %r" % factor, col)
         i = _var_index(m.group(1), ctx)
@@ -132,7 +138,7 @@ def monomial_str(m, ctx):
 # --------------------------------------------------------------- ideals
 
 def parse_ideal(text, ctx):
-    m = re.fullmatch(r"\s*\((.*)\)\s*", text, re.S)
+    m = _IDEAL.fullmatch(text)
     if not m:
         raise ParseError("ideal must be parenthesized: %r" % text)
     body = m.group(1).strip()
@@ -153,7 +159,7 @@ def ideal_str(I, ctx=None):
 # --------------------------------------------------------------- spaces
 
 def parse_space(text, ctx):
-    m = re.fullmatch(r"\s*(?:(.*?)\s*\*\s*)?K(?:\[(.*?)\])?\s*", text, re.S)
+    m = _SPACE.fullmatch(text)
     if not m:
         raise ParseError("cannot parse Stanley space %r" % text)
     root = parse_monomial(m.group(1), ctx) if m.group(1) else (0,) * ctx.n
@@ -162,7 +168,7 @@ def parse_space(text, ctx):
     if body:
         for entry in body.split(","):
             entry = entry.strip()
-            g = re.fullmatch(r"([a-z]\d*)(\^-1)?", entry)
+            g = _ADMISSIBLE.fullmatch(entry)
             if not g:
                 raise ParseError("bad admissible variable %r" % entry)
             i = _var_index(g.group(1), ctx)

@@ -108,21 +108,30 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
     """Best interval partition of the poset: maximizes the minimum corner
     count rho(c) = #{i: c_i = g_i} over its intervals.
 
-    Tries the decision problem for each target k from an upper bound down,
-    the least of ``maximal_element_bound`` and ``hilbert.hdepth_bound``.
-    No k above it is feasible, so the first feasible k and its witness,
-    the lexicographically smallest optimal partition, are those a start at
-    k = n finds.  The node budget is shared across targets and exhausting
-    it raises rather than returning a possibly wrong value.
+    The answer lies between two bounds.  Below it is low = min rho(a) over
+    the elements: the singleton partition reaches it.  Above it is the
+    least of ``maximal_element_bound`` and ``hilbert.hdepth_bound``; the
+    Hilbert depth and low come from one ``hilbert.poset_counts``.  The
+    decision problem is tried for each target k from the upper bound down
+    to low + 1, and no k above that bound is feasible, so the first
+    feasible k and its witness, the lexicographically smallest optimal
+    partition, are those a start at k = n finds.  When none is feasible
+    the answer is low with the singletons in lex order, found without a
+    search: at any k <= low the search places each lowest uncovered b as
+    [b, b], its first upper corner in lex order, which always fits.  The
+    node budget is shared across the targets above low, and exhausting it
+    raises rather than returning a possibly wrong value.
     """
     if not poset.elements:
         raise ZeroModuleError("empty poset: the quotient is the zero module")
+    counts = hilbert.poset_counts(poset)
+    low = min(rho for rho, _ in counts)
     bounds = {"the maximal elements": maximal_element_bound(poset),
-              "the Hilbert depth": hilbert.hdepth_bound(hilbert.series_of_poset(poset))}
+              "the Hilbert depth": hilbert.hdepth_bound(hilbert.series_of_counts(counts))}
     start = min(bounds.values())
     remaining = budget
     spent = {}
-    for k in range(start, -1, -1):
+    for k in range(start, low, -1):
         status, intervals, nodes = find_partition(poset.box, poset.mask, k, remaining)
         spent[k] = nodes
         remaining -= nodes
@@ -133,29 +142,38 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
                                       "k = %d set by %s" % (total, start, setters), total, spent)
         if status == "found":
             return k, IntervalPartition(tuple(intervals))
-    raise AssertionError("k=0 singleton partition must always exist")
+    return low, IntervalPartition(tuple((a, a) for a in poset.elements))
 
 
-def partition_to_decomposition(poset, partition):
-    """Map an interval partition to the Stanley decomposition it encodes.
+def _bases(poset, partition, kept, inverted):
+    """The spaces an interval partition encodes, as (root, Z) pairs over
+    the ring whose coordinates kept are the poset's and whose other
+    coordinates, inverted, are admissible in every Z.
 
     The interval [b, c] gets the admissible set Z = {x_i : c_i = g_i} and
     one space x^a K[Z] per root a in [b, c] with a_i = b_i on Z; when the
     upper corner is extremal in every non-Z coordinate this is the single
-    space x^b K[Z].
+    space x^b K[Z].  The pairs come in the order of the intervals, then of
+    the roots.
     """
-    ctx = poset.context
     g = poset.bound
-    spaces = []
+    n = len(kept) + len(inverted)
     for b, c in partition.intervals:
-        z = frozenset(i for i in range(ctx.n) if c[i] == g[i])
-        root_ranges = [
-            range(b[i], b[i] + 1) if i in z else range(b[i], c[i] + 1)
-            for i in range(ctx.n)
-        ]
-        for a in product(*root_ranges):
-            spaces.append(StanleySpace(ctx, a, z, frozenset()))
-    return StanleyDecomposition(ctx, tuple(spaces))
+        z = frozenset(kept[i] for i, (ci, gi) in enumerate(zip(c, g)) if ci == gi) | inverted
+        for a in product(*[range(bi, bi + 1) if ci == gi else range(bi, ci + 1)
+                           for bi, ci, gi in zip(b, c, g)]):
+            root = [0] * n
+            for i, e in zip(kept, a):
+                root[i] = e
+            yield root, z
+
+
+def partition_to_decomposition(poset, partition):
+    """Map an interval partition to the Stanley decomposition it encodes,
+    over the poset's ring (see ``_bases``)."""
+    ctx = poset.context
+    bases = _bases(poset, partition, range(ctx.n), frozenset())
+    return StanleyDecomposition(ctx, tuple(StanleySpace(ctx, root, z) for root, z in bases))
 
 
 @dataclass(frozen=True)
@@ -167,17 +185,14 @@ class SdepthResult:
         return self.value
 
 
-def _embed_and_invert(D, ctx, kept):
-    """Lift a decomposition over the kept variables back to the full ring,
-    re-adjoining every inverted variable as an x, x^-1 pair of spaces."""
-    bases = []
-    for s in D.spaces:
-        root = [0] * ctx.n
-        for i, e in zip(kept, s.root):
-            root[i] = e
-        bases.append((root, frozenset(kept[i] for i in s.zplus) | ctx.inverted))
-    spaces = stanley._fan_out(ctx, bases, ctx.inverted)
-    spaces.sort(key=lambda s: s.key())
+def _embed_and_invert(poset, partition, ctx, kept):
+    """The decomposition of I/J over ctx that an interval partition of the
+    poset of its contraction encodes, spaces sorted by key.  Each space of
+    ``partition_to_decomposition`` is embedded through kept and re-adjoins
+    every inverted variable as an x, x^-1 pair of spaces, built once,
+    straight from its interval."""
+    spaces = stanley._fan_out(ctx, _bases(poset, partition, kept, ctx.inverted), ctx.inverted)
+    spaces.sort(key=StanleySpace.key)
     return StanleyDecomposition(ctx, tuple(spaces))
 
 
@@ -194,6 +209,4 @@ def sdepth(I, J, budget=DEFAULT_BUDGET):
     """Exact Stanley depth of I/J with a verifying witness decomposition."""
     poset, offset, kept = _poset_of(I, J)
     k, partition = max_interval_partition(poset, budget)
-    Dp = partition_to_decomposition(poset, partition)
-    witness = _embed_and_invert(Dp, I.context, kept)
-    return SdepthResult(k + offset, witness)
+    return SdepthResult(k + offset, _embed_and_invert(poset, partition, I.context, kept))

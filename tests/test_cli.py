@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from stanleydec import cli, hilbert
+from stanleydec import cli, hilbert, parsing
 
 from util import recursion_headroom
 
@@ -186,12 +186,78 @@ class TestExitCodes:
         assert "zero module" in out
 
     def test_budget_exhausted(self):
+        """(x, y, z) has low = min rho(a) = 1 below its bound 2, so the
+        search at k = 2 spends the budget."""
         code, out = run(
             ["sdepth", "--ring", "n=3", "--I", "(x, y, z)", "--budget", "2"]
         )
         assert code == 3
         assert "budget" in out
 
+    @pytest.mark.parametrize("a", [2, 11])
+    def test_singleton_level_spends_no_budget(self, a):
+        """(1)/(x^a, y^a, z^a) has its bound at low = 0: the singletons
+        answer it with no search, so even a budget of 1 suffices."""
+        J = "(x^%d, y^%d, z^%d)" % (a, a, a)
+        code, out = run(["decompose", "--ring", "n=3", "--I", "(1)", "--J", J,
+                         "--budget", "1", "--format", "json"])
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] and payload["sdepth"] == 0
+        assert len(payload["decomposition"]["spaces"]) == a ** 3
+
+
+
+LOCALIZE_D = "x*K[x, y] + y*K[y, z] + z*K[x, z] + x*y*z*K[x, y, z]"
+
+
+class TestTextOutput:
+    """The text each command prints, pinned byte for byte."""
+
+    @pytest.mark.parametrize("argv, code, text", [
+        (["sdepth", "--ring", "n=3", "--I", "(x, y, z)"], 0,
+         "sdepth = 2\nwitness: z*K[y, z] + y*K[x, y] + x*K[x, z] + x*y*z*K[x, y, z]\n"),
+        (["sdepth", "--ring", "n=3 invert={1}", "--I", "(x, y, z)"], 0,
+         "sdepth = 3\nwitness: x^-1*K[x^-1, y, z] + K[x, y, z]\n"),
+        (["decompose", "--ring", "n=2", "--I", "(x, y^2)", "--J", "(x^2)"], 0,
+         "y^2*K[y] + x*K[y]\nsdepth = 1\n"),
+        (["decompose", "--ring", "n=3 invert={3}", "--I", "(x, y^2)", "--J", "(x^2)"], 0,
+         "y^2*z^-1*K[y, z^-1] + y^2*K[y, z] + x*z^-1*K[y, z^-1] + x*K[y, z]\nsdepth = 2\n"),
+        (["decompose", "--ring", "n=2", "--I", "(1)", "--J", "(x^2, y^2)"], 0,
+         "K + y*K + x*K + x*y*K\nsdepth = 0\n"),
+        (["localize", "--ring", "n=3", "--I", "(x, y, z)", "--D", LOCALIZE_D, "--A", "{1}"], 0,
+         "x*K[x, y] + K[x^-1, y] + z*K[x, z] + x^-1*z*K[x^-1, z] + x*y*z*K[x, y, z]"
+         " + y*z*K[x^-1, y, z]\ndropped input spaces: [1]\n"),
+        (["localize", "--ring", "n=2", "--I", "(x, y)", "--D", "x*K[x] + y*K[x, y]",
+          "--A", "{2}"], 0,
+         "y*K[x, y] + K[x, y^-1]\ndropped input spaces: [0]\n"),
+        (["sdepth", "--ring", "n=3", "--I", "(x, y, z)", "--budget", "2"], 3,
+         "error: interval search budget exceeded after 3 nodes, from k = 2 set by "
+         "the Hilbert depth\n"),
+    ], ids=["sdepth", "sdepth-laurent", "decompose", "decompose-laurent",
+            "decompose-singletons", "localize", "localize-drops", "budget-error"])
+    def test_pinned(self, argv, code, text):
+        assert run(argv) == (code, text)
+
+    REQUESTS = [
+        {"command": "sdepth", "ring": "n=3 invert={1}", "I": "(x, y, z)"},
+        {"command": "decompose", "ring": "n=3", "I": "(1)", "J": "(x^3, y^3, z^3)"},
+        {"command": "localize", "ring": "n=3", "I": "(x, y, z)", "D": LOCALIZE_D,
+         "A": "{1}"},
+    ]
+
+    def test_batch_and_json_render_no_text(self, monkeypatch):
+        def no_text(*args):
+            raise AssertionError("text rendered")
+
+        monkeypatch.setattr(parsing, "decomposition_str", no_text)
+        code, out = run(["batch"], "".join(json.dumps(r) + "\n" for r in self.REQUESTS))
+        assert code == 0
+        assert all(json.loads(line)["ok"] for line in out.splitlines())
+        for req in self.REQUESTS:
+            argv = [req["command"]] + [a for key in ("ring", "I", "J", "D", "A")
+                                       if key in req for a in ("--" + key, req[key])]
+            code, out = run(argv + ["--format", "json"])
+            assert code == 0 and json.loads(out)["ok"]
 
 class TestParser:
     SDEPTH = ["sdepth", "--ring", "n=3", "--I", "(x, y, z)"]

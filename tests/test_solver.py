@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import product
+from operator import eq
 
 import pytest
 
@@ -235,7 +236,7 @@ def power_of_maximal(n, d):
 
 def bounds(poset):
     return (solver.maximal_element_bound(poset),
-            hilbert.hdepth_bound(hilbert.series_of_poset(poset)))
+            hilbert.hdepth_bound(hilbert.series_of_counts(hilbert.poset_counts(poset))))
 
 
 class TestBound:
@@ -302,6 +303,92 @@ class TestBound:
             "interval search budget exceeded after 26 nodes, from k = 2 set by "
             "the maximal elements and the Hilbert depth")
 
+
+
+def min_rho(poset):
+    return min(sum(map(eq, a, poset.bound)) for a in poset.elements)
+
+
+def lift_in_two_stages(poset, partition, ctx, kept):
+    """The witness of an interval partition as two passes build it: the
+    spaces of each interval over the contracted ring, then each embedded
+    through kept and fanned out over the inverted variables, sorted."""
+    g = poset.bound
+    bases = []
+    for b, c in partition.intervals:
+        z = [i for i in range(len(g)) if c[i] == g[i]]
+        ranges = [range(b[i], b[i] + 1) if i in z else range(b[i], c[i] + 1)
+                  for i in range(len(g))]
+        for a in product(*ranges):
+            root = [0] * ctx.n
+            for i, e in zip(kept, a):
+                root[i] = e
+            bases.append((root, {kept[i] for i in z} | ctx.inverted))
+    spaces = stanley._fan_out(ctx, bases, ctx.inverted)
+    spaces.sort(key=lambda s: s.key())
+    return stanley.StanleyDecomposition(ctx, tuple(spaces))
+
+
+class TestSingletonLevel:
+    """The singleton partition has depth low = min rho(a), so sdepth >= low,
+    and at every k <= low the lex-first partition is the singletons."""
+
+    def test_oracle_returns_the_singletons_at_and_below_low(self):
+        rng = random.Random(29)
+        checked = 0
+        while checked < 200:
+            n = checked % 5 + 1
+            inverted = None if checked % 2 else frozenset()
+            ctx, I, J = random_quotient(rng, n=n, inverted=inverted,
+                                        max_exp=3 if n <= 3 else 2)
+            poset = solver._poset_of(I, J)[0]
+            if len(poset.elements) > 80:
+                continue
+            singletons = [(a, a) for a in poset.elements]
+            for k in range(min_rho(poset) + 1):
+                assert reference_intervals.find_partition(
+                    list(poset.elements), poset.bound, k, 10**6) == (
+                    "found", singletons, len(singletons)), (I, J, k)
+            checked += 1
+
+    def test_sdepth_matches_a_search_from_n(self):
+        """Value and witness as the oracle's first feasible k from k = n,
+        lifted in two passes, on random quotients with n = 1..5."""
+        rng = random.Random(31)
+        checked = 0
+        while checked < 150:
+            n = checked % 5 + 1
+            inverted = None if checked % 2 else frozenset()
+            ctx, I, J = random_quotient(rng, n=n, inverted=inverted,
+                                        max_exp=3 if n <= 3 else 2)
+            poset, offset, kept = solver._poset_of(I, J)
+            if len(poset.elements) > 80:
+                continue
+            for k in range(poset.context.n, -1, -1):
+                status, intervals, _ = reference_intervals.find_partition(
+                    list(poset.elements), poset.bound, k, 10**6)
+                if status == "found":
+                    break
+            partition = solver.IntervalPartition(tuple(intervals))
+            res = solver.sdepth(I, J)
+            assert res.value == k + offset
+            assert res.witness == lift_in_two_stages(poset, partition, ctx, kept), (I, J)
+            checked += 1
+
+    def test_no_kernel_at_the_singleton_level(self, monkeypatch):
+        """(1)/(x^11, y^11, z^11) has both upper bounds 0 = low: its 1331
+        singletons come without a search, and without spending budget."""
+        def no_search(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(solver, "find_partition", no_search)
+        ctx = parsing.parse_ring("n=3")
+        I = parsing.parse_ideal("(1)", ctx)
+        J = parsing.parse_ideal("(x^11, y^11, z^11)", ctx)
+        res = solver.sdepth(I, J, budget=0)
+        assert res.value == 0
+        assert [s.root for s in res.witness.spaces] == list(product(range(11), repeat=3))
+        assert all(not s.zplus and not s.zminus for s in res.witness.spaces)
 
 class TestPartitionToDecomposition:
     def test_full_corner_interval(self):

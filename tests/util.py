@@ -102,8 +102,7 @@ def decomposition_from_partition(I, J, partition):
     in its own (possibly localized) ring."""
     Ip, Jp, _, kept = solver.reduce_to_polynomial(I, J)
     poset = solver.build_characteristic_poset(Ip, Jp)
-    Dp = solver.partition_to_decomposition(poset, partition)
-    return solver._embed_and_invert(Dp, I.context, kept)
+    return solver._embed_and_invert(poset, partition, I.context, kept)
 
 
 def singleton_decomposition(I, J):
