@@ -51,7 +51,6 @@ from .solver import (
     build_characteristic_poset,
     max_interval_partition,
     partition_to_decomposition,
-    reduce_to_polynomial,
     sdepth,
 )
 from .stanley import (

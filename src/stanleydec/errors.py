@@ -40,7 +40,7 @@ class BudgetExceededError(StanleyError, RuntimeError):
 
 
 class ParseError(StanleyError, ValueError):
-    """Text input could not be parsed; carries a column offset."""
+    """Text input could not be parsed; carries the column where parsing failed."""
 
     def __init__(self, message, column=None):
         if column is not None:

@@ -134,7 +134,7 @@ def _prime_steps(poset, Jp):
     candidate u outside L whose colon (L : u) is the variable prime on
     `primes`, at most `most` of them, in lex order of u.  The candidates
     are the poset's elements, so steps stay between J' and I'.  Only the
-    mask of J' is built here; per candidate u and its bit index are kept.
+    mask of J' is built here; per candidate u and its bit index are stored.
     """
     box = poset.box
     g = poset.bound
@@ -263,18 +263,18 @@ class FdepthResult:
 
 
 def fdepth(I, J, budget=DEFAULT_BUDGET):
-    """fdepth of I/J: contract to the polynomial ring on the non-inverted
-    variables, search prime filtrations there, and add one per inverted
-    variable.  The lex-first chain gives a lower bound v0; then each
-    target t from ``last_step_bound`` down to v0 + 1 is tried, and the
-    first chain found, the lex-first one with every step >= t, is the
-    witness.  The targets share the node budget; when it runs out, the
-    best chain found is returned with complete=False."""
-    Ip, Jp, offset, _ = solver.reduce_to_polynomial(I, J)
-    if Ip == Jp:
-        raise ZeroModuleError("I/J is the zero module; fdepth undefined")
-    ctx = Ip.context
-    poset = solver.build_characteristic_poset(Ip, Jp)
+    """fdepth of I/J: search prime filtrations of its contraction I'/J'
+    to the polynomial ring on the same variables, where each inverted
+    variable is outside every prime and so counts in every step.  The
+    witness is over that ring; ``localize_filtration`` carries it to I/J.
+    The lex-first chain gives a lower bound v0; then each target t from
+    ``last_step_bound`` down to v0 + 1 is tried, and the first chain
+    found, the lex-first one with every step >= t, is the witness.  The
+    targets share the node budget; when it runs out, the best chain found
+    is returned with complete=False."""
+    poset = solver._poset_of(I, J, "I/J is the zero module; fdepth undefined")
+    Jp = ring.contraction(J)    # the contractions have the generators of I and J
+    ctx = poset.context
     start, end, steps = _prime_steps(poset, Jp)
     tickets = iter(range(budget))   # one per node, for all targets
 
@@ -288,7 +288,7 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
                                   budget + 1, {0: budget + 1})
     value = min(step_dimension(ctx, primes) for _, primes, _ in path)
     complete = True
-    for t in range(last_step_bound(poset, Ip.generators, start), value, -1):
+    for t in range(last_step_bound(poset, I.generators, start), value, -1):
         found = search(t)
         if found is None:
             complete = False
@@ -296,7 +296,7 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
         if found:
             path, value = found, t
             break
-    return FdepthResult(value + offset, complete, _filtration(ctx, Jp, path))
+    return FdepthResult(value, complete, _filtration(ctx, Jp, path))
 
 
 def localize_filtration(F, A):

@@ -3,7 +3,7 @@ ring.
 
 Degrees are total absolute degrees |a| = sum |a_i|, so a Laurent variable
 contributes in both directions.  Series are rational functions P(t)/(1-t)^d
-with integer P, kept in the canonical form where P is not divisible by
+with integer P, held in the canonical form where P is not divisible by
 (1-t).  Note these degree slices do not multiply into each other - nothing
 here ever multiplies two graded components.
 """
@@ -232,12 +232,13 @@ def hdepth_bound(series):
 
 def series_of_quotient(I, J):
     """The series of I/J with no decomposition built: the series of the
-    poset of its contraction, times (1+t)/(1-t) per inverted variable.
-    Raises ZeroModuleError when I/J is the zero module."""
-    plain = series_of_counts(poset_counts(solver._poset_of(I, J)[0]))
+    poset of its contraction, times (1+t) per inverted variable; the pole
+    already counts each inverted variable's one-cell axis.  Raises
+    ZeroModuleError when I/J is the zero module."""
+    poset = solver._poset_of(I, J, "I/J is the zero module; no Hilbert series is computed")
+    plain = series_of_counts(poset_counts(poset))
     laurent = series_of_laurent_ring((0,) * I.context.n, I.context.inverted, 0)
-    return HilbertSeries(_poly_mul(plain.numerator, laurent.numerator),
-                         plain.pole + laurent.pole)
+    return HilbertSeries(_poly_mul(plain.numerator, laurent.numerator), plain.pole)
 
 
 def count_maximal_spaces(obj):

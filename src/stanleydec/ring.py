@@ -3,7 +3,7 @@
 The ambient ring is K[x_1..x_n] with the variables indexed by ``inverted``
 turned into units.  Monomials are bare exponent tuples (Python ints, so
 arbitrary precision); exponents may be negative exactly on the inverted
-coordinates.  Ideals are kept in normal form at all times: generators have
+coordinates.  Ideals are held in normal form at all times: generators have
 zero exponents on inverted coordinates and are pairwise incomparable under
 componentwise divisibility.
 """

@@ -1,11 +1,14 @@
 """Exact Stanley depth via the characteristic-poset interval method.
 
-The quotient is first contracted to the plain polynomial ring on the
-non-inverted variables (each inverted variable contributes +1 to sdepth).
-There the monomials of I'\\J' below the componentwise generator bound g
-form a finite poset whose interval partitions correspond to Stanley
-decompositions; sdepth is the best achievable minimum corner count.  The
-partition search runs in the iterative bitmask kernel of ``_intervals``.
+The quotient I/J is first contracted to I' = I cap S, J' = J cap S in the
+polynomial ring S on the same n variables.  There the monomials of I'\\J'
+below the componentwise generator bound g form a finite poset whose
+interval partitions correspond to Stanley decompositions; sdepth is the
+best achievable minimum corner count.  The generators vanish on every
+inverted coordinate, so g_j = 0 there: the axis has one cell, which every
+corner count includes, so each inverted variable is admissible in every
+space and adds one to sdepth.  The partition search runs in the
+iterative bitmask kernel of ``_intervals``.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +24,7 @@ from .errors import (
     ContextMismatchError,
     ZeroModuleError,
 )
-from .ring import MonomialIdeal, RingContext
+from .ring import RingContext
 from .stanley import StanleyDecomposition, StanleySpace
 
 DEFAULT_BUDGET = 10**6
@@ -34,7 +37,7 @@ MAX_BOX_CELLS = 10**6
 
 @dataclass(frozen=True)
 class CharacteristicPoset:
-    context: RingContext          # polynomial ring on the kept variables
+    context: RingContext          # the polynomial ring S of the contraction
     bound: tuple                  # componentwise generator maximum g
     elements: tuple               # lex-sorted exponent vectors of I'\J' below g
     box: Box = field(repr=False, compare=False)   # the cells of [0, g]
@@ -44,27 +47,6 @@ class CharacteristicPoset:
 @dataclass(frozen=True)
 class IntervalPartition:
     intervals: tuple              # (b, c) pairs, b <= c <= g
-
-
-def reduce_to_polynomial(I, J):
-    """Contract a subquotient of the localized ring to the polynomial ring
-    on the non-inverted variables.
-
-    Returns (I', J', offset, kept) where offset = number of inverted
-    variables (sdepth I/J = sdepth I'/J' + offset) and kept maps the new
-    coordinates back to the original ones.
-    """
-    if I.context != J.context:
-        raise ContextMismatchError("ideals live in different rings")
-    ring.require_subquotient(I, J)
-    ctx = I.context
-    kept = ctx.plain
-    new_ctx = RingContext(len(kept), frozenset())
-    def project(g):
-        return tuple(g[i] for i in kept)
-    Ip = MonomialIdeal(new_ctx, frozenset(project(g) for g in I.generators))
-    Jp = MonomialIdeal(new_ctx, frozenset(project(g) for g in J.generators))
-    return Ip, Jp, len(ctx.inverted), tuple(kept)
 
 
 def build_characteristic_poset(Ip, Jp):
@@ -145,35 +127,29 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
     return low, IntervalPartition(tuple((a, a) for a in poset.elements))
 
 
-def _bases(poset, partition, kept, inverted):
-    """The spaces an interval partition encodes, as (root, Z) pairs over
-    the ring whose coordinates kept are the poset's and whose other
-    coordinates, inverted, are admissible in every Z.
+def _bases(poset, partition):
+    """The spaces an interval partition encodes, as (root, Z) pairs.
 
-    The interval [b, c] gets the admissible set Z = {x_i : c_i = g_i} and
+    The interval [b, c] gets the admissible set Z = {i : c_i = g_i} and
     one space x^a K[Z] per root a in [b, c] with a_i = b_i on Z; when the
     upper corner is extremal in every non-Z coordinate this is the single
-    space x^b K[Z].  The pairs come in the order of the intervals, then of
-    the roots.
+    space x^b K[Z].  An inverted axis has g_i = 0, so it is in every Z.
+    The pairs come in the order of the intervals, then of the roots.
     """
     g = poset.bound
-    n = len(kept) + len(inverted)
     for b, c in partition.intervals:
-        z = frozenset(kept[i] for i, (ci, gi) in enumerate(zip(c, g)) if ci == gi) | inverted
+        z = frozenset(i for i, (ci, gi) in enumerate(zip(c, g)) if ci == gi)
         for a in product(*[range(bi, bi + 1) if ci == gi else range(bi, ci + 1)
                            for bi, ci, gi in zip(b, c, g)]):
-            root = [0] * n
-            for i, e in zip(kept, a):
-                root[i] = e
-            yield root, z
+            yield a, z
 
 
 def partition_to_decomposition(poset, partition):
     """Map an interval partition to the Stanley decomposition it encodes,
     over the poset's ring (see ``_bases``)."""
     ctx = poset.context
-    bases = _bases(poset, partition, range(ctx.n), frozenset())
-    return StanleyDecomposition(ctx, tuple(StanleySpace(ctx, root, z) for root, z in bases))
+    return StanleyDecomposition(
+        ctx, tuple(StanleySpace(ctx, root, z) for root, z in _bases(poset, partition)))
 
 
 @dataclass(frozen=True)
@@ -185,28 +161,31 @@ class SdepthResult:
         return self.value
 
 
-def _embed_and_invert(poset, partition, ctx, kept):
+def _embed_and_invert(poset, partition, ctx):
     """The decomposition of I/J over ctx that an interval partition of the
     poset of its contraction encodes, spaces sorted by key.  Each space of
-    ``partition_to_decomposition`` is embedded through kept and re-adjoins
-    every inverted variable as an x, x^-1 pair of spaces, built once,
-    straight from its interval."""
-    spaces = stanley._fan_out(ctx, _bases(poset, partition, kept, ctx.inverted), ctx.inverted)
+    ``partition_to_decomposition`` re-adjoins every inverted variable as
+    an x, x^-1 pair of spaces, built once, straight from its interval."""
+    spaces = stanley._fan_out(ctx, _bases(poset, partition), ctx.inverted)
     spaces.sort(key=StanleySpace.key)
     return StanleyDecomposition(ctx, tuple(spaces))
 
 
-def _poset_of(I, J):
-    """The characteristic poset of the contraction of I/J, with the
-    offset and kept map of ``reduce_to_polynomial``."""
-    Ip, Jp, offset, kept = reduce_to_polynomial(I, J)
+def _poset_of(I, J, message):
+    """The characteristic poset of the contraction of I/J.  Raises
+    ZeroModuleError with the caller's message when I/J is the zero module;
+    J <= I holds exactly when it holds for the contractions, which
+    ``build_characteristic_poset`` checks."""
+    if I.context != J.context:
+        raise ContextMismatchError("ideals live in different rings")
+    Ip, Jp = ring.contraction(I), ring.contraction(J)
     if Ip == Jp:
-        raise ZeroModuleError("I/J is the zero module; sdepth undefined")
-    return build_characteristic_poset(Ip, Jp), offset, kept
+        raise ZeroModuleError(message)
+    return build_characteristic_poset(Ip, Jp)
 
 
 def sdepth(I, J, budget=DEFAULT_BUDGET):
     """Exact Stanley depth of I/J with a verifying witness decomposition."""
-    poset, offset, kept = _poset_of(I, J)
+    poset = _poset_of(I, J, "I/J is the zero module; sdepth undefined")
     k, partition = max_interval_partition(poset, budget)
-    return SdepthResult(k + offset, _embed_and_invert(poset, partition, I.context, kept))
+    return SdepthResult(k, _embed_and_invert(poset, partition, I.context))

@@ -83,10 +83,12 @@ def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
 
 
 def fdepth(I, J, budget=DEFAULT_BUDGET):
-    """fdepth of I/J: contract to the polynomial ring on the non-inverted
-    variables, search prime filtrations there (memoized over reachable
-    ideals), and add one per inverted variable."""
-    Ip, Jp, offset, _ = solver.reduce_to_polynomial(I, J)
+    """fdepth of I/J: contract to the polynomial ring on the same
+    variables and search prime filtrations there (memoized over reachable
+    ideals); each inverted variable is in no prime, so it counts in the
+    dimension of every step."""
+    ring.require_subquotient(I, J)
+    Ip, Jp = ring.contraction(I), ring.contraction(J)
     if Ip == Jp:
         raise ZeroModuleError("I/J is the zero module; fdepth undefined")
     ctx = Ip.context
@@ -154,4 +156,4 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
                 )
             raise AssertionError("witness reconstruction failed")
     witness = PrimeFiltration(ctx, tuple(chain), tuple(steps))
-    return FdepthResult(value + offset, state["complete"], witness)
+    return FdepthResult(value, state["complete"], witness)

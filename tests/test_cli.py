@@ -185,6 +185,16 @@ class TestExitCodes:
         assert code == 2
         assert "zero module" in out
 
+    @pytest.mark.parametrize("command, message", [
+        ("sdepth", "I/J is the zero module; sdepth undefined"),
+        ("fdepth", "I/J is the zero module; fdepth undefined"),
+        ("hilbert", "I/J is the zero module; no Hilbert series is computed"),
+    ], ids=["sdepth", "fdepth", "hilbert"])
+    def test_zero_module_messages(self, command, message):
+        """Each command names what it does not compute."""
+        code, out = run([command, "--ring", "n=2", "--I", "(x)", "--J", "(x)"])
+        assert (code, out) == (2, "error: %s\n" % message)
+
     def test_budget_exhausted(self):
         """(x, y, z) has low = min rho(a) = 1 below its bound 2, so the
         search at k = 2 spends the budget."""

@@ -160,6 +160,27 @@ class TestFdepth:
         with pytest.raises(ZeroModuleError):
             filtration.fdepth(I, I)
 
+    def test_witness_is_over_the_contraction(self):
+        """With variables inverted, the witness is a filtration of the
+        contraction over K[x1..xn], with the input's numbering, and
+        localize_filtration carries it to a filtration of I/J."""
+        ctx = RingContext(3, frozenset({1}))
+        I, J = ring.ideal(ctx, (1, 0, 0), (0, 0, 1)), ring.ideal(ctx, (2, 0, 1))
+        res = filtration.fdepth(I, J)
+        assert res.value == 2 and res.witness.context == RingContext(3)
+        assert [s.monomial for s in res.witness.steps] == [(1, 0, 1), (0, 0, 1), (1, 0, 0)]
+        rng = random.Random(47)
+        checked = 0
+        while checked < 60:
+            n = checked % 4 + 1
+            A = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            ctx, I, J = random_quotient(rng, n=n, inverted=A, max_exp=2 if n < 4 else 1)
+            w = filtration.fdepth(I, J).witness
+            assert w.context == RingContext(n)
+            assert filtration.verify_filtration(w, ring.contraction(I), ring.contraction(J))
+            assert filtration.verify_filtration(filtration.localize_filtration(w, A), I, J)
+            checked += 1
+
 
 def maximal_ideal(n):
     ctx = RingContext(n)
@@ -167,12 +188,12 @@ def maximal_ideal(n):
 
 
 def bound_of(I, J):
-    """last_step_bound of the contraction of I/J, plus one per inverted
-    variable."""
-    Ip, Jp, offset, _ = solver.reduce_to_polynomial(I, J)
+    """last_step_bound of the contraction of I/J, whose one-cell inverted
+    axes it counts."""
+    Ip, Jp = ring.contraction(I), ring.contraction(J)
     poset = solver.build_characteristic_poset(Ip, Jp)
     start, _, _ = filtration._prime_steps(poset, Jp)
-    return filtration.last_step_bound(poset, Ip.generators, start) + offset
+    return filtration.last_step_bound(poset, Ip.generators, start)
 
 
 class TestBound:
@@ -185,8 +206,7 @@ class TestBound:
             n = trial % 5 + 1
             ctx, I, J = random_quotient(rng, n=n, max_exp=2 if n < 3 else 1,
                                         inverted=None if trial % 2 else frozenset())
-            Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
-            if Ip == Jp:
+            if ring.contraction(I) == ring.contraction(J):
                 continue
             res = reference_fdepth.fdepth(I, J, 300)
             if not res.complete:
@@ -281,11 +301,11 @@ class TestIterativeSearch:
                 else:
                     assert got[1] is False and got[0] <= full[I, J][0], (I, J, budget)
                     witness = filtration.fdepth(I, J, budget).witness
-                    Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
-                    assert filtration.verify_filtration(witness, Ip, Jp)
+                    assert filtration.verify_filtration(
+                        witness, ring.contraction(I), ring.contraction(J))
                     kinds.add("neither completes")
             done = want[0] == "ZeroModuleError" or want[1] is True
-            Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
+            Ip, Jp = ring.contraction(I), ring.contraction(J)
             if Ip != Jp:
                 cap = min(budget, 3000)   # full enumeration is exponential
                 want = outcome(reference_fdepth.enumerate_prime_filtrations, Ip, Jp, cap)
@@ -303,7 +323,7 @@ class TestIterativeSearch:
                 inverted = None if len(found) % 2 else frozenset()
                 ctx, I, J = random_quotient(rng, n=n(len(found)), inverted=inverted,
                                             **kwargs)
-                Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
+                Ip, Jp = ring.contraction(I), ring.contraction(J)
                 if Ip == Jp or len(
                         solver.build_characteristic_poset(Ip, Jp).elements) <= max_elements:
                     found.append((I, J))
@@ -379,20 +399,20 @@ class TestIterativeSearch:
 
     def test_value_is_best_enumerated_filtration(self):
         """A complete fdepth is the largest fdepth_of over all prime
-        filtrations of I'/J', plus one per inverted variable, and its
-        witness is one of them."""
+        filtrations of the contraction I'/J', and its witness is one of
+        them."""
         rng = random.Random(23)
         checked = 0
         while checked < 60:
             ctx, I, J = random_quotient(rng, n=checked % 3 + 1, max_exp=2)
-            Ip, Jp, offset, _ = solver.reduce_to_polynomial(I, J)
+            Ip, Jp = ring.contraction(I), ring.contraction(J)
             if Ip == Jp:
                 continue
             res = filtration.fdepth(I, J)
             found, complete = filtration.enumerate_prime_filtrations(Ip, Jp, 3000)
             if not (res.complete and complete):
                 continue
-            assert res.value == max(filtration.fdepth_of(F) for F in found) + offset
+            assert res.value == max(filtration.fdepth_of(F) for F in found)
             assert res.witness in found
             checked += 1
 

@@ -5,13 +5,13 @@ from operator import eq
 
 import pytest
 
-from stanleydec import _intervals, hilbert, parsing, ring, solver, stanley
+from stanleydec import _intervals, filtration, hilbert, parsing, ring, solver, stanley
 from stanleydec.errors import BoxTooLargeError, BudgetExceededError, ZeroModuleError
 from stanleydec.ring import MonomialIdeal, RingContext
 
 import reference_intervals
 from reference_poset import characteristic_cells
-from util import localize_pair, polynomial_quotient, random_quotient
+from util import contracted_poset, localize_pair, polynomial_quotient, random_quotient
 
 
 def naive_best_min_rho(elements, g):
@@ -40,30 +40,45 @@ def naive_best_min_rho(elements, g):
     return rec(frozenset())
 
 
-class TestReduce:
-    def test_strips_inverted_coordinates(self):
-        ctx = RingContext(3, frozenset({2}))
-        I = ring.ideal(ctx, (1, 0, 0), (0, 2, 0))
-        J = ring.ideal(ctx, (2, 0, 0))
-        Ip, Jp, offset, kept = solver.reduce_to_polynomial(I, J)
-        assert Ip == ring.ideal(RingContext(2), (1, 0), (0, 2))
-        assert Jp == ring.ideal(RingContext(2), (2, 0))
-        assert offset == 1 and kept == (0, 1)
+def in_kept_variables(I, J):
+    """I/J contracted and written in the polynomial ring on its
+    non-inverted variables alone, with the inverted coordinates dropped."""
+    kept = I.context.plain
+    ctx = RingContext(len(kept))
+
+    def project(ideal_):
+        return MonomialIdeal(ctx, frozenset(tuple(g[i] for i in kept)
+                                            for g in ideal_.generators))
+
+    return project(I), project(J)
+
+
+class TestInvertedAxes:
+    """The contraction keeps all n coordinates; an inverted one has g = 0,
+    one cell, and counts in every corner count."""
+
+    def test_each_inverted_variable_adds_one(self):
+        """sdepth and fdepth of I/J are those of the quotient in the
+        non-inverted variables plus |A|, on random quotients with one to
+        all of n = 1..5 variables inverted."""
+        rng = random.Random(37)
+        for trial in range(120):
+            n = trial % 5 + 1
+            A = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            ctx, I, J = random_quotient(rng, n=n, inverted=A, max_exp=2 if n < 4 else 1)
+            Ik, Jk = in_kept_variables(I, J)
+            assert solver.sdepth(I, J).value == solver.sdepth(Ik, Jk).value + len(A), (I, J)
+            res, base = filtration.fdepth(I, J), filtration.fdepth(Ik, Jk)
+            assert (res.value, res.complete) == (base.value + len(A), base.complete), (I, J)
 
     def test_fully_inverted_ring(self):
+        """Every axis inverted: a box of one cell, rho = n."""
         ctx = RingContext(2, frozenset({0, 1}))
         I = ring.ideal(ctx, (0, 0))
-        J = MonomialIdeal(ctx)
-        Ip, Jp, offset, kept = solver.reduce_to_polynomial(I, J)
-        assert Ip.context.n == 0 and Ip.is_unit and Jp.is_zero
-        assert offset == 2 and kept == ()
-
-    def test_identity_without_localization(self):
-        ctx = RingContext(2)
-        I = ring.ideal(ctx, (1, 1))
-        J = MonomialIdeal(ctx)
-        Ip, Jp, offset, _ = solver.reduce_to_polynomial(I, J)
-        assert Ip == I and Jp == J and offset == 0
+        poset = contracted_poset(I, MonomialIdeal(ctx))
+        assert (poset.bound, poset.elements) == ((0, 0), ((0, 0),))
+        res = solver.sdepth(I, MonomialIdeal(ctx))
+        assert res.value == 2 and len(res.witness.spaces) == 4
 
 
 class TestPoset:
@@ -224,7 +239,7 @@ class TestPartitionSearch:
 
 def parsed_poset(n, I, J="(0)"):
     ctx = parsing.parse_ring("n=%d" % n)
-    return solver._poset_of(parsing.parse_ideal(I, ctx), parsing.parse_ideal(J, ctx))[0]
+    return contracted_poset(parsing.parse_ideal(I, ctx), parsing.parse_ideal(J, ctx))
 
 
 def power_of_maximal(n, d):
@@ -251,7 +266,7 @@ class TestBound:
             inverted = None if checked % 2 else frozenset()
             ctx, I, J = random_quotient(rng, n=n, inverted=inverted,
                                         max_exp=3 if n <= 3 else 2)
-            poset = solver._poset_of(I, J)[0]
+            poset = contracted_poset(I, J)
             if len(poset.elements) > 80:
                 continue
             for k in range(poset.context.n, -1, -1):
@@ -303,16 +318,28 @@ class TestBound:
             "interval search budget exceeded after 26 nodes, from k = 2 set by "
             "the maximal elements and the Hilbert depth")
 
+    def test_budget_error_counts_the_inverted_axes(self):
+        """k is in the units of the answer: (x1, x3, x4, x5, x6) with x2
+        inverted has sdepth 4, and its search starts at k = 4."""
+        ctx = parsing.parse_ring("n=6 invert={2}")
+        I = parsing.parse_ideal("(x1, x3, x4, x5, x6)", ctx)
+        with pytest.raises(BudgetExceededError) as info:
+            solver.sdepth(I, MonomialIdeal(ctx), budget=3)
+        assert info.value.nodes_by_target == {4: 4}
+        assert str(info.value) == (
+            "interval search budget exceeded after 4 nodes, from k = 4 set by "
+            "the Hilbert depth")
+
 
 
 def min_rho(poset):
     return min(sum(map(eq, a, poset.bound)) for a in poset.elements)
 
 
-def lift_in_two_stages(poset, partition, ctx, kept):
+def lift_in_two_stages(poset, partition, ctx):
     """The witness of an interval partition as two passes build it: the
-    spaces of each interval over the contracted ring, then each embedded
-    through kept and fanned out over the inverted variables, sorted."""
+    spaces of each interval over the contracted ring, then each fanned out
+    over the inverted variables, sorted."""
     g = poset.bound
     bases = []
     for b, c in partition.intervals:
@@ -320,10 +347,7 @@ def lift_in_two_stages(poset, partition, ctx, kept):
         ranges = [range(b[i], b[i] + 1) if i in z else range(b[i], c[i] + 1)
                   for i in range(len(g))]
         for a in product(*ranges):
-            root = [0] * ctx.n
-            for i, e in zip(kept, a):
-                root[i] = e
-            bases.append((root, {kept[i] for i in z} | ctx.inverted))
+            bases.append((a, set(z)))
     spaces = stanley._fan_out(ctx, bases, ctx.inverted)
     spaces.sort(key=lambda s: s.key())
     return stanley.StanleyDecomposition(ctx, tuple(spaces))
@@ -341,7 +365,7 @@ class TestSingletonLevel:
             inverted = None if checked % 2 else frozenset()
             ctx, I, J = random_quotient(rng, n=n, inverted=inverted,
                                         max_exp=3 if n <= 3 else 2)
-            poset = solver._poset_of(I, J)[0]
+            poset = contracted_poset(I, J)
             if len(poset.elements) > 80:
                 continue
             singletons = [(a, a) for a in poset.elements]
@@ -361,7 +385,7 @@ class TestSingletonLevel:
             inverted = None if checked % 2 else frozenset()
             ctx, I, J = random_quotient(rng, n=n, inverted=inverted,
                                         max_exp=3 if n <= 3 else 2)
-            poset, offset, kept = solver._poset_of(I, J)
+            poset = contracted_poset(I, J)
             if len(poset.elements) > 80:
                 continue
             for k in range(poset.context.n, -1, -1):
@@ -371,8 +395,8 @@ class TestSingletonLevel:
                     break
             partition = solver.IntervalPartition(tuple(intervals))
             res = solver.sdepth(I, J)
-            assert res.value == k + offset
-            assert res.witness == lift_in_two_stages(poset, partition, ctx, kept), (I, J)
+            assert res.value == k
+            assert res.witness == lift_in_two_stages(poset, partition, ctx), (I, J)
             checked += 1
 
     def test_no_kernel_at_the_singleton_level(self, monkeypatch):

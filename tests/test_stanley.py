@@ -10,6 +10,7 @@ from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
 from reference_verify import verify_decomposition as reference_verify
 from util import (
+    contracted_poset,
     decomposition_from_partition,
     greedy_partition,
     polynomial_quotient,
@@ -181,10 +182,8 @@ class TestVerifierParity:
             if case % 3:
                 D = singleton_decomposition(I, J)
             else:
-                Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
-                poset = solver.build_characteristic_poset(Ip, Jp)
                 D = decomposition_from_partition(
-                    I, J, greedy_partition(poset, rng)
+                    I, J, greedy_partition(contracted_poset(I, J), rng)
                 )
             for E in _broken_variants(D, I, J, rng):
                 box_bound = None

@@ -97,26 +97,26 @@ def split_refinement(partition, poset):
     return IntervalPartition(tuple(out))
 
 
+def contracted_poset(I, J):
+    """The characteristic poset of the contraction of I/J."""
+    return solver.build_characteristic_poset(ring.contraction(I), ring.contraction(J))
+
+
 def decomposition_from_partition(I, J, partition):
     """Lift a partition of the contracted poset to a decomposition of I/J
     in its own (possibly localized) ring."""
-    Ip, Jp, _, kept = solver.reduce_to_polynomial(I, J)
-    poset = solver.build_characteristic_poset(Ip, Jp)
-    return solver._embed_and_invert(poset, partition, I.context, kept)
+    return solver._embed_and_invert(contracted_poset(I, J), partition, I.context)
 
 
 def singleton_decomposition(I, J):
     """The decomposition of I/J with every poset element its own interval,
     found without search."""
-    Ip, Jp, _, _ = solver.reduce_to_polynomial(I, J)
-    poset = solver.build_characteristic_poset(Ip, Jp)
-    return decomposition_from_partition(I, J, singleton_partition(poset))
+    return decomposition_from_partition(I, J, singleton_partition(contracted_poset(I, J)))
 
 
 def all_decomposition_variants(I, J, rng):
     """Several structurally different valid decompositions of I/J."""
-    Ip, Jp, _, kept = solver.reduce_to_polynomial(I, J)
-    poset = solver.build_characteristic_poset(Ip, Jp)
+    poset = contracted_poset(I, J)
     _, best = solver.max_interval_partition(poset)
     parts = [
         best,
