@@ -24,7 +24,6 @@ from .filtration import (
     verify_filtration,
 )
 from .hilbert import (
-    DegreeCount,
     HilbertSeries,
     count_maximal_spaces,
     expand,
@@ -40,8 +39,8 @@ from .ring import (
     colon,
     contains,
     contraction,
+    ideal,
     in_quotient,
-    normalize_ideal,
     signed_supports,
 )
 from .solver import (

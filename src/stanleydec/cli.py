@@ -38,29 +38,20 @@ def _cmd_normalize(opts):
     return {
         "ring": parsing.ring_to_json(ctx),
         "I": parsing.ideal_to_json(I),
-        "text": lambda: "I = %s" % parsing.ideal_str(I, ctx),
+        "text": lambda: "I = %s" % parsing.ideal_str(I),
     }
 
 
-def _cmd_sdepth(opts):
+def _cmd_sdepth(opts, key, layout):
+    """sdepth and decompose: the sdepth of the request and its witness
+    under `key`; the text is `layout` filled in with both."""
     ctx, I, J = _parse_pair(opts)
     res = solver.sdepth(I, J, budget=opts.get("budget", solver.DEFAULT_BUDGET))
     return {
         "sdepth": res.value,
-        "witness": parsing.decomposition_to_json(res.witness),
-        "text": lambda: "sdepth = %d\nwitness: %s"
-        % (res.value, parsing.decomposition_str(res.witness)),
-    }
-
-
-def _cmd_decompose(opts):
-    ctx, I, J = _parse_pair(opts)
-    res = solver.sdepth(I, J, budget=opts.get("budget", solver.DEFAULT_BUDGET))
-    return {
-        "decomposition": parsing.decomposition_to_json(res.witness),
-        "sdepth": res.value,
-        "text": lambda: "%s\nsdepth = %d"
-        % (parsing.decomposition_str(res.witness), res.value),
+        key: parsing.decomposition_to_json(res.witness),
+        "text": lambda: layout.format(
+            sdepth=res.value, witness=parsing.decomposition_str(res.witness)),
     }
 
 
@@ -85,7 +76,7 @@ def _cmd_hilbert(opts):
     ctx, I, J = _parse_pair(opts)
     series = hilbert.series_of_quotient(I, J)
     dmax = opts.get("max_degree", DEFAULT_MAX_DEGREE)
-    coeffs = [dc.count for dc in hilbert.expand(series, dmax)]
+    coeffs = hilbert.expand(series, dmax)
     maximal = hilbert.count_maximal_spaces(series)
     return {
         "series": parsing.series_to_json(series),
@@ -99,7 +90,7 @@ def _cmd_hilbert(opts):
 def _cmd_verify(opts):
     ctx, I, J = _parse_pair(opts)
     D = parsing.parse_decomposition(opts["D"], ctx)
-    report = stanley.verify_decomposition(D, I, J, box_bound=opts.get("box_bound"))
+    report = stanley.verify_decomposition(D, I, J)
     out = {
         "valid": report.valid,
         "box_bound": report.box_bound,
@@ -131,8 +122,10 @@ def _cmd_fdepth(opts):
 
 _COMMANDS = {
     "normalize": _cmd_normalize,
-    "sdepth": _cmd_sdepth,
-    "decompose": _cmd_decompose,
+    "sdepth": functools.partial(
+        _cmd_sdepth, key="witness", layout="sdepth = {sdepth}\nwitness: {witness}"),
+    "decompose": functools.partial(
+        _cmd_sdepth, key="decomposition", layout="{witness}\nsdepth = {sdepth}"),
     "localize": _cmd_localize,
     "hilbert": _cmd_hilbert,
     "verify": _cmd_verify,
@@ -173,9 +166,9 @@ def _nonnegative_int(text):
 # per command, the keys it reads besides ring, I and J; it requires D and A
 _KEYS = {"normalize": (), "sdepth": ("budget",), "decompose": ("budget",),
          "localize": ("D", "A"), "hilbert": ("max_degree",),
-         "verify": ("D", "box_bound"), "fdepth": ("budget",)}
-# the argparse type of each number; box_bound may be negative, or null in batch
-_NUMBERS = {"budget": _nonnegative_int, "max_degree": _nonnegative_int, "box_bound": int}
+         "verify": ("D",), "fdepth": ("budget",)}
+# the keys whose values are nonnegative integers; all others are strings
+_NUMBERS = ("budget", "max_degree")
 
 
 def _batch_request(line):
@@ -206,11 +199,8 @@ def _batch_request(line):
         elif key in strings:
             if not isinstance(value, str):
                 raise ValueError("%s must be a string" % key)
-        elif isinstance(value, bool) or not isinstance(value, int):
-            if not (key == "box_bound" and value is None):
-                raise ValueError("%s must be an integer, not %r" % (key, value))
-        elif value < 0 and key != "box_bound":
-            raise ValueError("%s must be nonnegative, not %d" % (key, value))
+        elif isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError("%s must be a nonnegative integer, not %r" % (key, value))
     return command, opts
 
 
@@ -262,7 +252,7 @@ def build_parser():
         for key in ("ring", "I", "J") + keys:
             flag = "--" + key.replace("_", "-")
             if key in _NUMBERS:
-                p.add_argument(flag, type=_NUMBERS[key])
+                p.add_argument(flag, type=_nonnegative_int)
             else:
                 p.add_argument(flag, required=key not in ("I", "J"), help=_HELP.get(key))
     sub.add_parser("batch")

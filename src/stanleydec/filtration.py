@@ -29,8 +29,9 @@ up-set of the box.  For a candidate u:
 The enumeration and fdepth walk one depth-first search, ``_descend``,
 over the steps of ``_prime_steps``, with the open chain on an explicit
 stack: a chain's length is bounded by memory, not the recursion limit.
-fdepth decides one target at a time, from ``last_step_bound`` down, as
-the sdepth search does.  Only the chains returned are built as
+fdepth decides one target at a time, from the lesser of
+``last_step_bound`` and the sdepth search's ``maximal_element_bound``
+down, as the sdepth search does.  Only the chains returned are built as
 MonomialIdeals; ``verify_filtration`` checks each step with ``ring.colon``,
 independently of the masks.  Beyond the poset, a search keeps a mask of
 the box per step of its open chain and per dead ideal: O(cells) bits a node.
@@ -178,11 +179,14 @@ def _descend(steps, start, end, most, tickets):
     """Depth-first search, in the lex order of ``_prime_steps``, for
     chains from the mask start to the mask end of steps with at most
     `most` primes; each step taken is a node and takes an item of the
-    iterator tickets.  Yields each chain found, as a list of (u, primes,
-    next mask) the search goes on to change, and None when tickets run
-    out.  An ideal with no chain to end below it is dead and not entered
-    again.  With most = n none is: each L, J' <= L < I', has the step of
-    a box-maximal u of I' outside L, primes {i : u_i < g_i}, top corner u."""
+    iterator tickets.  Only steps taken are counted: the scan of the
+    candidates at each ideal and the steps skipped into dead ideals cost
+    no ticket, so the budget bounds the nodes, not the time.  Yields each
+    chain found, as a list of (u, primes, next mask) the search goes on
+    to change, and None when tickets run out.  An ideal with no chain to
+    end below it is dead and not entered again.  With most = n none is:
+    each L, J' <= L < I', has the step of a box-maximal u of I' outside
+    L, primes {i : u_i < g_i}, top corner u."""
     dead = set()
     path = []
     stack = [steps(start, most)]
@@ -268,10 +272,19 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
     variable is outside every prime and so counts in every step.  The
     witness is over that ring; ``localize_filtration`` carries it to I/J.
     The lex-first chain gives a lower bound v0; then each target t from
-    ``last_step_bound`` down to v0 + 1 is tried, and the first chain
-    found, the lex-first one with every step >= t, is the witness.  The
-    targets share the node budget; when it runs out, the best chain found
-    is returned with complete=False."""
+    the upper bound down to v0 + 1 is tried, and the first chain found,
+    the lex-first one with every step >= t, is the witness.  The targets
+    share the node budget, which counts the steps taken (see
+    ``_descend``); when it runs out, the best chain found is returned
+    with complete=False.
+
+    The upper bound is the lesser of ``last_step_bound`` and
+    ``solver.maximal_element_bound``, the least rho(c) over the maximal
+    elements c of the poset.  A chain puts c into some L by a step u with
+    primes P; u <= c, and c_i = u_i on P, as u + e_i is in L and c is not.
+    So c is below the top corner T of the face of u fixed on P, an element
+    as T is in I' and not in L, so T = c: the step's prime is
+    {i : c_i < g_i}, of dimension rho(c)."""
     poset = solver._poset_of(I, J, "I/J is the zero module; fdepth undefined")
     Jp = ring.contraction(J)    # the contractions have the generators of I and J
     ctx = poset.context
@@ -288,7 +301,8 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
                                   budget + 1, {0: budget + 1})
     value = min(step_dimension(ctx, primes) for _, primes, _ in path)
     complete = True
-    for t in range(last_step_bound(poset, I.generators, start), value, -1):
+    top = min(last_step_bound(poset, I.generators, start), solver.maximal_element_bound(poset))
+    for t in range(top, value, -1):
         found = search(t)
         if found is None:
             complete = False

@@ -93,12 +93,6 @@ class HilbertSeries:
 ZERO_SERIES = HilbertSeries((), 0)
 
 
-@dataclass(frozen=True)
-class DegreeCount:
-    degree: int
-    count: int
-
-
 def _vectors_of_abs_degree(ctx, d):
     """All exponent vectors of total absolute degree d, nonnegative off the
     inverted coordinates."""
@@ -253,7 +247,8 @@ MAX_DEGREE = 10**5   # expand lists a coefficient per degree: 10^12 would not fi
 
 
 def expand(series, d_max):
-    """Power-series coefficients up to degree d_max (exact integers)."""
+    """The power-series coefficients of degrees 0..d_max, as a list of
+    exact integers indexed by degree."""
     if d_max < 0:
         raise MalformedInputError("expansion degree must be nonnegative")
     if d_max > MAX_DEGREE:
@@ -265,4 +260,4 @@ def expand(series, d_max):
         for i in range(d_max + 1):
             acc += coeffs[i]
             coeffs[i] = acc
-    return [DegreeCount(d, c) for d, c in enumerate(coeffs)]
+    return coeffs

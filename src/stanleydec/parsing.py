@@ -21,7 +21,7 @@ _ALIASES = ("x", "y", "z", "w")
 
 # compiled once: a request parses thousands of factors and spaces
 _INDEXED_VAR = re.compile(r"x(\d+)")
-_RING = re.compile(r"\s*(?:ring\s+)?n\s*=\s*(\d+)\s*(?:invert\s*=\s*\{([\d\s,]*)\}\s*)?")
+_RING = re.compile(r"\s*(?:ring\s+)?n\s*=\s*(\d+)\s*(?:invert\s*=\s*(\{[\d\s,]*\})\s*)?")
 _INDEX_SET = re.compile(r"\s*\{([\d\s,]*)\}\s*")
 _FACTOR = re.compile(r"([a-z]\d*)(?:\^(-?\d+))?")
 _IDEAL = re.compile(r"\s*\((.*)\)\s*", re.S)
@@ -65,14 +65,8 @@ def parse_ring(text):
     # lengths first: int() refuses strings of thousands of digits
     if len(digits) > len(str(MAX_VARIABLES)) or int(digits) > MAX_VARIABLES:
         raise ParseError("n exceeds the limit of %d variables" % MAX_VARIABLES)
-    n = int(digits)
-    inverted = frozenset()
-    if m.group(2):
-        try:
-            inverted = frozenset(int(p) - 1 for p in m.group(2).split(","))
-        except ValueError:
-            raise ParseError("bad invert list in %r" % text)
-    return RingContext(n, inverted)
+    inverted = parse_index_set(m.group(2)) if m.group(2) else frozenset()
+    return RingContext(int(digits), inverted)
 
 
 def ring_str(ctx):
@@ -148,11 +142,10 @@ def parse_ideal(text, ctx):
     return MonomialIdeal(ctx, frozenset(gens))
 
 
-def ideal_str(I, ctx=None):
-    ctx = ctx or I.context
+def ideal_str(I):
     if I.is_zero:
         return "(0)"
-    gens = [monomial_str(g, ctx) for g in I.sorted_generators()]
+    gens = [monomial_str(g, I.context) for g in I.sorted_generators()]
     return "(%s)" % ", ".join(gens)
 
 
@@ -176,8 +169,8 @@ def parse_space(text, ctx):
     return StanleySpace(ctx, root, frozenset(zplus), frozenset(zminus))
 
 
-def space_str(s, ctx=None):
-    ctx = ctx or s.context
+def space_str(s):
+    ctx = s.context
     entries = []
     for i in range(ctx.n):
         if i in s.zplus:
@@ -195,9 +188,8 @@ def parse_decomposition(text, ctx):
     return StanleyDecomposition(ctx, tuple(spaces))
 
 
-def decomposition_str(D, ctx=None):
-    ctx = ctx or D.context
-    return " + ".join(space_str(s, ctx) for s in D.spaces)
+def decomposition_str(D):
+    return " + ".join(space_str(s) for s in D.spaces)
 
 
 # --------------------------------------------------------------- series
@@ -321,7 +313,7 @@ def filtration_from_json(obj):
 
 def filtration_str(F):
     ctx = F.context
-    lines = [" < ".join(ideal_str(I, ctx) for I in F.chain)]
+    lines = [" < ".join(ideal_str(I) for I in F.chain)]
     for i, s in enumerate(F.steps):
         primes = ", ".join(var_name(j, ctx) for j in sorted(s.primes))
         lines.append(

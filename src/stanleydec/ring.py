@@ -140,14 +140,9 @@ class MonomialIdeal:
 
 
 def ideal(ctx, *gens):
-    """Convenience constructor from raw generator tuples."""
+    """The ideal the raw generator tuples span in the localized ring, in
+    normal form."""
     return MonomialIdeal(ctx, frozenset(tuple(g) for g in gens))
-
-
-def normalize_ideal(raw_gens, ctx):
-    """Unique normalized minimal generating set of the ideal the raw
-    generators span in the localized ring."""
-    return MonomialIdeal(ctx, frozenset(tuple(g) for g in raw_gens))
 
 
 def contains(I, m):

@@ -146,10 +146,8 @@ def _bases(poset, partition):
 
 def partition_to_decomposition(poset, partition):
     """Map an interval partition to the Stanley decomposition it encodes,
-    over the poset's ring (see ``_bases``)."""
-    ctx = poset.context
-    return StanleyDecomposition(
-        ctx, tuple(StanleySpace(ctx, root, z) for root, z in _bases(poset, partition)))
+    over the poset's ring, spaces sorted by key (see ``_bases``)."""
+    return _embed_and_invert(poset, partition, poset.context)
 
 
 @dataclass(frozen=True)
@@ -164,8 +162,8 @@ class SdepthResult:
 def _embed_and_invert(poset, partition, ctx):
     """The decomposition of I/J over ctx that an interval partition of the
     poset of its contraction encodes, spaces sorted by key.  Each space of
-    ``partition_to_decomposition`` re-adjoins every inverted variable as
-    an x, x^-1 pair of spaces, built once, straight from its interval."""
+    ``_bases`` is fanned out over the inverted variables of ctx, with x or
+    x^-1 for each, built once, straight from its interval."""
     spaces = stanley._fan_out(ctx, _bases(poset, partition), ctx.inverted)
     spaces.sort(key=StanleySpace.key)
     return StanleyDecomposition(ctx, tuple(spaces))

@@ -204,7 +204,7 @@ def _axis_cells(boxes, i, low, high):
     return cells
 
 
-def verify_decomposition(D, I, J, box_bound=None):
+def verify_decomposition(D, I, J):
     """Exact validity check of D against I/J on the clamp box.
 
     Reports the failure at the lexicographically first box monomial that
@@ -225,12 +225,6 @@ def verify_decomposition(D, I, J, box_bound=None):
         raise ContextMismatchError("decomposition and ideals must share a ring")
     ring.require_subquotient(I, J)
     B = clamp_bound(D, I, J)
-    if box_bound is not None:
-        if box_bound < B:
-            raise MalformedInputError(
-                "box bound %d is below the required clamp bound %d" % (box_bound, B)
-            )
-        B = box_bound
     ctx = D.context
     # one bit per space, then per generator of I, then per generator of J
     boxes = [space_region(s).bounds for s in D.spaces]
@@ -270,9 +264,10 @@ class LocalizationResult:
     localized_J: MonomialIdeal
 
 
-def localize_decomposition(D, I, J, A, check=True):
+def localize_decomposition(D, I, J, A):
     """Localize a valid decomposition of I/J over the polynomial ring at
-    the product of the variables indexed by A.
+    the product of the variables indexed by A.  D comes from outside, so
+    it is verified first; an invalid D raises VerificationError.
 
     Spaces whose Z does not contain every localized variable are dropped;
     each surviving space u*K[Z] fans out into one space per subset L of A,
@@ -285,13 +280,12 @@ def localize_decomposition(D, I, J, A, check=True):
     for j in A:
         if not 0 <= j < ctx.n:
             raise MalformedInputError("localized index out of range")
-    if check:
-        report = verify_decomposition(D, I, J)
-        if not report:
-            raise VerificationError(
-                "input is not a decomposition of I/J (%s at %r)"
-                % (report.failure, report.witness)
-            )
+    report = verify_decomposition(D, I, J)
+    if not report:
+        raise VerificationError(
+            "input is not a decomposition of I/J (%s at %r)"
+            % (report.failure, report.witness)
+        )
     new_ctx = RingContext(ctx.n, A)
     If = ring.extend_to(I, new_ctx)
     Jf = ring.extend_to(J, new_ctx)

@@ -10,21 +10,15 @@ instances.
 """
 
 from stanleydec import ring, stanley
-from stanleydec.errors import ContextMismatchError, MalformedInputError
+from stanleydec.errors import ContextMismatchError
 from stanleydec.stanley import VerificationReport
 
 
-def verify_decomposition(D, I, J, box_bound=None):
+def verify_decomposition(D, I, J):
     if D.context != I.context or I.context != J.context:
         raise ContextMismatchError("decomposition and ideals must share a ring")
     ring.require_subquotient(I, J)
     B = stanley.clamp_bound(D, I, J)
-    if box_bound is not None:
-        if box_bound < B:
-            raise MalformedInputError(
-                "box bound %d is below the required clamp bound %d" % (box_bound, B)
-            )
-        B = box_bound
     regions = [stanley.space_region(s) for s in D.spaces]
     for m in ring.box_monomials(D.context, B):
         hits = [r for r in regions if r.contains(m)]

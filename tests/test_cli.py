@@ -42,6 +42,20 @@ class TestSdepth:
         assert code == 0
         assert out.splitlines()[0] == "sdepth = 3"
 
+    @pytest.mark.parametrize("ring, I, J", [
+        ("n=3", "(x, y, z)", "(0)"),
+        ("n=3 invert={3}", "(x, y^2)", "(x^2)"),
+        ("n=2", "(1)", "(x^2, y^2)"),
+    ])
+    def test_decompose_answers_as_sdepth(self, ring, I, J):
+        """decompose gives sdepth's witness under the key decomposition."""
+        argv = ["--ring", ring, "--I", I, "--J", J, "--format", "json"]
+        sdepth = json.loads(run(["sdepth"] + argv)[1])
+        decompose = json.loads(run(["decompose"] + argv)[1])
+        assert decompose["decomposition"] == sdepth["witness"]
+        assert decompose["sdepth"] == sdepth["sdepth"]
+        assert decompose.keys() == {"ok", "sdepth", "decomposition"}
+
 
 class TestHilbert:
     def test_final_example(self):
@@ -147,31 +161,17 @@ class TestVerify:
         assert payload["failure"] == "disjointness"
         assert payload["witness"] == [1]
 
-    def test_box_bound_below_clamp_rejected(self):
-        code, out = run(
-            [
-                "verify",
-                "--ring", "n=1",
-                "--I", "(x^3)",
-                "--D", "x^3*K[x]",
-                "--box-bound", "2",
-            ]
-        )
-        assert code == 2
-        assert "below the required clamp bound" in out
-
-    def test_box_bound_above_clamp_accepted(self):
-        code, out = run(
-            [
-                "verify",
-                "--ring", "n=1",
-                "--I", "(x^3)",
-                "--D", "x^3*K[x]",
-                "--box-bound", "7",
-            ]
-        )
+    def test_box_bound_is_a_usage_error(self, capsys):
+        """The verdict on the clamp box is exact, so the box is not a
+        setting: the clamp bound is reported and --box-bound is refused."""
+        argv = ["verify", "--ring", "n=1", "--I", "(x^3)", "--D", "x^3*K[x]"]
+        code, out = run(argv)
         assert code == 0
-        assert "bound 7" in out
+        assert "bound 4" in out
+        with pytest.raises(SystemExit) as info:
+            run(argv + ["--box-bound", "7"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -519,7 +519,10 @@ class TestBatch:
         (dict(VALID, budget=1), "unknown key 'budget' for sdepth"),
         (dict(VALID, options={"budget": 1, "depth": 2}), "unknown option 'depth' for sdepth"),
         (dict(VALID, options={"max_degree": 3}), "unknown option 'max_degree' for sdepth"),
-    ], ids=["top-level-budget", "unknown-option", "option-of-another-command"])
+        ({"command": "verify", "ring": "n=1", "I": "(x^3)", "D": "x^3*K[x]",
+          "options": {"box_bound": 7}}, "unknown option 'box_bound' for verify"),
+    ], ids=["top-level-budget", "unknown-option", "option-of-another-command",
+            "verify-box-bound"])
     def test_unknown_key_is_bad_request(self, bad, error):
         """A key the command does not read is refused, not ignored: a
         top-level budget would otherwise run at the default budget."""
@@ -532,9 +535,7 @@ class TestBatch:
 
     # a request of a command that reads each numeric option
     READS = {"budget": VALID,
-             "max_degree": {"command": "hilbert", "ring": "n=1", "I": "(x)"},
-             "box_bound": {"command": "verify", "ring": "n=1", "I": "(x^3)",
-                           "D": "x^3*K[x]"}}
+             "max_degree": {"command": "hilbert", "ring": "n=1", "I": "(x)"}}
 
     @pytest.mark.parametrize("key, value", [
         ("budget", "many"),
@@ -543,9 +544,7 @@ class TestBatch:
         ("budget", None),
         ("max_degree", "5"),
         ("max_degree", -2),
-        ("box_bound", "3"),
-        ("box_bound", False),
-        ("box_bound", 2.5),
+        ("max_degree", 2.5),
     ])
     def test_bad_option_keeps_stream_alive(self, key, value):
         bad = dict(self.READS[key], options={key: value})
@@ -567,13 +566,6 @@ class TestBatch:
         assert code == 2 and len(lines) == 5
         assert all(l["error"].startswith("bad request") for l in lines[:4])
         assert lines[4]["ok"]
-
-    def test_null_box_bound_means_the_clamp_bound(self):
-        req = {"command": "verify", "ring": "n=1", "I": "(x^3)", "D": "x^3*K[x]",
-               "options": {"box_bound": None}}
-        code, out = run(["batch"], json.dumps(req) + "\n")
-        assert code == 0
-        assert json.loads(out) == {"ok": True, "valid": True, "box_bound": 4}
 
     def test_internal_error_keeps_stream_alive(self, monkeypatch):
         def broken(opts):

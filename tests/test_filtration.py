@@ -198,8 +198,10 @@ def bound_of(I, J):
 
 class TestBound:
     def test_never_below_fdepth(self):
-        """The bound is >= the oracle's fdepth on random quotients in one
-        to five variables, with and without inverted variables."""
+        """Both bounds fdepth starts from, last_step_bound and the least
+        rho of a maximal element, are >= the oracle's fdepth on random
+        quotients in one to five variables, with and without inverted
+        variables."""
         rng = random.Random(29)
         checked = tight = 0
         for trial in range(240):
@@ -211,7 +213,9 @@ class TestBound:
             res = reference_fdepth.fdepth(I, J, 300)
             if not res.complete:
                 continue
+            poset = solver.build_characteristic_poset(ring.contraction(I), ring.contraction(J))
             assert bound_of(I, J) >= res.value, (I, J)
+            assert solver.maximal_element_bound(poset) >= res.value, (I, J)
             checked += 1
             tight += bound_of(I, J) == res.value
         assert checked >= 200 and tight < checked

@@ -88,7 +88,7 @@ class TestSeriesOfSpace:
         ctx = RingContext(1, frozenset({0}))
         h = hilbert.series_of_space(space(ctx, (1,), zminus={0}))
         assert (h.numerator, h.pole) == ((1, 1, -1), 1)
-        counts = [dc.count for dc in hilbert.expand(h, 4)]
+        counts = hilbert.expand(h, 4)
         assert counts == [1, 2, 1, 1, 1]
 
     def test_q_at_one_is_one_randomized(self):
@@ -131,7 +131,7 @@ class TestSeriesOfSpace:
                 elif r < 0.6 and i in A:
                     zminus.add(i)
             s = space(ctx, root, zplus, zminus)
-            coeffs = [dc.count for dc in hilbert.expand(hilbert.series_of_space(s), 6)]
+            coeffs = hilbert.expand(hilbert.series_of_space(s), 6)
             for d in range(7):
                 direct = sum(
                     1
@@ -166,7 +166,7 @@ class TestSeriesOfSpace:
             h = hilbert.series_of_space(space(ctx, root, **z))
             assert h.pole == 1 and h.numerator_at_one() == 1
             # degrees 3000, 2999, ..., 1 once each, then 0, 1, 2, ... once each
-            counts = [dc.count for dc in hilbert.expand(h, 3002)]
+            counts = hilbert.expand(h, 3002)
             assert counts == [1] + [2] * 3000 + [1, 1]
 
 
@@ -174,7 +174,7 @@ class TestLaurentRingClosedForm:
     def test_one_inverted_one_plain(self):
         h = hilbert.series_of_laurent_ring((0, 0), {0}, 1)
         assert (h.numerator, h.pole) == ((1, 1), 2)
-        assert [dc.count for dc in hilbert.expand(h, 3)] == [1, 3, 5, 7]
+        assert hilbert.expand(h, 3) == [1, 3, 5, 7]
 
     def test_ordinary_polynomial_ring(self):
         h = hilbert.series_of_laurent_ring((0, 0, 0), set(), 3)
@@ -230,7 +230,7 @@ class TestSeriesOfDecomposition:
 
     def test_oracle_agreement_final_example(self):
         ctx, I, J, D = final_example()
-        coeffs = [dc.count for dc in hilbert.expand(hilbert.series_of_decomposition(D), 10)]
+        coeffs = hilbert.expand(hilbert.series_of_decomposition(D), 10)
         for d in range(11):
             assert coeffs[d] == hilbert.hilbert_count(I, J, d)
 
@@ -278,7 +278,7 @@ class TestSeriesOfQuotient:
         for case in range(60):
             ctx, I, J = random_quotient(rng, n=case % 3 + 1)
             coeffs = hilbert.expand(hilbert.series_of_quotient(I, J), 6)
-            assert [dc.count for dc in coeffs] == [
+            assert coeffs == [
                 hilbert.hilbert_count(I, J, d) for d in range(7)
             ], (I, J)
 
@@ -295,11 +295,11 @@ class TestSeriesOfQuotient:
 
 class TestExpand:
     def test_odd_numbers(self):
-        assert [dc.count for dc in hilbert.expand(HilbertSeries((1, 1), 2), 3)] == [1, 3, 5, 7]
+        assert hilbert.expand(HilbertSeries((1, 1), 2), 3) == [1, 3, 5, 7]
 
     def test_geometric(self):
-        assert [dc.count for dc in hilbert.expand(HilbertSeries((1,), 1), 2)] == [1, 1, 1]
+        assert hilbert.expand(HilbertSeries((1,), 1), 2) == [1, 1, 1]
 
     def test_final_example_coefficients(self):
         h = HilbertSeries((0, 1, 2, 1), 2)
-        assert [dc.count for dc in hilbert.expand(h, 3)] == [0, 1, 4, 8]
+        assert hilbert.expand(h, 3) == [0, 1, 4, 8]

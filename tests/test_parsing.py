@@ -27,6 +27,16 @@ class TestRingText:
         with pytest.raises(ParseError):
             parsing.parse_ring("m=3")
 
+    def test_invert_list_is_an_index_set(self):
+        """The invert list is read as --A is: blank braces are the empty
+        set, and a trailing comma is an error."""
+        plain = parsing.parse_ring("n=3")
+        assert parsing.parse_ring("n=3 invert={ }") == plain
+        assert parsing.parse_ring("n=3 invert={}") == plain
+        assert parsing.parse_ring("n=3 invert={ 1 , 3 }") == RingContext(3, frozenset({0, 2}))
+        with pytest.raises(ParseError):
+            parsing.parse_ring("n=3 invert={1,}")
+
     def test_variable_limit(self):
         limit = parsing.MAX_VARIABLES
         assert parsing.parse_ring("n=%d" % limit).n == limit

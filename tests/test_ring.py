@@ -18,34 +18,34 @@ def ctx3_inv3():
 class TestNormalize:
     def test_unit_factor_stripped(self):
         ctx = ctx3_inv3()
-        I = ring.normalize_ideal([(2, 1, -3)], ctx)
+        I = ring.ideal(ctx, (2, 1, -3))
         assert I.generators == {(2, 1, 0)}
 
     def test_inverted_variable_collapses_generators(self):
         # y is a unit, so (xy, yz) = (x, z)
         ctx = RingContext(3, frozenset({1}))
-        I = ring.normalize_ideal([(1, 1, 0), (0, 1, 1)], ctx)
+        I = ring.ideal(ctx, (1, 1, 0), (0, 1, 1))
         assert I.generators == {(1, 0, 0), (0, 0, 1)}
 
     def test_divisibility_minimalization(self):
         ctx = RingContext(1)
-        I = ring.normalize_ideal([(1,), (2,)], ctx)
+        I = ring.ideal(ctx, (1,), (2,))
         assert I.generators == {(1,)}
 
     def test_idempotent(self):
         ctx = ctx3_inv3()
-        I = ring.normalize_ideal([(2, 1, -3), (2, 2, 0), (0, 1, 5)], ctx)
-        again = ring.normalize_ideal(I.generators, ctx)
+        I = ring.ideal(ctx, (2, 1, -3), (2, 2, 0), (0, 1, 5))
+        again = ring.ideal(ctx, *I.generators)
         assert I == again
 
     def test_rejects_malformed_generator(self):
         with pytest.raises(MalformedInputError):
-            ring.normalize_ideal([(-1, 0, 0)], ctx3_inv3())
+            ring.ideal(ctx3_inv3(), (-1, 0, 0))
 
     def test_zero_and_unit_ideals(self):
         ctx = RingContext(2)
         assert MonomialIdeal(ctx).is_zero
-        assert ring.normalize_ideal([(0, 0), (1, 2)], ctx).is_unit
+        assert ring.ideal(ctx, (0, 0), (1, 2)).is_unit
 
 
 class TestContains:
@@ -152,7 +152,7 @@ def raw_ideal(draw):
 @settings(max_examples=60, deadline=None)
 def test_contains_matches_brute_force(data):
     ctx, gens = data
-    I = ring.normalize_ideal(gens, ctx)
+    I = ring.ideal(ctx, *gens)
     stripped = [ring.strip_units(g, ctx) for g in gens]
     for m in ring.box_monomials(ctx, 3):
         raw = any(
@@ -166,15 +166,15 @@ def test_contains_matches_brute_force(data):
 @settings(max_examples=60, deadline=None)
 def test_normalize_idempotent(data):
     ctx, gens = data
-    I = ring.normalize_ideal(gens, ctx)
-    assert ring.normalize_ideal(I.generators, ctx) == I
+    I = ring.ideal(ctx, *gens)
+    assert ring.ideal(ctx, *I.generators) == I
 
 
 @given(raw_ideal())
 @settings(max_examples=60, deadline=None)
 def test_contraction_reextension_identity(data):
     ctx, gens = data
-    I = ring.normalize_ideal(gens, ctx)
+    I = ring.ideal(ctx, *gens)
     assert ring.extend_to(ring.contraction(I), ctx) == I
 
 
