@@ -1,93 +1,98 @@
-"""Interval-partition search kernel.
+"""The one depth-first search of the package, and the interval search on it.
 
-Decides whether the characteristic poset admits a partition into intervals
-[b, c] whose upper corners all touch the bound g in at least k coordinates:
+``descend`` is the lex-first DFS over the steps a caller's ``steps``
+function yields; it skips the states it knows are dead.  The interval
+search below and the prime-filtration searches of ``filtration`` run on it.
 
     find_partition(box, poset, k, budget) -> (status, intervals, nodes)
 
-box is the ``_box.Box`` of the bound g and poset the mask of the elements,
-as ``solver.CharacteristicPoset`` keeps them.  They must form an
-order-convex set (b <= a <= c with b, c in it puts a in it), as the
-monomials of I'\\J' do, so [b, c] lies in it once b and c do.  status is
-one of "found" / "infeasible" / "budget"; intervals is the partition (a list
-of (b, c) pairs in search order) when found, else None; nodes counts the
-intervals placed.  Exceeding the budget stops at nodes == budget + 1.
+decides whether poset, the characteristic poset as a mask of the cells of
+the ``_box.Box`` box, admits a partition into intervals [b, c] whose upper
+corners touch the bound g in at least k coordinates.  The elements are
+order-convex, as the monomials of I'\\J' are, so [b, c] lies in the poset
+once b and c do.  status is "found" / "infeasible" / "budget"; intervals
+is the partition, (b, c) pairs in search order, when found, else None;
+nodes counts the nodes of ``descend``, budget + 1 when the budget ran out.
 
-The search always extends from the lexicographically smallest uncovered
-element, which is forced to be the lower corner of its interval, and tries
-upper corners in lexicographic order, so the first partition found is the
-lexicographically smallest one.  At k <= min rho(a) over the elements that
-is the singletons: [b, b] is the first corner tried and always fits.  So
-``solver.max_interval_partition`` only calls this above that level, and
-answers at it without a search.
-
-Each box cell is one bit of a Python int, in the cell arithmetic of
-``_box.Box``: bit order is lex order, so the next lower corner is the
-lowest set bit of the mask of uncovered elements.  An explicit stack of
-(lower corner, option index) replaces recursion, so the depth is bounded
-only by the number of elements.
+A state is the mask of the uncovered elements.  Bit order is lex order, so
+each step covers the lowest set bit b, which is forced to be the lower
+corner of its interval, with the upper corners c in lex order: the first
+partition found is the lexicographically smallest one.  Whether a set can
+be partitioned depends only on the set and k, so skipping dead sets changes
+neither the answer nor the witness.  At k <= min rho(a) over the elements
+the partition is the singletons, as [b, b] is the first corner tried and
+always fits; ``solver.max_interval_partition`` answers there without it.
 """
 
 from itertools import product
 
 
+def descend(steps, start, end, tickets):
+    """Depth-first search for paths from the state start to the state end.
+    steps(state) yields the steps out of a state in the order to try, each
+    a tuple whose last item is the state it leads to.  A node is a step
+    taken into a state not known to be dead (with no path to end), and
+    takes an item of the iterator tickets.  Yields each path found, a list
+    of steps the search goes on to change, and None when tickets run out.
+    The open path is a stack bounded by memory, not the recursion limit;
+    each dead state is kept, so memory grows with the nodes."""
+    dead = set()
+    path = []
+    stack = [steps(start)]
+    alive = 0           # the open states stack[:alive] have a path to end
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if stack and len(stack) >= alive:
+                dead.add(path[len(stack) - 1][-1])
+            alive = min(alive, len(stack))
+        elif step[-1] not in dead:
+            if next(tickets, None) is None:
+                yield None
+                return
+            del path[len(stack) - 1:]
+            path.append(step)
+            if step[-1] == end:
+                alive = len(stack)
+                yield path
+            else:
+                stack.append(steps(step[-1]))
+
+
 def find_partition(box, poset, k, budget):
     g = box.g
-    code = box.code
+    corners = {}  # bit index of b -> (b, options of b so far, generator of the rest)
 
     def options(b):
         """(c, mask of [b, c]) for every upper corner c in the poset with
         rho(c) >= k, in lex order of c."""
         for c in product(*[range(bi, gi + 1) for bi, gi in zip(b, g)]):
-            if sum(ci == gi for ci, gi in zip(c, g)) < k or not poset >> code(c) & 1:
-                continue
-            yield c, box.interval(b, c)
+            if sum(ci == gi for ci, gi in zip(c, g)) >= k and poset >> box.code(c) & 1:
+                yield c, box.interval(b, c)
 
-    corners = {}  # bit index of b -> (b, options of b so far, generator of the rest)
-
-    def corner(free):
-        """The entry of the lowest uncovered element."""
+    def steps(free):
+        """(b, c, free minus [b, c]) for the lowest uncovered b and each of
+        its options that fits; the open states have distinct b, so each
+        list of options has at most one reader."""
         bit = (free & -free).bit_length() - 1
-        entry = corners.get(bit)
-        if entry is None:
+        if bit not in corners:
             b = box.cell(bit)
-            entry = corners[bit] = (b, [], options(b))
-        return entry
+            corners[bit] = (b, [], options(b))
+        b, opts, more = corners[bit]
+        for c, mask in opts:
+            if mask & free == mask:
+                yield b, c, free ^ mask
+        for c, mask in more:
+            opts.append((c, mask))
+            if mask & free == mask:
+                yield b, c, free ^ mask
 
-    free = poset
-    if not free:
+    if not poset:
         return "found", [], 0
-    stack = []  # (corner entry, index of the option placed there)
-    nodes = 0
-    entry, i = corner(free), 0
-    while True:
-        _, opts, more = entry
-        # advance i to the first option that fits into the uncovered cells
-        while True:
-            count = len(opts)
-            while i < count:
-                mask = opts[i][1]
-                if mask & free == mask:
-                    break
-                i += 1
-            if i < count:
-                break
-            option = next(more, None)  # the list ran out: draw one more option
-            if option is None:
-                break
-            opts.append(option)
-        if i == len(opts):
-            if not stack:
-                return "infeasible", None, nodes
-            entry, i = stack.pop()  # undo the last interval, try its next option
-            free |= entry[1][i][1]
-            i += 1
-            continue
-        nodes += 1
-        if nodes > budget:
-            return "budget", None, nodes
-        free ^= mask
-        stack.append((entry, i))
-        if not free:
-            return "found", [(b, placed[j][0]) for (b, placed, _), j in stack], nodes
-        entry, i = corner(free), 0
+    tickets = iter(range(budget))
+    path = next(descend(steps, poset, 0, tickets), False)
+    if path is None:
+        return "budget", None, budget + 1
+    nodes = next(tickets, budget)    # the first ticket not taken
+    return ("found", [step[:2] for step in path], nodes) if path else ("infeasible", None, nodes)

@@ -26,19 +26,21 @@ up-set of the box.  For a candidate u:
   the top corner of the face, u + sum over i not in P of (g_i - u_i) e_i:
   the colon test is one more bit test.
 
-The enumeration and fdepth walk one depth-first search, ``_descend``,
-over the steps of ``_prime_steps``, with the open chain on an explicit
-stack: a chain's length is bounded by memory, not the recursion limit.
-fdepth decides one target at a time, from the lesser of
-``last_step_bound`` and the sdepth search's ``maximal_element_bound``
-down, as the sdepth search does.  Only the chains returned are built as
-MonomialIdeals; ``verify_filtration`` checks each step with ``ring.colon``,
-independently of the masks.  Beyond the poset, a search keeps a mask of
-the box per step of its open chain and per dead ideal: O(cells) bits a node.
+The enumeration and fdepth walk the steps of ``_prime_steps`` with
+``_intervals.descend``, the one depth-first search, which the interval
+search also runs on: a node is a step taken into an ideal not known to be
+dead, and the open chain is a stack bounded by memory, not the recursion
+limit.  fdepth decides one target at a time, from the lesser of
+``last_step_bound`` and ``solver.maximal_element_bound`` down, as the
+sdepth search does.  Only the chains returned are built as MonomialIdeals;
+``verify_filtration`` checks each step with ``ring.colon``, independently
+of the masks.  Beyond the poset, a search keeps a mask of the box per step
+of its open chain and per dead ideal: O(cells) bits a node.
 """
 
 from dataclasses import dataclass
 from . import ring, solver
+from ._intervals import descend
 from .errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -175,58 +177,23 @@ def _filtration(ctx, start, path):
     return PrimeFiltration(ctx, tuple(chain), steps)
 
 
-def _descend(steps, start, end, most, tickets):
-    """Depth-first search, in the lex order of ``_prime_steps``, for
-    chains from the mask start to the mask end of steps with at most
-    `most` primes; each step taken is a node and takes an item of the
-    iterator tickets.  Only steps taken are counted: the scan of the
-    candidates at each ideal and the steps skipped into dead ideals cost
-    no ticket, so the budget bounds the nodes, not the time.  Yields each
-    chain found, as a list of (u, primes, next mask) the search goes on
-    to change, and None when tickets run out.  An ideal with no chain to
-    end below it is dead and not entered again.  With most = n none is:
-    each L, J' <= L < I', has the step of a box-maximal u of I' outside
-    L, primes {i : u_i < g_i}, top corner u."""
-    dead = set()
-    path = []
-    stack = [steps(start, most)]
-    alive = 0           # the open ideals stack[:alive] have a chain to end
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if stack and len(stack) >= alive:
-                dead.add(path[len(stack) - 1][2])
-            alive = min(alive, len(stack))
-        elif step[2] not in dead:
-            if next(tickets, None) is None:
-                yield None
-                return
-            del path[len(stack) - 1:]
-            path.append(step)
-            if step[2] == end:
-                alive = len(stack)
-                yield path
-            else:
-                stack.append(steps(step[2], most))
-
-
 def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
     """All prime filtrations of I'/J' whose witnesses stay below the
-    characteristic bound, found by depth-first search.
+    characteristic bound, found by ``_intervals.descend`` over the steps
+    with any number of primes.  No ideal is dead then: each L, J' <= L <
+    I', has the step of a box-maximal u of I' outside L, primes
+    {i : u_i < g_i}, top corner u.
 
     Returns (filtrations, complete); complete is False when the node
     budget ran out and the list is only partial.
     """
     ctx = Ip.context
-    if ctx.inverted:
-        raise ContextMismatchError("enumeration expects a polynomial ring")
-    ring.require_subquotient(Ip, Jp)
-    if Ip == Jp:
+    poset = solver.build_characteristic_poset(Ip, Jp)   # checks the ring and J' <= I'
+    if not poset.mask:
         raise ZeroModuleError("zero module has no prime filtration")
-    start, end, steps = _prime_steps(solver.build_characteristic_poset(Ip, Jp), Jp)
+    start, end, steps = _prime_steps(poset, Jp)
     found = []
-    for path in _descend(steps, start, end, ctx.n, iter(range(budget))):
+    for path in descend(lambda L: steps(L, ctx.n), start, end, iter(range(budget))):
         if path is None:
             return found, False
         found.append(_filtration(ctx, Jp, path))
@@ -274,9 +241,9 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
     The lex-first chain gives a lower bound v0; then each target t from
     the upper bound down to v0 + 1 is tried, and the first chain found,
     the lex-first one with every step >= t, is the witness.  The targets
-    share the node budget, which counts the steps taken (see
-    ``_descend``); when it runs out, the best chain found is returned
-    with complete=False.
+    share the node budget, one node per step taken into an ideal not known
+    to be dead (see ``_intervals.descend``); when it runs out, the best
+    chain found is returned with complete=False.
 
     The upper bound is the lesser of ``last_step_bound`` and
     ``solver.maximal_element_bound``, the least rho(c) over the maximal
@@ -293,7 +260,7 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
 
     def search(t):
         """The first chain with steps >= t; None out of budget, False if none."""
-        return next(_descend(steps, start, end, ctx.n - t, tickets), False)
+        return next(descend(lambda L: steps(L, ctx.n - t), start, end, tickets), False)
 
     path = search(0)
     if not path:

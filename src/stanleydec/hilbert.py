@@ -95,32 +95,44 @@ ZERO_SERIES = HilbertSeries((), 0)
 
 def _vectors_of_abs_degree(ctx, d):
     """All exponent vectors of total absolute degree d, nonnegative off the
-    inverted coordinates."""
-    def rec(i, remaining):
-        if i == ctx.n:
-            if remaining == 0:
-                yield ()
-            return
-        for v in range(remaining + 1):
-            signs = (v, -v) if (v > 0 and i in ctx.inverted) else (v,)
-            for s in signs:
-                for rest in rec(i + 1, remaining - v):
-                    yield (s,) + rest
-    return rec(0, d)
+    inverted coordinates, each as the tuple of its (index, exponent) pairs
+    with a nonzero exponent, by index.  An explicit stack holds the vectors
+    begun, so no n is too large for the recursion limit."""
+    stack = [(0, d, ())]
+    while stack:
+        i, remaining, entries = stack.pop()
+        if not remaining:
+            yield entries
+            continue
+        for j in range(i, ctx.n):
+            for v in range(1, remaining + 1):
+                for s in (v, -v) if j in ctx.inverted else (v,):
+                    stack.append((j + 1, remaining - v, entries + ((j, s),)))
 
 
 def hilbert_count(I, J, d):
     """Number of monomials of I\\J of total absolute degree d, by direct
     enumeration.  This is the independent oracle for the series machinery
-    and deliberately shares none of its code."""
+    and deliberately shares none of its code.  A generator, zero on the
+    inverted coordinates, divides x^a when it is <= a on its support."""
     if d < 0:
         raise MalformedInputError("degree must be nonnegative")
     ring.require_subquotient(I, J)
-    n = 0
-    for a in _vectors_of_abs_degree(I.context, d):
-        if ring.contains(I, a) and not ring.contains(J, a):
-            n += 1
-    return n
+
+    gens_I, gens_J = ([[(i, e) for i, e in enumerate(g) if e] for g in K.generators]
+                      for K in (I, J))
+
+    def divided(gens, a):
+        for g in gens:
+            for i, e in g:
+                if a.get(i, 0) < e:
+                    break
+            else:
+                return True
+        return False
+
+    vectors = map(dict, _vectors_of_abs_degree(I.context, d))
+    return sum(1 for a in vectors if divided(gens_I, a) and not divided(gens_J, a))
 
 
 def _t_power(k):

@@ -29,10 +29,10 @@ class RingContext:
         if self.n < 0:
             raise MalformedInputError("variable count must be nonnegative")
         object.__setattr__(self, "inverted", frozenset(self.inverted))
-        for j in self.inverted:
+        for j in sorted(self.inverted):
             if not (0 <= j < self.n):
                 raise MalformedInputError(
-                    "inverted index %r out of range for n=%d" % (j, self.n)
+                    "inverted variable x%d out of range for n=%d" % (j + 1, self.n)
                 )
 
     @property

@@ -7,8 +7,8 @@ interval partitions correspond to Stanley decompositions; sdepth is the
 best achievable minimum corner count.  The generators vanish on every
 inverted coordinate, so g_j = 0 there: the axis has one cell, which every
 corner count includes, so each inverted variable is admissible in every
-space and adds one to sdepth.  The partition search runs in the
-iterative bitmask kernel of ``_intervals``.
+space and adds one to sdepth.  The partition search runs on the masks
+of ``_intervals``, in the one depth-first search of the package.
 """
 
 from dataclasses import dataclass, field
@@ -100,9 +100,12 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
     partition, are those a start at k = n finds.  When none is feasible
     the answer is low with the singletons in lex order, found without a
     search: at any k <= low the search places each lowest uncovered b as
-    [b, b], its first upper corner in lex order, which always fits.  The
-    node budget is shared across the targets above low, and exhausting it
-    raises rather than returning a possibly wrong value.
+    [b, b], its first upper corner in lex order, which always fits.  Each
+    target is one ``_intervals.find_partition`` on ``_intervals.descend``,
+    the DFS the fdepth search also runs on, which skips the uncovered sets
+    it knows are dead: a node is an interval placed into a set not known to
+    be dead.  The node budget is shared across the targets above low, and
+    exhausting it raises rather than returning a possibly wrong value.
     """
     if not poset.elements:
         raise ZeroModuleError("empty poset: the quotient is the zero module")

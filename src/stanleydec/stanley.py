@@ -277,16 +277,13 @@ def localize_decomposition(D, I, J, A):
     if ctx.inverted:
         raise ContextMismatchError("input decomposition must be over the polynomial ring")
     A = frozenset(A)
-    for j in A:
-        if not 0 <= j < ctx.n:
-            raise MalformedInputError("localized index out of range")
+    new_ctx = RingContext(ctx.n, A)     # checks A before the verifier runs
     report = verify_decomposition(D, I, J)
     if not report:
         raise VerificationError(
             "input is not a decomposition of I/J (%s at %r)"
             % (report.failure, report.witness)
         )
-    new_ctx = RingContext(ctx.n, A)
     If = ring.extend_to(I, new_ctx)
     Jf = ring.extend_to(J, new_ctx)
     dropped = tuple(idx for idx, s in enumerate(D.spaces) if not A <= s.zplus)

@@ -1,14 +1,18 @@
-"""Recursive reference kernel for the interval-partition search.
+"""Recursive reference kernels for the interval-partition search.
 
 The plain backtracking search that ``stanleydec._intervals`` replaced, kept
-as the oracle of the kernel parity test.  It follows the same contract,
+as an oracle of the kernel parity tests.  It follows the same contract,
 
     find_partition(elements, g, k, budget) -> (status, intervals, nodes)
 
 and the same search order: extend from the lexicographically smallest
-uncovered element and try upper corners in lexicographic order, so both
-return the lexicographically smallest partition and the same node count.
-It recurses once per interval, so it is only fit for small posets.
+uncovered element and try upper corners in lexicographic order, so it
+returns the lexicographically smallest partition.  With dead=True it also
+keeps its own memo of the uncovered sets that failed at this k: a set
+already known dead is skipped before it costs a node, and a set is
+recorded after its recursion fails.  That is the node count of the kernel;
+without the memo the count can only be larger.  It recurses once per
+interval, so it is only fit for small posets.
 """
 
 from itertools import product
@@ -24,7 +28,7 @@ def _corners_at_least(g, k):
     return out
 
 
-def find_partition(elements, g, k, budget):
+def find_partition(elements, g, k, budget, dead=False):
     n = len(g)
     elements = sorted(elements)
     index = {e: i for i, e in enumerate(elements)}
@@ -33,9 +37,13 @@ def find_partition(elements, g, k, budget):
     corners = _corners_at_least(g, k)
     intervals = []
     state = {"nodes": 0, "budget": budget}
+    failed = set()      # the uncovered sets known dead, as frozensets of indices
 
     def interval_cells(b, c):
         return product(*[range(b[i], c[i] + 1) for i in range(n)])
+
+    def uncovered():
+        return frozenset(j for j in range(m) if not covered[j])
 
     def search(scan_from):
         # advance to the lex-smallest uncovered element
@@ -58,16 +66,19 @@ def find_partition(elements, g, k, budget):
                 cells.append(j)
             if not ok:
                 continue
-            state["nodes"] += 1
-            if state["nodes"] > state["budget"]:
-                return "budget"
             for j in cells:
                 covered[j] = True
-            intervals.append((b, c))
-            verdict = search(pos + 1)
-            if verdict != "infeasible":
-                return verdict
-            intervals.pop()
+            rest = uncovered()
+            if not (dead and rest in failed):
+                state["nodes"] += 1
+                if state["nodes"] > state["budget"]:
+                    return "budget"
+                intervals.append((b, c))
+                verdict = search(pos + 1)
+                if verdict != "infeasible":
+                    return verdict
+                intervals.pop()
+                failed.add(rest)
             for j in cells:
                 covered[j] = False
         return "infeasible"

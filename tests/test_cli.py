@@ -195,6 +195,20 @@ class TestExitCodes:
         code, out = run([command, "--ring", "n=2", "--I", "(x)", "--J", "(x)"])
         assert (code, out) == (2, "error: %s\n" % message)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sdepth", "--ring", "n=3 invert={4}", "--I", "(x)"],
+         "inverted variable x4 out of range for n=3"),
+        (["sdepth", "--ring", "n=3 invert={0}", "--I", "(x)"],
+         "inverted variable x0 out of range for n=3"),
+        (TestLocalize.ARGS[:-1] + ["{4}"], "inverted variable x4 out of range for n=3"),
+        (TestLocalize.ARGS[:-1] + ["{0, 2}"], "inverted variable x0 out of range for n=3"),
+    ], ids=["inverted-above-n", "inverted-zero", "localized-above-n", "localized-zero"])
+    def test_index_out_of_range_is_named_as_written(self, argv, message):
+        """Indices are 1-based in every external format, error messages too:
+        the index i names the variable xi."""
+        code, out = run(argv)
+        assert (code, out) == (2, "error: %s\n" % message)
+
     def test_budget_exhausted(self):
         """(x, y, z) has low = min rho(a) = 1 below its bound 2, so the
         search at k = 2 spends the budget."""

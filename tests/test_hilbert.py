@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -52,7 +53,34 @@ class TestSeriesCanonicalForm:
         assert (s.numerator, s.pole) == ((1,), 2)
 
 
+def dense(entries, n):
+    """The exponent vector of the (index, exponent) pairs entries."""
+    a = [0] * n
+    for i, e in entries:
+        a[i] = e
+    return tuple(a)
+
+
 class TestHilbertCount:
+    def test_enumeration_is_every_vector_once(self):
+        for n in range(4):
+            for A in (frozenset(), frozenset(range(0, n, 2)), frozenset(range(n))):
+                ctx = RingContext(n, A)
+                for d in range(5):
+                    got = [dense(a, n) for a in hilbert._vectors_of_abs_degree(ctx, d)]
+                    want = [a for a in product(range(-d, d + 1), repeat=n)
+                            if sum(map(abs, a)) == d
+                            and all(e >= 0 for i, e in enumerate(a) if i not in A)]
+                    assert sorted(got) == want, (n, A, d)
+
+    @pytest.mark.parametrize("d, count", [(1, 2000), (2, 2001000)])
+    def test_many_variables(self, d, count):
+        """The enumeration keeps no frame per variable: 2000 variables are
+        more than the recursion limit."""
+        ctx = RingContext(2000)
+        S = ring.ideal(ctx, (0,) * 2000)
+        assert hilbert.hilbert_count(S, MonomialIdeal(ctx), d) == count
+
     def test_one_laurent_variable(self):
         ctx = RingContext(1, frozenset({0}))
         I = ring.ideal(ctx, (0,))
@@ -136,7 +164,7 @@ class TestSeriesOfSpace:
                 direct = sum(
                     1
                     for a in hilbert._vectors_of_abs_degree(ctx, d)
-                    if stanley.space_contains(s, a)
+                    if stanley.space_contains(s, dense(a, n))
                 )
                 assert coeffs[d] == direct, (s, d)
 

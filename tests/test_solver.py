@@ -210,9 +210,10 @@ class TestPartitionSearch:
             solver.max_interval_partition(poset, budget=2)
 
     def test_kernel_matches_reference(self):
-        """Same status, witness and node count as the recursive oracle on
-        random quotients with n = 1..5 and every k, also with budgets just
-        below and at the node count."""
+        """Same status, witness and node count as the recursive oracle with
+        its own memo of dead uncovered sets, on random quotients with
+        n = 1..5 and every k, also with budgets just below and at the node
+        count."""
         rng = random.Random(5)
         checked = 0
         while checked < 300:
@@ -224,17 +225,40 @@ class TestPartitionSearch:
             for k in range(n, -1, -1):
                 args = (list(poset.elements), poset.bound, k)
                 mask_args = (poset.box, poset.mask, k)
-                expected = reference_intervals.find_partition(*args, 10**6)
+                expected = reference_intervals.find_partition(*args, 10**6, dead=True)
                 assert _intervals.find_partition(*mask_args, 10**6) == expected
                 nodes = expected[2]
                 for budget in (nodes - 1, nodes):
                     if budget < 0:
                         continue
-                    want = reference_intervals.find_partition(*args, budget)
+                    want = reference_intervals.find_partition(*args, budget, dead=True)
                     assert _intervals.find_partition(*mask_args, budget) == want
                     if budget < nodes:
                         assert want == ("budget", None, budget + 1)
             checked += 1
+
+    def test_dead_sets_only_save_nodes(self):
+        """Against the oracle without the memo: the same status and witness,
+        and never more nodes, on random quotients with n = 1..5 and every k;
+        some cases take fewer."""
+        rng = random.Random(5)
+        checked = fewer = 0
+        while checked < 300:
+            n = checked % 5 + 1
+            ctx, I, J = polynomial_quotient(rng, n=n, max_exp=3 if n <= 3 else 2)
+            poset = solver.build_characteristic_poset(I, J)
+            if len(poset.elements) > 80:
+                continue
+            for k in range(n, -1, -1):
+                status, intervals, nodes = _intervals.find_partition(
+                    poset.box, poset.mask, k, 10**6)
+                plain = reference_intervals.find_partition(
+                    list(poset.elements), poset.bound, k, 10**6)
+                assert (status, intervals) == plain[:2]
+                assert nodes <= plain[2]
+                fewer += nodes < plain[2]
+            checked += 1
+        assert fewer
 
 
 def parsed_poset(n, I, J="(0)"):
@@ -308,15 +332,30 @@ class TestBound:
 
     def test_budget_error_says_where_the_nodes_went(self):
         """(x, y, z)/(y^2 z^2) has both bounds 2 and sdepth 1: k = 2 takes
-        21 nodes to refute, and the budget runs out at k = 1."""
+        10 nodes to refute, and the budget runs out at k = 1, which needs 12."""
         poset = parsed_poset(3, "(x, y, z)", "(y^2*z^2)")
         with pytest.raises(BudgetExceededError) as info:
-            solver.max_interval_partition(poset, budget=25)
-        assert info.value.nodes == 26
-        assert info.value.nodes_by_target == {2: 21, 1: 5}
+            solver.max_interval_partition(poset, budget=15)
+        assert info.value.nodes == 16
+        assert info.value.nodes_by_target == {2: 10, 1: 6}
         assert str(info.value) == (
-            "interval search budget exceeded after 26 nodes, from k = 2 set by "
+            "interval search budget exceeded after 16 nodes, from k = 2 set by "
             "the maximal elements and the Hilbert depth")
+
+    @pytest.mark.parametrize("I, J", [
+        ("(x4^2*x5^2, x2*x3^2*x4*x5, x1^2*x3*x4)", "(x1*x2^2*x3^3*x4^3*x5^3)"),
+        ("(x3*x4^2, x2^2*x3^2*x4*x5^2, x1^2*x3^2*x5)", "(x1*x2^3*x3^3*x4^3*x5^3)"),
+        ("(x2^2*x3^2*x4*x5, x1*x5^2, x1^2*x3*x4*x5)", "(x1^4*x2^2*x3^3*x4^3*x5)"),
+    ])
+    def test_loose_instances_answer_within_budget(self, I, J):
+        """Three quotients whose bound exceeds sdepth 3 by one: without the
+        skip of dead uncovered sets, refuting k = 4 takes more than 20,000
+        nodes."""
+        ctx = parsing.parse_ring("n=5")
+        I, J = parsing.parse_ideal(I, ctx), parsing.parse_ideal(J, ctx)
+        res = solver.sdepth(I, J, budget=20000)
+        assert res.value == 3
+        assert stanley.verify_decomposition(res.witness, I, J)
 
     def test_budget_error_counts_the_inverted_axes(self):
         """k is in the units of the answer: (x1, x3, x4, x5, x6) with x2
