@@ -6,10 +6,10 @@ row_i = sum_{t<=g_i} 2^(t*stride_i) is the mask of the cells on axis i,
 and row_i >> ((g_i - L) * stride_i) the mask of the cells 0, 1, ..., L
 steps up along it, so the cells of the interval [b, c] form the mask
 bit(b) times the product of these over the axes, with L = c_i - b_i.  A
-Box keeps only the strides and the rows, at most one box of bits per axis
-with g_i > 0, and builds every other mask when it is asked for.  The
-characteristic poset is one such mask, and the interval search kernel
-and the prime-filtration search both work on it.
+Box keeps only the strides, the rows and the top slabs, at most two boxes
+of bits per axis with g_i > 0, and builds every other mask when asked.
+The characteristic poset is one such mask, and the interval search
+kernel and the prime-filtration search both work on it.
 """
 
 
@@ -24,6 +24,9 @@ class Box:
         self.nbytes = cells // 8 + 1     # the bytes that hold a mask
         self.rows = [self._bits(range(0, (gi + 1) * s, s)) if gi else 1
                      for s, gi in zip(strides, g)]
+        # per axis with g_i > 0: its stride and the mask of its top slab, a_i = g_i
+        self.slabs = [(s, self.interval([gi * (j == i) for j in range(n)], g))
+                      for i, (s, gi) in enumerate(zip(strides, g)) if gi]
 
     def _bits(self, codes):
         """The mask with the bits at the indices codes set, built in one
@@ -39,7 +42,7 @@ class Box:
 
     def cell(self, bit):
         """The cell whose bit index is bit."""
-        return tuple(bit // s % (gi + 1) for s, gi in zip(self.strides, self.g))
+        return tuple([bit // s % (gi + 1) for s, gi in zip(self.strides, self.g)])
 
     def codes(self, mask):
         """The set bits of mask, ascending, read by bytes: popping bits is quadratic."""
@@ -60,6 +63,25 @@ class Box:
     def up(self, a):
         """The mask of the cells >= a: the ideal x^a generates, clamped."""
         return self.interval(a, self.g)
+
+    def maximal(self, mask):
+        """The maximal cells of an order-convex mask: those c with no c + e_i,
+        c_i < g_i, in it.  One shift per axis, ignored on its top slab."""
+        top = mask
+        for s, slab in self.slabs:
+            top &= ~(mask >> s) | slab
+        return top
+
+    def face(self, bit):
+        """(strides of the axes with c_i < g_i, mask of the cells equal to c there), c at bit."""
+        face, strides = 1, []
+        for s, row, gi in zip(self.strides, self.rows, self.g):
+            if bit // s % (gi + 1) < gi:
+                strides.append(s)
+            else:
+                face *= row
+                bit -= gi * s       # now c_i = 0: bit ends at the low corner
+        return strides, face << bit
 
     def ideal(self, generators):
         """The mask of the ideal the generators, all <= g, generate."""

@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import filtration, hilbert, parsing, solver, stanley
-from .errors import BudgetExceededError, StanleyError
+from .errors import AnswerTooLargeError, BudgetExceededError, StanleyError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -77,6 +77,12 @@ def _cmd_hilbert(opts):
     series = hilbert.series_of_quotient(I, J)
     dmax = opts.get("max_degree", DEFAULT_MAX_DEGREE)
     coeffs = hilbert.expand(series, dmax)
+    try:
+        str(max(coeffs))    # int to str has a digit limit, which parsing relies on
+    except ValueError:
+        raise AnswerTooLargeError(
+            "a coefficient has more than %d digits, the limit for printing an integer"
+            % sys.get_int_max_str_digits()) from None
     maximal = hilbert.count_maximal_spaces(series)
     return {
         "series": parsing.series_to_json(series),
@@ -110,7 +116,7 @@ def _cmd_verify(opts):
 
 def _cmd_fdepth(opts):
     ctx, I, J = _parse_pair(opts)
-    res = filtration.fdepth(I, J, budget=opts.get("budget", filtration.DEFAULT_BUDGET))
+    res = filtration.fdepth(I, J, budget=opts.get("budget", solver.DEFAULT_BUDGET))
     qualifier = "" if res.complete else " (lower bound: search truncated)"
     return {
         "fdepth": res.value,
@@ -214,22 +220,23 @@ def _batch(args, stdin, stdout):
         try:
             command, opts = _batch_request(line)
         except ValueError as exc:
-            report, code = {"error": "bad request: %s" % exc}, EXIT_MATH
+            code = EXIT_MATH
+            answer = _json_line({"error": "bad request: %s" % exc}, code)
         else:
             try:
                 report, code = run_request(command, opts)
+                answer = _json_line(report, code)
             except Exception as exc:
                 # the stream must outlive any one line; imported here to
                 # keep traceback off the start-up path of every run
                 import traceback
 
                 traceback.print_exc()
-                report = {
-                    "error": "internal error: %s: %s" % (type(exc).__name__, exc)
-                }
                 code = EXIT_INTERNAL
+                answer = _json_line(
+                    {"error": "internal error: %s: %s" % (type(exc).__name__, exc)}, code)
                 internal = True
-        stdout.write(_json_line(report, code))
+        stdout.write(answer)
         worst = max(worst, code)
     return EXIT_INTERNAL if internal else worst
 

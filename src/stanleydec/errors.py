@@ -29,6 +29,10 @@ class BoxTooLargeError(StanleyError, ValueError):
     """The box of exponents a search would walk has too many cells."""
 
 
+class AnswerTooLargeError(StanleyError, ValueError):
+    """The answer would be too large to build or to print."""
+
+
 class BudgetExceededError(StanleyError, RuntimeError):
     """The search node budget ran out before an exact answer was certified;
     nodes_by_target maps each target tried to the nodes spent on it."""

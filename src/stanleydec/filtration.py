@@ -3,39 +3,16 @@
 A prime filtration refines I/J into a chain of monomial ideals whose
 successive quotients are shifted copies of S modulo a variable-generated
 prime; fdepth is the best achievable minimum codimension over such chains.
-The enumeration is restricted to witnesses below the characteristic-poset
-bound, which is a deliberate desk-scale limitation: a value obtained from
-an exhausted budget or a truncated candidate box is reported as a lower
-bound, never silently as exact.
+Witnesses stay below the characteristic-poset bound, and a value from an
+exhausted budget is reported as a lower bound, never silently as exact.
 
-The searches run on the ideals L with J' <= L <= I' as masks of the clamp
-box [0, g], g the bound of the characteristic poset, in the cell
-arithmetic of ``_box.Box``: bit a of the mask is set when x^a is in L.
-Every generator of such an L is <= g, so the mask determines L, x^a is
-in L exactly when its clamp min(a, g) is, and the set bits form an
-up-set of the box.  For a candidate u:
-
-- u in L is one bit test, and L + (u) is L | up(u), up(u) the mask of
-  the cells >= u;
-- x_i is in (L : u) exactly when u_i < g_i and u + e_i is in L; call the
-  set of these i P;
-- (L : u) is the prime generated by the x_i, i in P, exactly when no
-  monomial x^v with v_i = 0 on P has u + v in L.  Clamped, the points
-  u + v fill the face of the box with a_i = u_i on P and u_i <= a_i <= g_i
-  elsewhere.  L is an up-set, so it meets the face exactly when it holds
-  the top corner of the face, u + sum over i not in P of (g_i - u_i) e_i:
-  the colon test is one more bit test.
-
-The enumeration and fdepth walk the steps of ``_prime_steps`` with
-``_intervals.descend``, the one depth-first search, which the interval
-search also runs on: a node is a step taken into an ideal not known to be
-dead, and the open chain is a stack bounded by memory, not the recursion
-limit.  fdepth decides one target at a time, from the lesser of
-``last_step_bound`` and ``solver.maximal_element_bound`` down, as the
-sdepth search does.  Only the chains returned are built as MonomialIdeals;
-``verify_filtration`` checks each step with ``ring.colon``, independently
-of the masks.  Beyond the poset, a search keeps a mask of the box per step
-of its open chain and per dead ideal: O(cells) bits a node.
+The searches run on the ideals L, J' <= L <= I', as masks of the clamp box
+[0, g] of the characteristic poset (``_box.Box``): every generator of L is
+<= g, so x^a is in L exactly when its clamp min(a, g) is, and the mask is
+an up-set.  ``_prime_steps`` reads the prime steps off the corners of I'
+minus L; the enumeration and fdepth walk them with ``_intervals.descend``,
+the DFS of the interval search.  Only the chains returned are built as
+ideals, and ``verify_filtration`` checks each step with ``ring.colon``.
 """
 
 from dataclasses import dataclass
@@ -47,8 +24,7 @@ from .errors import (
     ZeroModuleError,
 )
 from .ring import RingContext
-
-DEFAULT_BUDGET = 10**6
+from .solver import DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -129,40 +105,56 @@ def fdepth_of(F):
 
 
 def _prime_steps(poset, Jp):
-    """The ideals between J' and I' as masks of the clamp box of the
-    characteristic poset of I'/J', and the prime steps between them.
+    """The masks of J' and I' in the clamp box of the characteristic poset
+    of I'/J', and steps(L, most), which yields (u, primes, L + (u)) for
+    each u whose colon (L : u) is the variable prime on `primes`, in lex
+    order of u, and nothing when a chain from L needs a step of more than
+    `most` primes.
 
-    Returns (start, end, steps): the masks of J' and I', and a generator
-    function; steps(L, most) yields (u, primes, L + (u)) for every
-    candidate u outside L whose colon (L : u) is the variable prime on
-    `primes`, at most `most` of them, in lex order of u.  The candidates
-    are the poset's elements, so steps stay between J' and I'.  Only the
-    mask of J' is built here; per candidate u and its bit index are stored.
+    Lemma.  Let J' <= L < I', and call the maximal cells T of the rest
+    R = I' minus L its corners, with P_T = {i : T_i < g_i}.  (a) The steps
+    out of L are the u in R that agree with a corner T on P_T and have
+    u + e_i in L there; their prime is P_T.  (b) Every chain from L puts
+    each corner T in by a step with prime P_T, of dimension rho(T).
+    Proof.  (a) x_i is in (L : u) exactly when u_i < g_i and u + e_i is in
+    L: call these i P.  The colon is the prime on P exactly when no x^v
+    with v = 0 on P has u + v in L, that is, as L is an up-set, when the
+    top T of the face of the box above u fixed on P is not in L; T_i = g_i
+    off P.  Then T is in R, P_T = P, and T is a corner: T + e_i, i in P,
+    is above u + e_i.  Conversely, if u agrees with a corner T on P_T,
+    then off P_T u + e_i <= T is not in L, so P = P_T and the top is T.
+    (b) Let the step u put T in, at L' >= L; u <= T, and T is a corner of
+    the rest of L'.  By (a) u agrees with a corner T' of it on P_T', with
+    u + e_i in L' there, so T_i = u_i on P_T', else T would be in L'.  So
+    T <= T', and T = T'.  Hence an L with a corner of more than `most`
+    primes has no chain of steps of at most `most`: skipping it changes no
+    answer and no lex-first chain.  Each L < I' has a step, a corner.
     """
-    box = poset.box
-    g = poset.bound
-    cands = [(u, box.code(u)) for u in poset.elements]
-    axes = [(i, s, gi) for i, (s, gi) in enumerate(zip(box.strides, g)) if gi]
+    box, g = poset.box, poset.bound
     start = box.ideal(Jp.generators)
     end = start | poset.mask
 
+    def listed(L, most):
+        """The steps out of L by (a), as ascending bit indices: no mask outlives the call."""
+        rest = end & ~L
+        found = 0
+        for corner in box.codes(box.maximal(rest)):
+            strides, face = box.face(corner)
+            if len(strides) > most:
+                return []
+            face &= rest
+            for s in strides:
+                face &= L >> s
+            found |= face
+        return list(box.codes(found))
+
     def steps(L, most):
-        bits = L.to_bytes(box.nbytes, "little")   # a bit test without a shift of L
-        for u, code in cands:
-            if bits[code >> 3] >> (code & 7) & 1:
-                continue
-            primes = []
-            top = code      # the top corner of the face of u fixed on primes
-            for i, s, gi in axes:
-                ui = u[i]
-                if ui < gi:
-                    grown = code + s
-                    if bits[grown >> 3] >> (grown & 7) & 1:
-                        primes.append(i)
-                    else:
-                        top += (gi - ui) * s
-            if len(primes) <= most and not bits[top >> 3] >> (top & 7) & 1:
-                yield u, frozenset(primes), L | box.up(u)
+        for code in listed(L, most):
+            u = box.cell(code)
+            # (L : u) is the prime of u's corner, on the i with u + e_i in L
+            primes = frozenset([i for i, (s, ui, gi) in enumerate(zip(box.strides, u, g))
+                                if ui < gi and L >> code + s & 1])
+            yield u, primes, L | box.up(u)
 
     return start, end, steps
 
@@ -181,8 +173,7 @@ def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
     """All prime filtrations of I'/J' whose witnesses stay below the
     characteristic bound, found by ``_intervals.descend`` over the steps
     with any number of primes.  No ideal is dead then: each L, J' <= L <
-    I', has the step of a box-maximal u of I' outside L, primes
-    {i : u_i < g_i}, top corner u.
+    I', has a step (see ``_prime_steps``).
 
     Returns (filtrations, complete); complete is False when the node
     budget ran out and the list is only partial.
@@ -239,19 +230,12 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
     variable is outside every prime and so counts in every step.  The
     witness is over that ring; ``localize_filtration`` carries it to I/J.
     The lex-first chain gives a lower bound v0; then each target t from
-    the upper bound down to v0 + 1 is tried, and the first chain found,
-    the lex-first one with every step >= t, is the witness.  The targets
-    share the node budget, one node per step taken into an ideal not known
-    to be dead (see ``_intervals.descend``); when it runs out, the best
-    chain found is returned with complete=False.
-
-    The upper bound is the lesser of ``last_step_bound`` and
-    ``solver.maximal_element_bound``, the least rho(c) over the maximal
-    elements c of the poset.  A chain puts c into some L by a step u with
-    primes P; u <= c, and c_i = u_i on P, as u + e_i is in L and c is not.
-    So c is below the top corner T of the face of u fixed on P, an element
-    as T is in I' and not in L, so T = c: the step's prime is
-    {i : c_i < g_i}, of dimension rho(c)."""
+    ``last_step_bound`` down to v0 + 1 is tried, and the first chain found,
+    the lex-first one with every step >= t, is the witness; targets above
+    the least rho of a corner of J' cost no node (see ``_prime_steps``).
+    The targets share the node budget, one node per step taken into an
+    ideal not known to be dead (see ``_intervals.descend``); when it runs
+    out, the best chain found is returned with complete=False."""
     poset = solver._poset_of(I, J, "I/J is the zero module; fdepth undefined")
     Jp = ring.contraction(J)    # the contractions have the generators of I and J
     ctx = poset.context
@@ -268,8 +252,7 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
                                   budget + 1, {0: budget + 1})
     value = min(step_dimension(ctx, primes) for _, primes, _ in path)
     complete = True
-    top = min(last_step_bound(poset, I.generators, start), solver.maximal_element_bound(poset))
-    for t in range(top, value, -1):
+    for t in range(last_step_bound(poset, I.generators, start), value, -1):
         found = search(t)
         if found is None:
             complete = False

@@ -73,17 +73,10 @@ def build_characteristic_poset(Ip, Jp):
 
 
 def maximal_element_bound(poset):
-    """The least rho(c) over the maximal elements c of a nonempty poset.
-    The interval holding c has an upper corner >= c, so c is that corner,
-    and no partition has a larger k.  c is maximal when no c + e_i with
-    c_i < g_i is an element, as the poset is order-convex: one shift of
-    the mask per axis, ignored on the cells with c_i = g_i."""
-    box, mask, g = poset.box, poset.mask, poset.bound
-    maximal = mask
-    for i, stride in enumerate(box.strides):
-        top = tuple(gj if j == i else 0 for j, gj in enumerate(g))
-        maximal &= ~(mask >> stride) | box.up(top)
-    return min(sum(map(eq, box.cell(c), g)) for c in box.codes(maximal))
+    """The least rho(c) over the maximal elements c of a nonempty poset, an
+    order-convex mask, bounds k: the interval holding c has the corner c."""
+    box = poset.box
+    return min(sum(map(eq, box.cell(c), poset.bound)) for c in box.codes(box.maximal(poset.mask)))
 
 
 def max_interval_partition(poset, budget=DEFAULT_BUDGET):

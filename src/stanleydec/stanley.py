@@ -12,6 +12,7 @@ from itertools import product
 
 from . import ring
 from .errors import (
+    AnswerTooLargeError,
     ContextMismatchError,
     MalformedInputError,
     VerificationError,
@@ -110,6 +111,11 @@ def sdepth_of(D):
     return min(s.dimension for s in D.spaces)
 
 
+# a space takes about 2 KB before it is printed, so the answers this allows
+# take gigabytes; the singletons of a box of solver.MAX_BOX_CELLS cells are as many
+MAX_SPACES = 10**6
+
+
 def _fan_out(ctx, bases, A):
     """Localize the spaces root*K[zplus] of bases, given as (root, zplus)
     pairs with A inside every zplus, at the variables in A.
@@ -118,14 +124,19 @@ def _fan_out(ctx, bases, A):
     place of x_l and the root divided by x_l for each l in L; the spaces
     come in the order of bases, then of ``product`` over sorted A.  Every
     new space keeps the dimension of the old one, which is why sdepth does
-    not drop under localization."""
+    not drop under localization.  More than MAX_SPACES spaces raise
+    AnswerTooLargeError before they are built."""
     A = sorted(A)
+    room = MAX_SPACES >> len(A)     # the most bases whose spaces fit
     subsets = [
         frozenset(a for a, b in zip(A, bits) if b)
         for bits in product((False, True), repeat=len(A))
-    ]
+    ] if room else []
     spaces = []
-    for root, zplus in bases:
+    for count, (root, zplus) in enumerate(bases):
+        if count == room:
+            raise AnswerTooLargeError(
+                "the answer would have more than %d Stanley spaces" % MAX_SPACES)
         zplus = frozenset(zplus)
         for L in subsets:
             shifted = tuple(e - 1 if i in L else e for i, e in enumerate(root))

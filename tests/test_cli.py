@@ -480,6 +480,38 @@ class TestBatch:
         assert lines[0] == {"ok": False, "error": "expansion degree exceeds the limit of 100000"}
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter converts integers of any size to text")
+    def test_unprintable_coefficient_is_refused(self, monkeypatch):
+        """A coefficient with more digits than the interpreter converts to
+        text, as at degree 10,000 of K[x1..x10000], is refused (exit 2) by
+        batch, whose stream goes on, and by the text command.  The expansion
+        is replaced by one with such a coefficient, as that one takes a
+        minute."""
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr(cli.hilbert, "expand", lambda series, d: [1, 10**limit])
+        huge = {"command": "hilbert", "ring": "n=1", "I": "(x)", "options": {"max_degree": 1}}
+        stdin = json.dumps(huge) + "\n" + json.dumps(self.VALID) + "\n"
+        code, out = run(["batch"], stdin)
+        lines = [json.loads(l) for l in out.splitlines()]
+        error = ("a coefficient has more than %d digits, the limit for printing an integer"
+                 % limit)
+        assert code == 2 and len(lines) == 2
+        assert lines[0] == {"ok": False, "error": error}
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+        assert run(["hilbert", "--ring", "n=1", "--I", "(x)"]) == (2, "error: %s\n" % error)
+
+    def test_unserializable_report_keeps_stream_alive(self, monkeypatch):
+        """Each line's JSON is built inside the guard of that line."""
+        monkeypatch.setattr(cli.hilbert, "count_maximal_spaces", lambda series: object())
+        requests = [{"command": "hilbert", "ring": "n=1", "I": "(x)"}, self.VALID]
+        stdin = "\n".join(json.dumps(r) for r in requests) + "\n"
+        code, out = run(["batch"], stdin)
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 1 and len(lines) == 2
+        assert lines[0]["error"].startswith("internal error: TypeError")
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
     @staticmethod
     def run_capped(requests):
         """The batch answers to requests, from a process whose address
@@ -527,6 +559,20 @@ class TestBatch:
         assert code == 0 and len(lines) == 2, stderr
         assert lines[0]["ok"] and lines[0]["maximal_spaces"] == 998000
         assert lines[0]["coefficients"] == [0] + [d + 1 for d in range(1, 11)]
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
+    def test_too_many_spaces_answers_in_bounded_memory(self):
+        """sdepth of the whole ring with 26 inverted variables has 2^26
+        spaces, some 200 GB: refused before they are built (exit 2), in a
+        capped process, which then answers a short request."""
+        ring = "n=26 invert={%s}" % ",".join(map(str, range(1, 27)))
+        code, lines, stderr = self.run_capped([
+            {"command": "sdepth", "ring": ring, "I": "(1)"},
+            self.VALID,
+        ])
+        assert code == 2 and len(lines) == 2, stderr
+        assert lines[0] == {"ok": False,
+                            "error": "the answer would have more than 1000000 Stanley spaces"}
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
     @pytest.mark.parametrize("bad, error", [

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from stanleydec import ring, solver, stanley
-from stanleydec.errors import VerificationError, ZeroModuleError
+from stanleydec.errors import AnswerTooLargeError, VerificationError, ZeroModuleError
 from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
@@ -106,6 +106,28 @@ class TestCanonical:
                 D, ring.ideal(ctx, (0, 0, 0)), MonomialIdeal(ctx)
             ).valid
             assert stanley.sdepth_of(D) == 3
+
+
+class TestSpaceLimit:
+    def test_fan_out_stops_at_the_limit(self, monkeypatch):
+        """sdepth, localize and the canonical decomposition may build
+        MAX_SPACES spaces and no more: a fan-out of 2^|A| spaces per base
+        is counted before it is built."""
+        whole = RingContext(2, frozenset({0, 1}))
+        ctx = RingContext(3)
+        m = ring.ideal(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        D = solver.sdepth(m, MonomialIdeal(ctx)).witness     # 3 of 4 spaces survive {0}
+        answers = [
+            lambda: stanley.canonical_sf_decomposition(whole),
+            lambda: solver.sdepth(ring.ideal(whole, (0, 0)), MonomialIdeal(whole)).witness,
+            lambda: stanley.localize_decomposition(D, m, MonomialIdeal(ctx), {0}).decomposition,
+        ]
+        for answer, spaces in zip(answers, (4, 4, 6)):
+            monkeypatch.setattr(stanley, "MAX_SPACES", spaces)
+            assert len(answer().spaces) == spaces
+            monkeypatch.setattr(stanley, "MAX_SPACES", spaces - 1)
+            with pytest.raises(AnswerTooLargeError, match="more than %d Stanley" % (spaces - 1)):
+                answer()
 
 
 class TestVerify:
