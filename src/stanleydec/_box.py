@@ -12,6 +12,16 @@ The characteristic poset is one such mask, and the interval search
 kernel and the prime-filtration search both work on it.
 """
 
+# codes skips each run of this many zero bytes in one step and reads the
+# bytes between them one by one: a shorter gap makes more pieces, each
+# with its own loop, and a longer one reads more zero bytes one by one
+_GAP = bytes(32)
+# entry v: the set bits of the byte v, ascending; doubled once per bit
+_BYTE_BITS = [()]
+for _b in range(8):
+    _BYTE_BITS += [bits + (_b,) for bits in _BYTE_BITS]
+del _b
+
 
 class Box:
     def __init__(self, g):
@@ -45,12 +55,17 @@ class Box:
         return tuple([bit // s % (gi + 1) for s, gi in zip(self.strides, self.g)])
 
     def codes(self, mask):
-        """The set bits of mask, ascending, read by bytes: popping bits is quadratic."""
-        for i, byte in enumerate(mask.to_bytes(self.nbytes, "little")):
-            while byte:
-                low = byte & -byte
-                yield i << 3 | low.bit_length() - 1
-                byte ^= low
+        """The set bits of mask, ascending.  Popping bits off the int is
+        quadratic, so the mask is read as bytes: split at each run of _GAP
+        zero bytes, one step per run, with each byte's bits from a table."""
+        pos = 0
+        for piece in mask.to_bytes(self.nbytes, "little").split(_GAP):
+            for i, byte in enumerate(piece, pos):
+                if byte:
+                    i <<= 3
+                    for b in _BYTE_BITS[byte]:
+                        yield i | b
+            pos += len(piece) + len(_GAP)
 
     def interval(self, b, c):
         """The mask of the cells of [b, c], for b <= c <= g."""

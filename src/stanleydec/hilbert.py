@@ -35,6 +35,8 @@ def _poly_add(a, b):
 
 def _poly_mul_one_minus_t(p, times):
     """Multiply by (1-t)^times."""
+    if not p:
+        return ()     # padding the zero numerator one factor at a time is quadratic
     out = list(p)
     for _ in range(times):
         nxt = [0] * (len(out) + 1)

@@ -9,6 +9,7 @@ variable or var^-1; decompositions are '+'-joined spaces.  Variable
 indices are 1-based in all external formats and 0-based internally.
 """
 
+import functools
 import re
 
 from .errors import ParseError
@@ -35,17 +36,17 @@ def var_name(i, ctx):
     return "x%d" % (i + 1)
 
 
-def _var_index(name, ctx):
+def _var_index(name, n):
     m = _INDEXED_VAR.fullmatch(name)
     if m:
         try:
             i = int(m.group(1)) - 1
         except ValueError:      # more digits than int() converts
             i = -1
-        if 0 <= i < ctx.n:
+        if 0 <= i < n:
             return i
-        raise ParseError("variable %s out of range for n=%d" % (name, ctx.n))
-    if ctx.n <= 4 and name in _ALIASES[: ctx.n]:
+        raise ParseError("variable %s out of range for n=%d" % (name, n))
+    if n <= 4 and name in _ALIASES[:n]:
         return _ALIASES.index(name)
     raise ParseError("unknown variable %r" % name)
 
@@ -95,6 +96,22 @@ def parse_index_set(text):
 MAX_EXPONENT_DIGITS = 1000
 
 
+@functools.lru_cache(maxsize=1024)
+def _factor(factor, n):
+    """(index, exponent) of one stripped factor other than '1' in a ring of
+    n variables, or the message of the ParseError that ``parse_monomial``
+    raises at the factor's column; ParseError for a variable the ring lacks.
+    A request repeats the same few factors thousands of times."""
+    m = _FACTOR.fullmatch(factor)
+    if not m:
+        return "bad monomial factor %r" % factor
+    i = _var_index(m.group(1), n)
+    exp = m.group(2) or "1"
+    if len(exp.lstrip("-0")) > MAX_EXPONENT_DIGITS:
+        return "exponent of more than %d digits" % MAX_EXPONENT_DIGITS
+    return i, int(exp)
+
+
 def parse_monomial(text, ctx):
     exps = [0] * ctx.n
     pos = 0
@@ -104,16 +121,11 @@ def parse_monomial(text, ctx):
         factor = factor.strip()
         if factor == "1":
             continue
-        m = _FACTOR.fullmatch(factor)
-        if not m:
-            raise ParseError("bad monomial factor %r" % factor, col)
-        i = _var_index(m.group(1), ctx)
-        exp = m.group(2) or "1"
-        if len(exp.lstrip("-0")) > MAX_EXPONENT_DIGITS:
-            raise ParseError(
-                "exponent of more than %d digits" % MAX_EXPONENT_DIGITS, col
-            )
-        exps[i] += int(exp)
+        parsed = _factor(factor, ctx.n)
+        if isinstance(parsed, str):
+            raise ParseError(parsed, col)
+        i, exp = parsed
+        exps[i] += exp
     return tuple(exps)
 
 
@@ -164,7 +176,7 @@ def parse_space(text, ctx):
             g = _ADMISSIBLE.fullmatch(entry)
             if not g:
                 raise ParseError("bad admissible variable %r" % entry)
-            i = _var_index(g.group(1), ctx)
+            i = _var_index(g.group(1), ctx.n)
             (zminus if g.group(2) else zplus).add(i)
     return StanleySpace(ctx, root, frozenset(zplus), frozenset(zminus))
 
@@ -237,14 +249,6 @@ def ideal_from_json(obj, ctx):
     return MonomialIdeal(ctx, frozenset(tuple(g) for g in obj["generators"]))
 
 
-def space_to_json(s):
-    return {
-        "root": list(s.root),
-        "zplus": sorted(i + 1 for i in s.zplus),
-        "zminus": sorted(i + 1 for i in s.zminus),
-    }
-
-
 def space_from_json(obj, ctx):
     return StanleySpace(
         ctx,
@@ -255,9 +259,21 @@ def space_from_json(obj, ctx):
 
 
 def decomposition_to_json(D):
+    """The ring and, per space, its root and the sorted 1-based indices of
+    zplus and zminus.  One index list is built per distinct Z, and each
+    space gets its own copy."""
+    indices = {}
+
+    def one_based(z):
+        found = indices.get(z)
+        if found is None:
+            found = indices[z] = sorted(i + 1 for i in z)
+        return found[:]
+
     return {
         "ring": ring_to_json(D.context),
-        "spaces": [space_to_json(s) for s in D.spaces],
+        "spaces": [{"root": list(s.root), "zplus": one_based(s.zplus),
+                    "zminus": one_based(s.zminus)} for s in D.spaces],
     }
 
 

@@ -12,8 +12,8 @@ of ``_intervals``, in the one depth-first search of the package.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
-from operator import eq
+from itertools import compress, product
+from operator import attrgetter, eq
 
 from . import hilbert, ring, stanley
 from ._box import Box
@@ -25,7 +25,7 @@ from .errors import (
     ZeroModuleError,
 )
 from .ring import RingContext
-from .stanley import StanleyDecomposition, StanleySpace
+from .stanley import StanleyDecomposition
 
 DEFAULT_BUDGET = 10**6
 
@@ -130,13 +130,22 @@ def _bases(poset, partition):
     one space x^a K[Z] per root a in [b, c] with a_i = b_i on Z; when the
     upper corner is extremal in every non-Z coordinate this is the single
     space x^b K[Z].  An inverted axis has g_i = 0, so it is in every Z.
-    The pairs come in the order of the intervals, then of the roots.
+    The pairs come in the order of the intervals, then of the roots.  One
+    Z is built per corner pattern, and a singleton [b, b] yields b itself.
     """
     g = poset.bound
+    axes = range(len(g))
+    zs = {}
     for b, c in partition.intervals:
-        z = frozenset(i for i, (ci, gi) in enumerate(zip(c, g)) if ci == gi)
-        for a in product(*[range(bi, bi + 1) if ci == gi else range(bi, ci + 1)
-                           for bi, ci, gi in zip(b, c, g)]):
+        pattern = tuple(map(eq, c, g))
+        z = zs.get(pattern)
+        if z is None:
+            z = zs[pattern] = frozenset(compress(axes, pattern))
+        if b == c:
+            yield b, z
+            continue
+        for a in product(*[range(bi, bi + 1) if top else range(bi, ci + 1)
+                           for bi, ci, top in zip(b, c, pattern)]):
             yield a, z
 
 
@@ -161,7 +170,9 @@ def _embed_and_invert(poset, partition, ctx):
     ``_bases`` is fanned out over the inverted variables of ctx, with x or
     x^-1 for each, built once, straight from its interval."""
     spaces = stanley._fan_out(ctx, _bases(poset, partition), ctx.inverted)
-    spaces.sort(key=StanleySpace.key)
+    # every space holds its root and the spaces are disjoint, so no two
+    # share a root, and root order is the order of StanleySpace.key
+    spaces.sort(key=attrgetter("root"))
     return StanleyDecomposition(ctx, tuple(spaces))
 
 

@@ -8,7 +8,8 @@ explicit and what all verification works on.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, compress, product
+from operator import add, xor
 
 from . import ring
 from .errors import (
@@ -129,18 +130,26 @@ def _fan_out(ctx, bases, A):
     A = sorted(A)
     room = MAX_SPACES >> len(A)     # the most bases whose spaces fit
     subsets = [
-        frozenset(a for a, b in zip(A, bits) if b)
+        frozenset(compress(A, bits))
         for bits in product((False, True), repeat=len(A))
     ] if room else []
+    # the root of the space for L is root + shift, with -1 on L
+    shifts = [tuple(-(i in L) for i in range(ctx.n)) for L in subsets]
+    differences = {}    # zplus -> zplus - L for each L, in the order of subsets
     spaces = []
     for count, (root, zplus) in enumerate(bases):
         if count == room:
             raise AnswerTooLargeError(
                 "the answer would have more than %d Stanley spaces" % MAX_SPACES)
         zplus = frozenset(zplus)
-        for L in subsets:
-            shifted = tuple(e - 1 if i in L else e for i, e in enumerate(root))
-            spaces.append(StanleySpace(ctx, shifted, zplus - L, L))
+        rests = differences.get(zplus)
+        if rests is None:
+            rests = differences[zplus] = [zplus - L for L in subsets]
+        for L, shift, rest in zip(subsets, shifts, rests):
+            if L:
+                spaces.append(StanleySpace(ctx, tuple(map(add, root, shift)), rest, L))
+            else:
+                spaces.append(StanleySpace(ctx, root, zplus, L))
     return spaces
 
 
@@ -195,7 +204,10 @@ def _axis_cells(boxes, i, low, high):
     Returns (corner, bits) pairs in ascending order, one per cell: the
     corner is the cell's lowest value and bit k of bits is set when the
     k-th (lo, hi) constraint in boxes admits the cell's values.  The cuts
-    are every lo and hi+1, so each constraint is constant on a cell.
+    are every lo and hi+1, so each constraint is constant on a cell and
+    admits one run of consecutive cells.  Its bit is flipped where the run
+    starts and where it ends, and a prefix XOR over the cells sets it on
+    the run: O(boxes + cells), not one test per constraint and cell.
     """
     cuts = {low}
     for bounds in boxes:
@@ -204,15 +216,18 @@ def _axis_cells(boxes, i, low, high):
             cuts.add(lo)
         if hi is not None:
             cuts.add(hi + 1)
-    cells = []
-    for c in sorted(x for x in cuts if low <= x <= high):
-        bits = 0
-        for k, bounds in enumerate(boxes):
-            lo, hi = bounds[i]
-            if (lo is None or lo <= c) and (hi is None or c <= hi):
-                bits |= 1 << k
-        cells.append((c, bits))
-    return cells
+    corners = sorted(x for x in cuts if low <= x <= high)
+    end = len(corners)
+    at = dict(zip(corners, range(end)))
+    flips = [0] * (end + 1)
+    for k, bounds in enumerate(boxes):
+        lo, hi = bounds[i]
+        first = 0 if lo is None or lo <= low else at.get(lo, end)
+        last = end if hi is None or hi >= high else 0 if hi < low else at[hi + 1]
+        if first < last:
+            flips[first] ^= 1 << k
+            flips[last] ^= 1 << k
+    return list(zip(corners, accumulate(flips[:end], xor)))
 
 
 def verify_decomposition(D, I, J):

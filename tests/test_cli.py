@@ -406,6 +406,17 @@ class TestBatch:
         assert code == 3
         assert not json.loads(out)["ok"]
 
+    def test_sdepth_of_the_largest_ring(self):
+        """K[x1..x10000] is one space of dimension 10000.  Its Hilbert series
+        bounds the search, and summing it must not pad the zero numerator
+        once per variable, which takes seconds at this n."""
+        line = json.dumps({"command": "sdepth", "ring": "n=10000", "I": "(1)"})
+        code, out = run(["batch"], line + "\n")
+        answer = json.loads(out)
+        assert code == 0 and answer["sdepth"] == 10000
+        assert answer["witness"]["spaces"] == [
+            {"root": [0] * 10000, "zplus": list(range(1, 10001)), "zminus": []}]
+
     def test_large_poset_keeps_stream_alive(self):
         """1331 singleton intervals, then a second request on the same
         stream: neither may hit a recursion limit."""

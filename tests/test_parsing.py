@@ -91,6 +91,20 @@ class TestMonomialText:
             parsing.parse_monomial("x*!y", ctx)
         assert e.value.column == 2
 
+    def test_same_bad_factor_at_two_columns(self):
+        """Factors are parsed once per ring and text, but every error names
+        the column of its own occurrence."""
+        ctx = RingContext(2)
+        for text, column in (("x*y^", 2), ("y^", 0), ("x * y^", 3)):
+            with pytest.raises(ParseError, match=r"bad monomial factor 'y\^' \(column %d\)" % column):
+                parsing.parse_monomial(text, ctx)
+        long = "x^" + "9" * (parsing.MAX_EXPONENT_DIGITS + 1)
+        for text, column in (("y*" + long, 2), (long, 0)):
+            with pytest.raises(ParseError, match=r"more than \d+ digits \(column %d\)" % column):
+                parsing.parse_monomial(text, ctx)
+        assert parsing.parse_monomial("x*y*x^2", ctx) == (3, 1)
+        assert parsing.parse_monomial("x*y*x^2", RingContext(3)) == (3, 1, 0)
+
     def test_unknown_variable(self):
         with pytest.raises(ParseError):
             parsing.parse_monomial("q", RingContext(2))

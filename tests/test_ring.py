@@ -42,6 +42,16 @@ class TestNormalize:
         with pytest.raises(MalformedInputError):
             ring.ideal(ctx3_inv3(), (-1, 0, 0))
 
+    def test_first_bad_coordinate_names_the_error(self):
+        """A negative exponent and a non-integer are reported in coordinate
+        order, whichever comes first."""
+        ctx = RingContext(2)
+        with pytest.raises(MalformedInputError, match="negative exponent on non-inverted variable 1"):
+            ring.check_monomial((-1, "a"), ctx)
+        with pytest.raises(MalformedInputError, match="exponent 'a' is not an integer"):
+            ring.check_monomial(("a", -1), ctx)
+        assert ring.check_monomial([-2, 3], RingContext(2, {0})) == (-2, 3)
+
     def test_zero_and_unit_ideals(self):
         ctx = RingContext(2)
         assert MonomialIdeal(ctx).is_zero

@@ -10,8 +10,17 @@ from stanleydec.errors import BoxTooLargeError, BudgetExceededError, ZeroModuleE
 from stanleydec.ring import MonomialIdeal, RingContext
 
 import reference_intervals
+import reference_lift
 from reference_poset import characteristic_cells
-from util import contracted_poset, localize_pair, polynomial_quotient, random_quotient
+from util import (
+    contracted_poset,
+    greedy_partition,
+    localize_pair,
+    polynomial_quotient,
+    random_quotient,
+    singleton_partition,
+    split_refinement,
+)
 
 
 def naive_best_min_rho(elements, g):
@@ -375,23 +384,6 @@ def min_rho(poset):
     return min(sum(map(eq, a, poset.bound)) for a in poset.elements)
 
 
-def lift_in_two_stages(poset, partition, ctx):
-    """The witness of an interval partition as two passes build it: the
-    spaces of each interval over the contracted ring, then each fanned out
-    over the inverted variables, sorted."""
-    g = poset.bound
-    bases = []
-    for b, c in partition.intervals:
-        z = [i for i in range(len(g)) if c[i] == g[i]]
-        ranges = [range(b[i], b[i] + 1) if i in z else range(b[i], c[i] + 1)
-                  for i in range(len(g))]
-        for a in product(*ranges):
-            bases.append((a, set(z)))
-    spaces = stanley._fan_out(ctx, bases, ctx.inverted)
-    spaces.sort(key=lambda s: s.key())
-    return stanley.StanleyDecomposition(ctx, tuple(spaces))
-
-
 class TestSingletonLevel:
     """The singleton partition has depth low = min rho(a), so sdepth >= low,
     and at every k <= low the lex-first partition is the singletons."""
@@ -416,7 +408,7 @@ class TestSingletonLevel:
 
     def test_sdepth_matches_a_search_from_n(self):
         """Value and witness as the oracle's first feasible k from k = n,
-        lifted in two passes, on random quotients with n = 1..5."""
+        lifted by the reference lift, on random quotients with n = 1..5."""
         rng = random.Random(31)
         checked = 0
         while checked < 150:
@@ -435,7 +427,7 @@ class TestSingletonLevel:
             partition = solver.IntervalPartition(tuple(intervals))
             res = solver.sdepth(I, J)
             assert res.value == k
-            assert res.witness == lift_in_two_stages(poset, partition, ctx), (I, J)
+            assert res.witness == reference_lift.lift(poset, partition, ctx), (I, J)
             checked += 1
 
     def test_no_kernel_at_the_singleton_level(self, monkeypatch):
@@ -481,6 +473,29 @@ class TestPartitionToDecomposition:
         assert len(D.spaces) == 4
         assert stanley.sdepth_of(D) == 2
         assert stanley.verify_decomposition(D, I, J).valid
+
+
+class TestLiftParity:
+    def test_lift_matches_reference(self):
+        """The same spaces in the same order as the reference lift, for the
+        optimal, singleton, greedy and split partitions of random quotients
+        with 0, 1 or 2 inverted variables."""
+        rng = random.Random(37)
+        wide = inverted_cases = 0
+        for case in range(120):
+            n = case % 4 + 1
+            A = frozenset(rng.sample(range(n), min(n, case % 3)))
+            ctx, I, J = random_quotient(rng, n=n, inverted=A)
+            poset = contracted_poset(I, J)
+            _, best = solver.max_interval_partition(poset)
+            for partition in (best, singleton_partition(poset), greedy_partition(poset, rng),
+                              split_refinement(best, poset)):
+                wide += any(b != c for b, c in partition.intervals)
+                got = solver._embed_and_invert(poset, partition, ctx)
+                assert got.spaces == reference_lift.lift(poset, partition, ctx).spaces, (
+                    I, J, partition)
+            inverted_cases += bool(A)
+        assert wide > 60 and inverted_cases > 60
 
 
 class TestSdepth:

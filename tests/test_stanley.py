@@ -8,7 +8,7 @@ from stanleydec.errors import AnswerTooLargeError, VerificationError, ZeroModule
 from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
-from reference_verify import verify_decomposition as reference_verify
+import reference_verify
 from util import (
     contracted_poset,
     decomposition_from_partition,
@@ -209,9 +209,31 @@ class TestVerifierParity:
                 )
             for E in _broken_variants(D, I, J, rng):
                 got = stanley.verify_decomposition(E, I, J)
-                assert got == reference_verify(E, I, J), (I, J, E)
+                assert got == reference_verify.verify_decomposition(E, I, J), (I, J, E)
                 kinds.add(got.failure)
         assert kinds == {"", "coverage", "disjointness", "containment"}
+
+    def test_axis_cells_match_the_cell_scan(self):
+        """The prefix-XOR cells equal the per-cell scan, also for bounds the
+        verifier never makes: lo < low, hi + 1 > high, runs wholly outside
+        [low, high], and None on either side."""
+        rng = random.Random(23)
+        ends = (None, -9, -5, -4, -1, 0, 2, 5, 6, 9)
+        cases = set()
+        for _ in range(300):
+            low, high = -4, 5
+            boxes = []
+            for _ in range(rng.randint(0, 8)):
+                lo, hi = rng.choice(ends), rng.choice(ends)
+                if lo is not None and hi is not None and lo > hi:
+                    lo, hi = hi, lo
+                boxes.append(((lo, hi),))
+                cases.add("lo < low" if lo is not None and lo < low else "")
+                cases.add("hi + 1 > high" if hi is not None and hi + 1 > high else "")
+                cases.add("None" if None in (lo, hi) else "")
+            assert stanley._axis_cells(boxes, 0, low, high) == \
+                reference_verify.axis_cells(boxes, 0, low, high), boxes
+        assert cases == {"", "lo < low", "hi + 1 > high", "None"}
 
 
 class TestLocalize:
