@@ -10,7 +10,14 @@ Box keeps only the strides, the rows and the top slabs, at most two boxes
 of bits per axis with g_i > 0, and builds every other mask when asked.
 The characteristic poset is one such mask, and the interval search
 kernel and the prime-filtration search both work on it.
+
+The run axis r is the innermost axis with g_r > 0, or the last axis when
+there is none.  Every axis after it has g_i = 0, so its stride is 1: the
+cells of a line along it are g_r + 1 consecutive bits, and a mask is read
+one run of set bits at a time (``Box.runs``).
 """
+
+from functools import cached_property
 
 # codes skips each run of this many zero bytes in one step and reads the
 # bytes between them one by one: a shorter gap makes more pieces, each
@@ -37,6 +44,16 @@ class Box:
         # per axis with g_i > 0: its stride and the mask of its top slab, a_i = g_i
         self.slabs = [(s, self.interval([gi * (j == i) for j in range(n)], g))
                       for i, (s, gi) in enumerate(zip(strides, g)) if gi]
+        self.cells = cells
+        self.axis = max([i for i, gi in enumerate(g) if gi], default=n - 1)
+        self.tail = (0,) * (n - 1 - self.axis)     # the cells' coordinates after r
+
+    @cached_property
+    def line_starts(self):
+        """The mask of the cells with a_r = 0, every (g_r + 1)-th bit: the
+        geometric series sum_k 2^(k w), w = g_r + 1, in one division."""
+        w = self.g[self.axis] + 1
+        return ((1 << self.cells) - 1) // ((1 << w) - 1)
 
     def _bits(self, codes):
         """The mask with the bits at the indices codes set, built in one
@@ -66,6 +83,27 @@ class Box:
                     for b in _BYTE_BITS[byte]:
                         yield i | b
             pos += len(piece) + len(_GAP)
+
+    def runs(self, mask):
+        """The maximal runs of set bits of mask along the run axis r, in bit
+        order, as (head, first, last): the cells head + (t,) + tail with
+        first <= t <= last, head their first r coordinates.  A run starts at
+        a set bit whose lower neighbour on the axis is clear or absent, and
+        ends at one whose upper neighbour is, so the starts and the ends
+        pair up in order, and each run costs one decode of its head.  An
+        order-convex mask has one run per line.  The box of n = 0 has no
+        axis and yields no run: its one cell () is set when mask is."""
+        r, g = self.axis, self.g
+        if r < 0:
+            return
+        top = g[r]
+        heads = list(zip(self.strides[:r], g[:r]))
+        starts = self.line_starts
+        begin = mask & ~(mask << 1 & ~starts)
+        end = mask & ~(mask >> 1 & ~(starts << top))
+        for b, e in zip(self.codes(begin), self.codes(end)):
+            yield (tuple([b // s % (gi + 1) for s, gi in heads]),
+                   b % (top + 1), e % (top + 1))
 
     def interval(self, b, c):
         """The mask of the cells of [b, c], for b <= c <= g."""

@@ -10,6 +10,7 @@ here ever multiplies two graded components.
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import eq
 
 from . import ring, solver
@@ -203,9 +204,33 @@ def series_of_decomposition(D):
 
 def poset_counts(poset):
     """How many elements a of the characteristic poset have each pair
-    (rho(a), |a|), with rho(a) = #{i: a_i = g_i}."""
-    g = poset.bound
-    return Counter((sum(map(eq, a, g)), sum(a)) for a in poset.elements)
+    (rho(a), |a|), with rho(a) = #{i: a_i = g_i}, counted by the runs of
+    its mask (``Box.runs``).  A run head + (t,) + tail, first <= t <= last,
+    has rho = rho(head) + len(tail) + (t == g_r) and degree |head| + t: it
+    adds one over a range of degrees of one rho, and one at rho + 1 when
+    it reaches g_r, to one difference array.  rho lies between the number
+    z of axes with g_i = 0 and n, so the array holds one block of degrees
+    per value of rho - z."""
+    g, box = poset.bound, poset.box
+    if not g:       # n = 0: the one cell () is no run
+        return Counter({(0, 0): 1} if poset.mask else {})
+    r = box.axis
+    top, g_head = g[r], g[:r]
+    zeros = g.count(0)
+    shift = len(box.tail) - zeros
+    width = sum(g) + 2      # the degrees 0..|g| and one past them
+    diff = [0] * ((len(g) - zeros + 1) * width)
+    for head, first, last in box.runs(poset.mask):
+        at = (shift + sum(map(eq, head, g_head))) * width + sum(head)
+        if last == top:
+            diff[at + width + top] += 1
+            diff[at + width + top + 1] -= 1
+            last -= 1
+        if first <= last:
+            diff[at + first] += 1
+            diff[at + last + 1] -= 1
+    return Counter({(zeros + i // width, i % width): count
+                    for i, count in enumerate(accumulate(diff)) if count})
 
 
 def series_of_counts(pairs):

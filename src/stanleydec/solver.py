@@ -12,6 +12,7 @@ of ``_intervals``, in the one depth-first search of the package.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, product
 from operator import attrgetter, eq
 
@@ -39,9 +40,20 @@ MAX_BOX_CELLS = 10**6
 class CharacteristicPoset:
     context: RingContext          # the polynomial ring S of the contraction
     bound: tuple                  # componentwise generator maximum g
-    elements: tuple               # lex-sorted exponent vectors of I'\J' below g
     box: Box = field(repr=False, compare=False)   # the cells of [0, g]
     mask: int = field(repr=False)                 # the elements as bits of box
+
+    @cached_property
+    def elements(self):
+        """The lex-sorted exponent vectors of I'\\J' below g, built on first
+        use, one tuple per cell from the runs of the mask.  Only the
+        singleton answer lists them: ``hilbert``, the bounds and the
+        searches read the mask."""
+        if not self.bound:      # n = 0: the one cell () is no run
+            return ((),) if self.mask else ()
+        tail = self.box.tail
+        return tuple([head + (t,) + tail for head, first, last in self.box.runs(self.mask)
+                      for t in range(first, last + 1)])
 
 
 @dataclass(frozen=True)
@@ -68,8 +80,7 @@ def build_characteristic_poset(Ip, Jp):
             )
     box = Box(g)
     mask = box.ideal(Ip.generators) & ~box.ideal(Jp.generators)
-    elements = tuple(map(box.cell, box.codes(mask)))
-    return CharacteristicPoset(ctx, g, elements, box, mask)
+    return CharacteristicPoset(ctx, g, box, mask)
 
 
 def maximal_element_bound(poset):
@@ -100,7 +111,7 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
     be dead.  The node budget is shared across the targets above low, and
     exhausting it raises rather than returning a possibly wrong value.
     """
-    if not poset.elements:
+    if not poset.mask:
         raise ZeroModuleError("empty poset: the quotient is the zero module")
     counts = hilbert.poset_counts(poset)
     low = min(rho for rho, _ in counts)

@@ -30,17 +30,25 @@ class StanleySpace:
     zminus: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "root", ring.check_monomial(self.root, self.context))
-        object.__setattr__(self, "zplus", frozenset(self.zplus))
-        object.__setattr__(self, "zminus", frozenset(self.zminus))
-        if self.zplus & self.zminus:
+        # tuple(t) and frozenset(f) return t and f themselves, so a field
+        # that is already normal is not written back
+        ctx = self.context
+        root = ring.check_monomial(self.root, ctx)
+        if root is not self.root:
+            object.__setattr__(self, "root", root)
+        zplus, zminus = frozenset(self.zplus), frozenset(self.zminus)
+        if zplus is not self.zplus:
+            object.__setattr__(self, "zplus", zplus)
+        if zminus is not self.zminus:
+            object.__setattr__(self, "zminus", zminus)
+        if zplus & zminus:
             raise MalformedInputError(
                 "a variable and its inverse cannot both be admissible"
             )
-        if not self.zminus <= self.context.inverted:
+        if not zminus <= ctx.inverted:
             raise MalformedInputError("inverse variable outside the inverted set")
-        for i in self.zplus:
-            if not 0 <= i < self.context.n:
+        for i in zplus:
+            if not 0 <= i < ctx.n:
                 raise MalformedInputError("admissible index out of range")
 
     @property
@@ -93,8 +101,9 @@ class StanleyDecomposition:
 
     def __post_init__(self):
         object.__setattr__(self, "spaces", tuple(self.spaces))
+        ctx = self.context
         for s in self.spaces:
-            if s.context != self.context:
+            if s.context is not ctx and s.context != ctx:
                 raise ContextMismatchError("space context differs from decomposition")
 
     def key(self):

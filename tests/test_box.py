@@ -30,3 +30,55 @@ class TestCodes:
             for low, high in ((0, 0), (7, 0), (0, 7), (7, 7)):
                 mask = 1 << (8 + low) | 1 << (8 * (gap + 2) + high) | 1 << 4999
                 assert list(box.codes(mask)) == naive_codes(box, mask), (gap, low, high)
+
+
+def naive_runs(box, mask):
+    """(head, first, last) for each maximal run of set cells along the run
+    axis, merged from the decoded cells one by one."""
+    r = box.axis
+    runs = []
+    for code in naive_codes(box, mask):
+        a = box.cell(code)
+        assert a[r + 1:] == box.tail
+        head, t = a[:r], a[r]
+        if runs and runs[-1][0] == head and runs[-1][2] == t - 1:
+            runs[-1] = (head, runs[-1][1], t)
+        else:
+            runs.append((head, t, t))
+    return runs
+
+
+class TestRuns:
+    def test_matches_decoded_cells(self):
+        """The runs of random masks, dense and sparse, of the empty and the
+        full mask and of the top cell alone, on boxes with g_i = 0 on the
+        last axes, on inner axes and on every axis."""
+        rng = random.Random(5)
+        shapes = [(0,), (0, 0, 0), (3, 0), (2, 0, 0), (0, 4), (2, 0, 3), (0, 1, 0, 2, 0)]
+        shapes += [tuple(rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(rng.randint(1, 4)))
+                   for _ in range(300)]
+        for g in shapes:
+            box = Box(g)
+            assert box.g[box.axis] > 0 or box.cells == 1
+            assert all(gi == 0 for gi in box.g[box.axis + 1:])
+            top = 1 << (box.cells - 1)
+            masks = [0, top, (1 << box.cells) - 1]
+            for density in (0.05, 0.5, 0.9):
+                masks.append(sum(1 << c for c in range(box.cells) if rng.random() < density))
+            for mask in masks:
+                assert list(box.runs(mask)) == naive_runs(box, mask), (g, mask)
+
+    def test_one_run_per_line_of_an_ideal(self):
+        """An up-set meets each line along the run axis in one run that
+        ends on the top slab."""
+        box = Box((3, 4, 0))
+        mask = box.ideal([(1, 2, 0), (2, 0, 0)])
+        runs = list(box.runs(mask))
+        assert runs == [((1,), 2, 4), ((2,), 0, 4), ((3,), 0, 4)]
+        assert box.tail == (0,)
+
+    def test_no_axis(self):
+        """n = 0: one cell and no axis to run along."""
+        box = Box(())
+        assert box.cells == 1 and box.axis == -1
+        assert list(box.runs(1)) == list(box.runs(0)) == []

@@ -524,10 +524,9 @@ class TestBatch:
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
     @staticmethod
-    def run_capped(requests):
+    def run_capped(requests, limit=256 << 20):
         """The batch answers to requests, from a process whose address
-        space is capped at 256 MB."""
-        limit = 256 << 20
+        space is capped at limit bytes."""
         code = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (%d, %d))\n"
@@ -558,19 +557,23 @@ class TestBatch:
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
     def test_near_cap_hilbert_answers_in_bounded_memory(self):
-        """The series of a quotient whose poset is 998,000 cells of a box
-        of 10^6, then a short request, in a capped process.  The series is
-        counted off the poset; a decomposition of one space per cell would
-        not fit."""
+        """The series of two quotients whose posets are 998,000 and 970,298
+        cells of boxes of 10^6, then a short request, in a process capped
+        at 64 MB.  The series is counted off the runs of the poset's mask;
+        one tuple per cell would not fit, nor would a decomposition."""
         code, lines, stderr = self.run_capped([
             {"command": "hilbert", "ring": "n=2", "I": "(x1, x2)",
              "J": "(x1^999, x2^999)"},
+            {"command": "hilbert", "ring": "n=3", "I": "(x, y, z)",
+             "J": "(x^99, y^99, z^99)"},
             self.VALID,
-        ])
-        assert code == 0 and len(lines) == 2, stderr
+        ], limit=64 << 20)
+        assert code == 0 and len(lines) == 3, stderr
         assert lines[0]["ok"] and lines[0]["maximal_spaces"] == 998000
         assert lines[0]["coefficients"] == [0] + [d + 1 for d in range(1, 11)]
-        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+        assert lines[1]["ok"] and lines[1]["maximal_spaces"] == 970298
+        assert lines[1]["coefficients"] == [0] + [(d + 1) * (d + 2) // 2 for d in range(1, 11)]
+        assert lines[2]["ok"] and lines[2]["sdepth"] == 2
 
     def test_too_many_spaces_answers_in_bounded_memory(self):
         """sdepth of the whole ring with 26 inverted variables has 2^26

@@ -9,8 +9,14 @@ from stanleydec.hilbert import HilbertSeries
 from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
+import reference_counts
 from reference_series import series_of_space as reference_series_of_space
-from util import all_decomposition_variants, random_quotient, singleton_decomposition
+from util import (
+    all_decomposition_variants,
+    contracted_poset,
+    random_quotient,
+    singleton_decomposition,
+)
 
 
 def space(ctx, root, zplus=(), zminus=()):
@@ -319,6 +325,60 @@ class TestSeriesOfQuotient:
         I = ring.ideal(ctx, (1, 0))
         with pytest.raises(ZeroModuleError):
             hilbert.series_of_quotient(I, I)
+
+    def test_builds_no_cells(self, monkeypatch):
+        """The series reads the poset by runs: no cell is decoded and the
+        elements are never built."""
+        ctx = RingContext(3, frozenset({1}))
+        I = ring.ideal(ctx, (1, 0, 0), (0, 0, 2))
+        J = ring.ideal(ctx, (5, 0, 0), (0, 0, 7))
+        expected = hilbert.series_of_decomposition(singleton_decomposition(I, J))
+        posets = []
+        build = solver.build_characteristic_poset
+
+        def built(*args):
+            posets.append(build(*args))
+            return posets[-1]
+
+        def cell(self, bit):
+            raise AssertionError("a cell was decoded")
+
+        monkeypatch.setattr(solver, "build_characteristic_poset", built)
+        monkeypatch.setattr(solver.Box, "cell", cell)
+        assert hilbert.series_of_quotient(I, J) == expected
+        assert len(posets) == 1 and "elements" not in vars(posets[0])
+
+
+class TestPosetCounts:
+    def test_matches_cell_by_cell_counts(self):
+        """The run counts equal the counts of the decoded cells on random
+        quotients with n = 1..5, with and without inverted variables, so
+        with the run axis last or inner, and in the ring with no
+        variables."""
+        rng = random.Random(53)
+        posets = []
+        for case in range(300):
+            ctx, I, J = random_quotient(rng, n=case % 5 + 1, max_exp=3,
+                                        inverted=frozenset() if case % 3 else None)
+            posets.append(contracted_poset(I, J))
+        ctx = RingContext(0)
+        unit = ring.ideal(ctx, ())
+        posets += [contracted_poset(unit, MonomialIdeal(ctx)), contracted_poset(unit, unit)]
+        inner = 0
+        for poset in posets:
+            assert hilbert.poset_counts(poset) == reference_counts.poset_counts(poset), poset
+            inner += poset.box.axis < len(poset.bound) - 1
+        assert inner > 20
+
+    def test_full_lines_and_top_cells(self):
+        """Whole lines of the box, lines that stop below the top slab and
+        single top cells, at both ends of the degrees."""
+        ctx = RingContext(3)
+        for I, J in [([(0, 0, 0)], []), ([(0, 0, 0)], [(0, 0, 4)]), ([(2, 0, 3)], []),
+                     ([(1, 1, 0)], [(1, 1, 4)]), ([(0, 0, 4)], [(3, 3, 4)]),
+                     ([(3, 0, 0), (0, 0, 2)], [(3, 2, 2)])]:
+            poset = contracted_poset(ring.ideal(ctx, *I), ring.ideal(ctx, *J))
+            assert hilbert.poset_counts(poset) == reference_counts.poset_counts(poset), (I, J)
 
 
 class TestExpand:

@@ -124,6 +124,22 @@ class TestPoset:
             assert (poset.bound, poset.elements, poset.mask) == (g, elements, mask), (Ip, Jp)
             assert poset.box.g == g
 
+    def test_lazy_elements_match_eager_decode(self):
+        """elements, built on first read from the runs of the mask, equal
+        the cells decoded one by one, also with inverted axes before or
+        after the run axis; the poset builds none of them itself."""
+        rng = random.Random(13)
+        inner = 0
+        for trial in range(200):
+            _, I, J = random_quotient(rng, n=trial % 5 + 1, max_exp=3)
+            poset = contracted_poset(I, J)
+            assert "elements" not in vars(poset)
+            box = poset.box
+            assert poset.elements == tuple(map(box.cell, box.codes(poset.mask))), (I, J)
+            assert poset.elements is poset.elements
+            inner += box.axis < len(poset.bound) - 1
+        assert inner > 20
+
     def test_no_membership_test_per_cell(self, monkeypatch):
         """The mask is built from the generators: the only membership
         tests left are those of the containment check J' <= I', one per
