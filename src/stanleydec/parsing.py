@@ -16,7 +16,7 @@ from .errors import ParseError
 from .filtration import FiltrationStep, PrimeFiltration
 from .hilbert import HilbertSeries
 from .ring import MonomialIdeal, RingContext
-from .stanley import StanleyDecomposition, StanleySpace
+from .stanley import StanleyDecomposition, StanleySpace, make_spaces
 
 _ALIASES = ("x", "y", "z", "w")
 
@@ -163,22 +163,35 @@ def ideal_str(I):
 
 # --------------------------------------------------------------- spaces
 
-def parse_space(text, ctx):
+def _space_parts(text, ctx):
+    """(root, (zplus, zminus)) of the text of one Stanley space."""
     m = _SPACE.fullmatch(text)
     if not m:
         raise ParseError("cannot parse Stanley space %r" % text)
     root = parse_monomial(m.group(1), ctx) if m.group(1) else (0,) * ctx.n
+    return root, _admissible((m.group(2) or "").strip(), ctx.n)
+
+
+@functools.lru_cache(maxsize=1024)
+def _admissible(body, n):
+    """(zplus, zminus) as frozensets of the stripped body of K[...] in a
+    ring of n variables.  A decomposition repeats the same few bodies over
+    hundreds of spaces."""
     zplus, zminus = set(), set()
-    body = (m.group(2) or "").strip()
     if body:
         for entry in body.split(","):
             entry = entry.strip()
             g = _ADMISSIBLE.fullmatch(entry)
             if not g:
                 raise ParseError("bad admissible variable %r" % entry)
-            i = _var_index(g.group(1), ctx.n)
+            i = _var_index(g.group(1), n)
             (zminus if g.group(2) else zplus).add(i)
-    return StanleySpace(ctx, root, frozenset(zplus), frozenset(zminus))
+    return frozenset(zplus), frozenset(zminus)
+
+
+def parse_space(text, ctx):
+    root, (zplus, zminus) = _space_parts(text, ctx)
+    return StanleySpace(ctx, root, zplus, zminus)
 
 
 def space_str(s):
@@ -196,8 +209,20 @@ def space_str(s):
 
 
 def parse_decomposition(text, ctx):
-    spaces = [parse_space(p, ctx) for p in text.split("+")]
-    return StanleyDecomposition(ctx, tuple(spaces))
+    """The '+'-joined spaces of text, each checked as by ``parse_space``,
+    built by one ``stanley.make_spaces``.  A space that does not parse
+    raises only after the spaces before it are checked, so the first bad
+    space raises its own error."""
+    roots, zs = [], []
+    for part in text.split("+"):
+        try:
+            root, z = _space_parts(part, ctx)
+        except ParseError:
+            make_spaces(ctx, roots, zs)
+            raise
+        roots.append(root)
+        zs.append(z)
+    return StanleyDecomposition(ctx, tuple(make_spaces(ctx, roots, zs)))
 
 
 def decomposition_str(D):

@@ -8,8 +8,8 @@ explicit and what all verification works on.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate, compress, product
-from operator import add, xor
+from itertools import accumulate, chain, compress, product
+from operator import add, attrgetter, itemgetter, xor
 
 from . import ring
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
 from .ring import MonomialIdeal, RingContext
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StanleySpace:
     context: RingContext
     root: tuple
@@ -41,15 +41,7 @@ class StanleySpace:
             object.__setattr__(self, "zplus", zplus)
         if zminus is not self.zminus:
             object.__setattr__(self, "zminus", zminus)
-        if zplus & zminus:
-            raise MalformedInputError(
-                "a variable and its inverse cannot both be admissible"
-            )
-        if not zminus <= ctx.inverted:
-            raise MalformedInputError("inverse variable outside the inverted set")
-        for i in zplus:
-            if not 0 <= i < ctx.n:
-                raise MalformedInputError("admissible index out of range")
+        _check_z(ctx, zplus, zminus)
 
     @property
     def dimension(self):
@@ -57,6 +49,60 @@ class StanleySpace:
 
     def key(self):
         return (self.root, tuple(sorted(self.zplus)), tuple(sorted(self.zminus)))
+
+
+def _check_z(ctx, zplus, zminus):
+    """Raise MalformedInputError unless the frozensets zplus and zminus
+    form an admissible set of ctx."""
+    if zplus & zminus:
+        raise MalformedInputError(
+            "a variable and its inverse cannot both be admissible"
+        )
+    if not zminus <= ctx.inverted:
+        raise MalformedInputError("inverse variable outside the inverted set")
+    for i in zplus:
+        if not 0 <= i < ctx.n:
+            raise MalformedInputError("admissible index out of range")
+
+
+def make_spaces(ctx, roots, zs):
+    """The list of StanleySpace(ctx, root, zplus, zminus) over the root
+    sequence roots and the equally long sequence zs of (zplus, zminus)
+    pairs of frozensets, with every check StanleySpace makes.
+
+    A decomposition has few distinct Z and its roots are tuples of ints,
+    so each Z is checked once and the roots in C-level passes over all of
+    them: each a tuple of length n, with int entries, none negative on a
+    plain coordinate.  If any of these fails, the spaces are built one by
+    one, so the first bad space raises the error it raises alone, and
+    lists, bools and int subclasses are normalized or accepted as there.
+    """
+    try:
+        for zplus, zminus in set(zs):
+            _check_z(ctx, zplus, zminus)
+        checked = (
+            set(map(type, chain.from_iterable(zs))) <= {frozenset}
+            and set(map(type, roots)) <= {tuple}
+            and set(map(len, roots)) <= {ctx.n}
+            and set(map(type, chain.from_iterable(roots))) <= {int}
+            and all(min(map(itemgetter(i), roots), default=0) >= 0
+                    for i in ctx.plain)
+        )
+    except (MalformedInputError, TypeError):
+        checked = False
+    if not checked:
+        return [StanleySpace(ctx, root, zplus, zminus)
+                for root, (zplus, zminus) in zip(roots, zs)]
+    # what __init__ would store, without running the checks again
+    spaces = []
+    for root, (zplus, zminus) in zip(roots, zs):
+        space = object.__new__(StanleySpace)
+        object.__setattr__(space, "context", ctx)
+        object.__setattr__(space, "root", root)
+        object.__setattr__(space, "zplus", zplus)
+        object.__setattr__(space, "zminus", zminus)
+        spaces.append(space)
+    return spaces
 
 
 @dataclass(frozen=True)
@@ -142,24 +188,24 @@ def _fan_out(ctx, bases, A):
         frozenset(compress(A, bits))
         for bits in product((False, True), repeat=len(A))
     ] if room else []
-    # the root of the space for L is root + shift, with -1 on L
-    shifts = [tuple(-(i in L) for i in range(ctx.n)) for L in subsets]
-    differences = {}    # zplus -> zplus - L for each L, in the order of subsets
-    spaces = []
+    # the root of the space for L is root + shift, with -1 on L; the
+    # first subset is empty, and its space keeps the root
+    shifts = [tuple(-(i in L) for i in range(ctx.n)) for L in subsets[1:]]
+    differences = {}    # zplus -> (zplus - L, L) for each L, in the order of subsets
+    roots, zs = [], []
     for count, (root, zplus) in enumerate(bases):
         if count == room:
             raise AnswerTooLargeError(
                 "the answer would have more than %d Stanley spaces" % MAX_SPACES)
         zplus = frozenset(zplus)
-        rests = differences.get(zplus)
-        if rests is None:
-            rests = differences[zplus] = [zplus - L for L in subsets]
-        for L, shift, rest in zip(subsets, shifts, rests):
-            if L:
-                spaces.append(StanleySpace(ctx, tuple(map(add, root, shift)), rest, L))
-            else:
-                spaces.append(StanleySpace(ctx, root, zplus, L))
-    return spaces
+        pairs = differences.get(zplus)
+        if pairs is None:
+            pairs = differences[zplus] = [(zplus - L, L) for L in subsets]
+        roots.append(root)
+        for shift in shifts:
+            roots.append(tuple(map(add, root, shift)))
+        zs += pairs
+    return make_spaces(ctx, roots, zs)
 
 
 def canonical_sf_decomposition(ctx):
@@ -188,15 +234,8 @@ def clamp_bound(D, I, J):
     roots of D.  Clamping any coordinate into the box of this radius
     preserves every membership predicate, so a verdict on the box is a
     verdict on all of Z^n."""
-    b = 0
-    for ideal_ in (I, J):
-        for g in ideal_.generators:
-            for e in g:
-                b = max(b, abs(e))
-    for s in D.spaces:
-        for e in s.root:
-            b = max(b, abs(e))
-    return b + 1
+    monomials = chain(I.generators, J.generators, map(attrgetter("root"), D.spaces))
+    return max(map(abs, chain.from_iterable(monomials)), default=0) + 1
 
 
 def _generator_bounds(g, ctx):

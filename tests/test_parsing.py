@@ -3,7 +3,7 @@ import random
 import pytest
 
 from stanleydec import filtration, parsing, ring, solver
-from stanleydec.errors import ParseError
+from stanleydec.errors import MalformedInputError, ParseError
 from stanleydec.hilbert import HilbertSeries
 from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
@@ -134,6 +134,15 @@ class TestIdealText:
                 assert parsing.parse_ideal(parsing.ideal_str(X), ctx) == X
 
 
+def _error_of(text, ctx):
+    """The message parse_space raises for text, or ''."""
+    try:
+        parsing.parse_space(text, ctx)
+    except (ParseError, MalformedInputError) as exc:
+        return str(exc)
+    return ""
+
+
 class TestSpaceText:
     def test_parse(self):
         ctx = RingContext(3, frozenset({2}))
@@ -152,6 +161,44 @@ class TestSpaceText:
         assert parsing.space_str(s) == "y^2*z^-1*K[x, z^-1]"
         unit = StanleySpace(ctx, (0, 0, 0), frozenset(), frozenset())
         assert parsing.space_str(unit) == "K"
+
+    def test_errors_of_the_first_bad_space(self):
+        """A decomposition raises the error of its first bad space, with
+        the text parse_space raises for it alone."""
+        ctx = RingContext(3, frozenset({2}))
+        cases = [
+            ("K[x] + K[x^2]", ParseError, "bad admissible variable 'x^2'"),
+            ("K[x, ] + K[y]", ParseError, "bad admissible variable ''"),
+            ("x*K[x, q]", ParseError, "unknown variable 'q'"),
+            ("K[y] + K[x, x4]", ParseError, "variable x4 out of range for n=3"),
+            ("y*Q[x]", ParseError, "cannot parse Stanley space 'y*Q[x]'"),
+            ("K[x, x^-1] + K[q]", MalformedInputError,
+             "a variable and its inverse cannot both be admissible"),
+            ("K[q] + K[x, x^-1]", ParseError, "unknown variable 'q'"),
+            ("K[y^-1] + x^-1*K", MalformedInputError,
+             "inverse variable outside the inverted set"),
+            ("x^-1*K + K[y^-1]", MalformedInputError,
+             "negative exponent on non-inverted variable 1"),
+            ("K + x*q*K[y]", ParseError, "unknown variable 'q'"),
+            ("K + x*#*K[y]", ParseError, "bad monomial factor '#' (column 2)"),
+        ]
+        for text, error, message in cases:
+            with pytest.raises(error) as raised:
+                parsing.parse_decomposition(text, ctx)
+            assert str(raised.value) == message
+            first_bad = next(p for p in text.split("+") if _error_of(p, ctx))
+            assert _error_of(first_bad, ctx) == message
+
+    def test_admissible_sets_per_ring(self):
+        """The same K[...] text is read again in a ring of another size."""
+        assert parsing.parse_decomposition("K[w]", RingContext(4)).spaces[0].zplus == {3}
+        assert parsing.parse_space("K[w]", RingContext(4)).zplus == {3}
+        for parse in (parsing.parse_decomposition, parsing.parse_space):
+            with pytest.raises(ParseError, match="unknown variable 'w'"):
+                parse("K[w]", RingContext(3))
+            with pytest.raises(ParseError, match="x5 out of range for n=4"):
+                parse("K[x5]", RingContext(4))
+        assert parsing.parse_space("K[x5]", RingContext(5)).zplus == {4}
 
     def test_round_trip_decomposition(self):
         rng = random.Random(57)

@@ -4,7 +4,12 @@ from itertools import product
 import pytest
 
 from stanleydec import ring, solver, stanley
-from stanleydec.errors import AnswerTooLargeError, VerificationError, ZeroModuleError
+from stanleydec.errors import (
+    AnswerTooLargeError,
+    MalformedInputError,
+    VerificationError,
+    ZeroModuleError,
+)
 from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
@@ -128,6 +133,117 @@ class TestSpaceLimit:
             monkeypatch.setattr(stanley, "MAX_SPACES", spaces - 1)
             with pytest.raises(AnswerTooLargeError, match="more than %d Stanley" % (spaces - 1)):
                 answer()
+
+
+class _Int(int):
+    pass
+
+
+class _FrozenSet(frozenset):
+    pass
+
+
+def _outcome(build):
+    """The spaces build returns, each with the types of its fields and
+    root entries, or the type and message of the error it raises."""
+    try:
+        spaces = build()
+    except (MalformedInputError, TypeError) as exc:
+        return type(exc), str(exc)
+    return [(s, type(s.root), type(s.zplus), type(s.zminus), tuple(map(type, s.root)))
+            for s in spaces]
+
+
+def _one_by_one(ctx, roots, zs):
+    return [StanleySpace(ctx, root, zplus, zminus) for root, (zplus, zminus) in zip(roots, zs)]
+
+
+class TestMakeSpaces:
+    """make_spaces against StanleySpace one by one: the same spaces with
+    the same field types, or the error of the first bad space."""
+
+    def test_valid_spaces_match(self):
+        rng = random.Random(29)
+        assert stanley.make_spaces(RingContext(0), [], []) == []
+        assert stanley.make_spaces(RingContext(2, {1}), [], []) == []
+        for case in range(300):
+            n = case % 5
+            inverted = frozenset() if case % 2 else None
+            ctx = RingContext(n, frozenset(i for i in range(n) if rng.random() < 0.4)
+                              if inverted is None else inverted)
+            pool = []
+            for _ in range(3):
+                zminus = frozenset(i for i in ctx.inverted if rng.random() < 0.5)
+                pool.append((frozenset(i for i in range(n)
+                                       if i not in zminus and rng.random() < 0.5), zminus))
+            count = rng.randint(0, 12)
+            roots = [tuple(rng.randint(-3 if i in ctx.inverted else 0, 3) for i in range(n))
+                     for _ in range(count)]
+            zs = [rng.choice(pool) for _ in range(count)]
+            expected = _outcome(lambda: _one_by_one(ctx, roots, zs))
+            assert isinstance(expected, list)
+            assert _outcome(lambda: stanley.make_spaces(ctx, roots, zs)) == expected
+
+    def test_bad_spaces_raise_as_alone(self):
+        """Each defect, alone at any place or after another defect in
+        either order, raises what StanleySpace raises for the first bad
+        space; lists, bools, int and frozenset subclasses and sets are
+        normalized or kept as StanleySpace does."""
+        ctx = RingContext(3, frozenset({2}))
+        roots = [(0, 0, 0), (1, 2, -1), (0, 1, 0), (2, 0, -3), (1, 1, 1)]
+        z1, z2 = (frozenset({0}), frozenset({2})), (frozenset({0, 1}), frozenset())
+        zs = [z1, z2, z1, z2, z1]
+        root_defects = {
+            "long": lambda r: r + (0,),
+            "short": lambda r: r[:2],
+            "list": list,
+            "tuple subclass": lambda r: type("T", (tuple,), {})(r),
+            "bool": lambda r: (True,) + r[1:],
+            "int subclass": lambda r: (_Int(2),) + r[1:],
+            "float": lambda r: (1.0,) + r[1:],
+            "string": lambda r: r[:1] + ("a",) + r[2:],
+            "negative plain": lambda r: r[:1] + (-1,) + r[2:],
+            "negative inverted": lambda r: r[:2] + (-5,),
+        }
+        z_defects = {
+            "overlap": lambda z: (z[0] | {2}, z[1] | {2}),
+            "inverse outside": lambda z: (z[0] - {1}, frozenset({1})),
+            "index too large": lambda z: (z[0] | {3}, z[1]),
+            "negative index": lambda z: (z[0] | {-1}, z[1]),
+            "frozenset subclass": lambda z: (_FrozenSet(z[0]), _FrozenSet(z[1])),
+            "set": lambda z: (set(z[0]), z[1]),
+        }
+        defects = [(0, f) for f in root_defects.values()] + [(1, f) for f in z_defects.values()]
+        messages = set()
+
+        def check(changes):
+            rs, zz = list(roots), list(zs)
+            for k, (field, defect) in changes:
+                if field == 0:
+                    rs[k] = defect(rs[k])
+                else:
+                    zz[k] = defect(zz[k])
+            expected = _outcome(lambda: _one_by_one(ctx, rs, zz))
+            assert _outcome(lambda: stanley.make_spaces(ctx, rs, zz)) == expected
+            if isinstance(expected, tuple):
+                messages.add(expected[1])
+
+        for defect in defects:
+            for k in range(len(roots)):
+                check([(k, defect)])
+        for first in defects:
+            for second in defects:
+                check([(1, first), (3, second)])
+        assert messages == {
+            "exponent vector has length 4, expected 3",
+            "exponent vector has length 2, expected 3",
+            "exponent 1.0 is not an integer",
+            "exponent 'a' is not an integer",
+            "negative exponent on non-inverted variable 2",
+            "a variable and its inverse cannot both be admissible",
+            "inverse variable outside the inverted set",
+            "admissible index out of range",
+        }
 
 
 class TestVerify:
