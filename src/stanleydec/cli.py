@@ -210,7 +210,7 @@ def _batch_request(line):
     return command, opts
 
 
-def _batch(args, stdin, stdout):
+def _batch(stdin, stdout):
     worst = EXIT_OK
     internal = False
     for line in stdin:
@@ -271,7 +271,7 @@ def main(argv=None, stdin=None, stdout=None):
     stdout = stdout if stdout is not None else sys.stdout
     args = build_parser().parse_args(argv)
     if args.command == "batch":
-        return _batch(args, stdin, stdout)
+        return _batch(stdin, stdout)
     opts = vars(args)
     command, fmt = opts.pop("command"), opts.pop("format")
     report, code = run_request(command, opts)

@@ -8,9 +8,7 @@ with integer P, held in the canonical form where P is not divisible by
 here ever multiplies two graded components.
 """
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import eq
 
 from . import ring, solver
@@ -25,27 +23,13 @@ def _poly_trim(p):
     return tuple(p)
 
 
-def _poly_add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _poly_trim(out)
-
-
-def _poly_mul_one_minus_t(p, times):
-    """Multiply by (1-t)^times."""
-    if not p:
-        return ()     # padding the zero numerator one factor at a time is quadratic
-    out = list(p)
-    for _ in range(times):
-        nxt = [0] * (len(out) + 1)
-        for i, c in enumerate(out):
-            nxt[i] += c
-            nxt[i + 1] -= c
-        out = nxt
-    return _poly_trim(out)
+def _binomials(a, sign=1):
+    """The coefficients of (1 + sign*t)^a, one row of binomials built by
+    C(a, k) = C(a, k-1) (a-k+1) / k; the division is exact."""
+    row = [1]
+    for k in range(1, a + 1):
+        row.append(row[-1] * sign * (a - k + 1) // k)
+    return row
 
 
 def _poly_div_one_minus_t(p):
@@ -87,13 +71,31 @@ class HilbertSeries:
         return sum(self.numerator)
 
     def __add__(self, other):
-        pole = max(self.pole, other.pole)
-        a = _poly_mul_one_minus_t(self.numerator, pole - self.pole)
-        b = _poly_mul_one_minus_t(other.numerator, pole - other.pole)
-        return HilbertSeries(_poly_add(a, b), pole)
+        return _sum_over_pole([(self.numerator, self.pole), (other.numerator, other.pole)])
 
 
 ZERO_SERIES = HilbertSeries((), 0)
+
+
+def _sum_over_pole(terms):
+    """The sum of the series P/(1-t)^d over the (P, d) terms: each P times
+    (1-t)^(top-d), top the largest d, added up and normalized once.  A zero
+    P adds nothing, so it costs no row of (1-t)^(top-d)."""
+    top = max((d for _, d in terms), default=0)
+    rows = {}
+    out = []
+    for num, d in terms:
+        if not any(num):
+            continue
+        row = rows.get(d)
+        if row is None:
+            row = rows[d] = _binomials(top - d, -1)
+        out += [0] * (len(num) + len(row) - 1 - len(out))
+        for i, x in enumerate(num):
+            if x:
+                for j, y in enumerate(row, i):
+                    out[j] += x * y
+    return HilbertSeries(out, top)
 
 
 def _vectors_of_abs_degree(ctx, d):
@@ -186,61 +188,51 @@ def series_of_laurent_ring(u, inverted, extra_vars):
     for i, e in enumerate(u):
         if e < 0 and i not in inverted:
             raise MalformedInputError("negative exponent off the inverted set")
-    num = _t_power(deg)
-    for _ in range(len(inverted)):
-        num = _poly_add(num, (0,) + num)
-    return HilbertSeries(num, len(inverted) + extra_vars)
+    return HilbertSeries((0,) * deg + tuple(_binomials(len(inverted))),
+                         len(inverted) + extra_vars)
 
 
 def series_of_decomposition(D):
-    """Sum of the space series over a common denominator.  For a valid
-    decomposition the numerator evaluated at 1 counts the spaces of
-    maximal dimension."""
-    total = ZERO_SERIES
-    for s in D.spaces:
-        total = total + series_of_space(s)
-    return total
+    """Sum of the space series over a common denominator, normalized once.
+    For a valid decomposition the numerator evaluated at 1 counts the
+    spaces of maximal dimension."""
+    return _sum_over_pole([(h.numerator, h.pole) for h in map(series_of_space, D.spaces)])
 
 
-def poset_counts(poset):
-    """How many elements a of the characteristic poset have each pair
-    (rho(a), |a|), with rho(a) = #{i: a_i = g_i}, counted by the runs of
-    its mask (``Box.runs``).  A run head + (t,) + tail, first <= t <= last,
-    has rho = rho(head) + len(tail) + (t == g_r) and degree |head| + t: it
-    adds one over a range of degrees of one rho, and one at rho + 1 when
-    it reaches g_r, to one difference array.  rho lies between the number
-    z of axes with g_i = 0 and n, so the array holds one block of degrees
-    per value of rho - z."""
+def series_of_poset(poset):
+    """(H, low): the series of I'/J', the sum over the elements a of its
+    characteristic poset of t^{|a|}/(1-t)^{rho(a)}, rho(a) = #{i: a_i =
+    g_i}, and low, the least rho(a) (None for the empty poset).
+
+    It is read off the runs of the mask (``Box.runs``).  A run head + (t,)
+    + tail, first <= t <= last, has rho = rho(head) + len(tail) + (t ==
+    g_r) and degree |head| + t, so the cells of one rho cover the degrees
+    d..e and add up to (t^d - t^{e+1})/(1-t): two end terms, and two more
+    at rho + 1 when the run reaches g_r.  rho lies between the number z of
+    axes with g_i = 0 and n, so the end terms fill one block of degrees
+    per value of rho, allocated before the runs are read, and block rho is
+    a numerator over (1-t)^{rho+1}."""
     g, box = poset.bound, poset.box
     if not g:       # n = 0: the one cell () is no run
-        return Counter({(0, 0): 1} if poset.mask else {})
+        return (HilbertSeries((1,), 0), 0) if poset.mask else (ZERO_SERIES, None)
     r = box.axis
     top, g_head = g[r], g[:r]
     zeros = g.count(0)
     shift = len(box.tail) - zeros
-    width = sum(g) + 2      # the degrees 0..|g| and one past them
-    diff = [0] * ((len(g) - zeros + 1) * width)
+    # the degrees 0..|g| and one past them, for each rho from z to n
+    blocks = [[0] * (sum(g) + 2) for _ in range(len(g) - zeros + 1)]
     for head, first, last in box.runs(poset.mask):
-        at = (shift + sum(map(eq, head, g_head))) * width + sum(head)
+        k = shift + sum(map(eq, head, g_head))      # rho - z
+        d = sum(head)
         if last == top:
-            diff[at + width + top] += 1
-            diff[at + width + top + 1] -= 1
+            blocks[k + 1][d + top] += 1
+            blocks[k + 1][d + top + 1] -= 1
             last -= 1
         if first <= last:
-            diff[at + first] += 1
-            diff[at + last + 1] -= 1
-    return Counter({(zeros + i // width, i % width): count
-                    for i, count in enumerate(accumulate(diff)) if count})
-
-
-def series_of_counts(pairs):
-    """The series of I'/J' from the ``poset_counts`` of its characteristic
-    poset: the sum over the elements a of t^{|a|}/(1-t)^{rho(a)}."""
-    top = max((d for _, d in pairs), default=0)
-    plain = ZERO_SERIES
-    for rho in {rho for rho, _ in pairs}:
-        plain += HilbertSeries(tuple(pairs[rho, d] for d in range(top + 1)), rho)
-    return plain
+            blocks[k][d + first] += 1
+            blocks[k][d + last + 1] -= 1
+    low = next((zeros + i for i, block in enumerate(blocks) if any(block)), None)
+    return _sum_over_pole([(block, zeros + i + 1) for i, block in enumerate(blocks)]), low
 
 
 def hdepth_bound(series):
@@ -269,9 +261,9 @@ def series_of_quotient(I, J):
     already counts each inverted variable's one-cell axis.  Raises
     ZeroModuleError when I/J is the zero module."""
     poset = solver._poset_of(I, J, "I/J is the zero module; no Hilbert series is computed")
-    plain = series_of_counts(poset_counts(poset))
-    laurent = series_of_laurent_ring((0,) * I.context.n, I.context.inverted, 0)
-    return HilbertSeries(_poly_mul(plain.numerator, laurent.numerator), plain.pole)
+    plain, _ = series_of_poset(poset)
+    laurent = _binomials(len(I.context.inverted))
+    return HilbertSeries(_poly_mul(plain.numerator, laurent), plain.pole)
 
 
 def count_maximal_spaces(obj):

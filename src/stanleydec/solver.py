@@ -96,15 +96,16 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
 
     The answer lies between two bounds.  Below it is low = min rho(a) over
     the elements: the singleton partition reaches it.  Above it is the
-    least of ``maximal_element_bound`` and ``hilbert.hdepth_bound``; the
-    Hilbert depth and low come from one ``hilbert.poset_counts``.  The
-    decision problem is tried for each target k from the upper bound down
-    to low + 1, and no k above that bound is feasible, so the first
-    feasible k and its witness, the lexicographically smallest optimal
-    partition, are those a start at k = n finds.  When none is feasible
-    the answer is low with the singletons in lex order, found without a
-    search: at any k <= low the search places each lowest uncovered b as
-    [b, b], its first upper corner in lex order, which always fits.  Each
+    least of ``maximal_element_bound`` and ``hilbert.hdepth_bound``; low
+    and the series the Hilbert depth is read from come from one
+    ``hilbert.series_of_poset``.  The decision problem is tried for each
+    target k from the upper bound down to low + 1, and no k above that
+    bound is feasible, so the first feasible k and its witness, the
+    lexicographically smallest optimal partition, are those a start at
+    k = n finds.  When none is feasible the answer is low with the
+    singletons in lex order, found without a search: at any k <= low the
+    search places each lowest uncovered b as [b, b], its first upper
+    corner in lex order, which always fits.  Each
     target is one ``_intervals.find_partition`` on ``_intervals.descend``,
     the DFS the fdepth search also runs on, which skips the uncovered sets
     it knows are dead: a node is an interval placed into a set not known to
@@ -113,10 +114,9 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
     """
     if not poset.mask:
         raise ZeroModuleError("empty poset: the quotient is the zero module")
-    counts = hilbert.poset_counts(poset)
-    low = min(rho for rho, _ in counts)
+    series, low = hilbert.series_of_poset(poset)
     bounds = {"the maximal elements": maximal_element_bound(poset),
-              "the Hilbert depth": hilbert.hdepth_bound(hilbert.series_of_counts(counts))}
+              "the Hilbert depth": hilbert.hdepth_bound(series)}
     start = min(bounds.values())
     remaining = budget
     spent = {}

@@ -238,28 +238,19 @@ def clamp_bound(D, I, J):
     return max(map(abs, chain.from_iterable(monomials)), default=0) + 1
 
 
-def _generator_bounds(g, ctx):
-    """The Region bounds of the multiples of the generator g: AtLeast g_i
-    on the plain coordinates, unbounded on the inverted ones."""
-    return tuple(
-        (None, None) if i in ctx.inverted else (e, None) for i, e in enumerate(g)
-    )
-
-
-def _axis_cells(boxes, i, low, high):
-    """Compress coordinate i of the box [low, high] to cells.
+def _axis_cells(bounds, low, high):
+    """Compress one coordinate of the box, the values [low, high], to cells.
 
     Returns (corner, bits) pairs in ascending order, one per cell: the
     corner is the cell's lowest value and bit k of bits is set when the
-    k-th (lo, hi) constraint in boxes admits the cell's values.  The cuts
+    k-th (lo, hi) constraint in bounds admits the cell's values.  The cuts
     are every lo and hi+1, so each constraint is constant on a cell and
     admits one run of consecutive cells.  Its bit is flipped where the run
     starts and where it ends, and a prefix XOR over the cells sets it on
-    the run: O(boxes + cells), not one test per constraint and cell.
+    the run: O(bounds + cells), not one test per constraint and cell.
     """
     cuts = {low}
-    for bounds in boxes:
-        lo, hi = bounds[i]
+    for lo, hi in bounds:
         if lo is not None:
             cuts.add(lo)
         if hi is not None:
@@ -268,8 +259,7 @@ def _axis_cells(boxes, i, low, high):
     end = len(corners)
     at = dict(zip(corners, range(end)))
     flips = [0] * (end + 1)
-    for k, bounds in enumerate(boxes):
-        lo, hi = bounds[i]
+    for k, (lo, hi) in enumerate(bounds):
         first = 0 if lo is None or lo <= low else at.get(lo, end)
         last = end if hi is None or hi >= high else 0 if hi < low else at[hi + 1]
         if first < last:
@@ -301,17 +291,23 @@ def verify_decomposition(D, I, J):
     B = clamp_bound(D, I, J)
     ctx = D.context
     # one bit per space, then per generator of I, then per generator of J
-    boxes = [space_region(s).bounds for s in D.spaces]
-    for ideal_ in (I, J):
-        boxes += [_generator_bounds(g, ctx) for g in ideal_.generators]
-    everything = (1 << len(boxes)) - 1
-    spaces_mask = (1 << len(D.spaces)) - 1
-    I_mask = ((1 << len(I.generators)) - 1) << len(D.spaces)
+    spaces, gens = D.spaces, list(I.generators) + list(J.generators)
+    everything = (1 << (len(spaces) + len(gens))) - 1
+    spaces_mask = (1 << len(spaces)) - 1
+    I_mask = ((1 << len(I.generators)) - 1) << len(spaces)
     J_mask = everything - spaces_mask - I_mask
-    axes = [
-        _axis_cells(boxes, i, -B if i in ctx.inverted else 0, B)
-        for i in range(ctx.n)
-    ]
+    axes = []
+    for i in range(ctx.n):
+        # u*K[Z] is AtLeast u_i on zplus, AtMost u_i on zminus, Fixed
+        # elsewhere; the multiples of g are AtLeast g_i off the inverted axes
+        bounds = [(None if i in s.zminus else s.root[i], None if i in s.zplus else s.root[i])
+                  for s in spaces]
+        if i in ctx.inverted:
+            bounds += [(None, None)] * len(gens)
+            axes.append(_axis_cells(bounds, -B, B))
+        else:
+            bounds += [(g[i], None) for g in gens]
+            axes.append(_axis_cells(bounds, 0, B))
     for cell in product(*axes):
         bits = everything
         for _, axis_bits in cell:

@@ -33,11 +33,10 @@ def verify_decomposition(D, I, J):
     return VerificationReport(True, "", None, B)
 
 
-def axis_cells(boxes, i, low, high):
+def axis_cells(bounds, low, high):
     """``stanley._axis_cells`` by one test per constraint and cell."""
     cuts = {low}
-    for bounds in boxes:
-        lo, hi = bounds[i]
+    for lo, hi in bounds:
         if lo is not None:
             cuts.add(lo)
         if hi is not None:
@@ -45,8 +44,7 @@ def axis_cells(boxes, i, low, high):
     cells = []
     for c in sorted(x for x in cuts if low <= x <= high):
         bits = 0
-        for k, bounds in enumerate(boxes):
-            lo, hi = bounds[i]
+        for k, (lo, hi) in enumerate(bounds):
             if (lo is None or lo <= c) and (hi is None or c <= hi):
                 bits |= 1 << k
         cells.append((c, bits))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -348,13 +349,38 @@ class TestSeriesOfQuotient:
         assert hilbert.series_of_quotient(I, J) == expected
         assert len(posets) == 1 and "elements" not in vars(posets[0])
 
+    def test_long_run_in_bounded_memory(self):
+        """(x)/(x^200000): one run of 199,999 cells.  The series is summed
+        from the run's two end terms; a dictionary key or a tuple per
+        degree would hold more than the traced peak allowed here."""
+        ctx = RingContext(1)
+        I, J = ring.ideal(ctx, (1,)), ring.ideal(ctx, (200000,))
+        tracemalloc.start()
+        try:
+            h = hilbert.series_of_quotient(I, J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h == HilbertSeries((0,) + (1,) * 199999, 0)
+        assert peak < 25 << 20, peak
+
+    def test_every_axis_inverted(self):
+        """The poset of one cell times (1+t)^|A| from one row of binomials:
+        (1+t)^|A|/(1-t)^|A|, the series of the Laurent ring."""
+        n = 2000
+        ctx = RingContext(n, frozenset(range(n)))
+        h = hilbert.series_of_quotient(ring.ideal(ctx, (0,) * n), MonomialIdeal(ctx))
+        assert h.pole == n and h.numerator == tuple(hilbert._binomials(n))
+        assert h == hilbert.series_of_laurent_ring((0,) * n, range(n), 0)
+
 
 class TestPosetCounts:
     def test_matches_cell_by_cell_counts(self):
-        """The run counts equal the counts of the decoded cells on random
-        quotients with n = 1..5, with and without inverted variables, so
-        with the run axis last or inner, and in the ring with no
-        variables."""
+        """The series and low read off the runs equal the sum of
+        t^|a|/(1-t)^rho(a) over the decoded cells and their least rho, on
+        random quotients with n = 1..5, with and without inverted
+        variables, so with the run axis last or inner, and in the ring
+        with no variables, nonempty and empty."""
         rng = random.Random(53)
         posets = []
         for case in range(300):
@@ -366,19 +392,52 @@ class TestPosetCounts:
         posets += [contracted_poset(unit, MonomialIdeal(ctx)), contracted_poset(unit, unit)]
         inner = 0
         for poset in posets:
-            assert hilbert.poset_counts(poset) == reference_counts.poset_counts(poset), poset
+            assert hilbert.series_of_poset(poset) == reference_counts.series_of_poset(poset), poset
             inner += poset.box.axis < len(poset.bound) - 1
         assert inner > 20
+        assert hilbert.series_of_poset(posets[-1]) == (hilbert.ZERO_SERIES, None)
 
     def test_full_lines_and_top_cells(self):
         """Whole lines of the box, lines that stop below the top slab and
-        single top cells, at both ends of the degrees."""
+        single top cells, at both ends of the degrees, and inverted axes
+        of one cell, before, after and between plain ones."""
         ctx = RingContext(3)
         for I, J in [([(0, 0, 0)], []), ([(0, 0, 0)], [(0, 0, 4)]), ([(2, 0, 3)], []),
                      ([(1, 1, 0)], [(1, 1, 4)]), ([(0, 0, 4)], [(3, 3, 4)]),
                      ([(3, 0, 0), (0, 0, 2)], [(3, 2, 2)])]:
             poset = contracted_poset(ring.ideal(ctx, *I), ring.ideal(ctx, *J))
-            assert hilbert.poset_counts(poset) == reference_counts.poset_counts(poset), (I, J)
+            assert hilbert.series_of_poset(poset) == reference_counts.series_of_poset(poset), (I, J)
+        for A in ({0}, {2}, {1}, {0, 2}, {0, 1, 2}):
+            ctx = RingContext(3, frozenset(A))
+            I = ring.ideal(ctx, tuple(0 if i in A else 1 for i in range(3)))
+            J = ring.ideal(ctx, tuple(0 if i in A else 3 for i in range(3)))
+            for K in (J, MonomialIdeal(ctx)):
+                poset = contracted_poset(I, K)
+                assert hilbert.series_of_poset(poset) == reference_counts.series_of_poset(poset), (A, K)
+
+
+class TestCommonPole:
+    def test_binomial_row_is_repeated_multiplication(self):
+        for sign in (1, -1):
+            power = (1,)
+            for a in range(41):
+                assert tuple(hilbert._binomials(a, sign)) == power, (a, sign)
+                power = hilbert._poly_mul(power, (1, sign))
+
+    def test_sum_matches_pairwise_addition(self):
+        """One sum over the largest pole equals adding the terms two at a
+        time, and its expansion is the sum of theirs."""
+        rng = random.Random(59)
+        for _ in range(200):
+            terms = [(tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 5))),
+                      rng.randint(0, 4)) for _ in range(rng.randint(0, 6))]
+            pairwise = hilbert.ZERO_SERIES
+            for num, pole in terms:
+                pairwise = pairwise + HilbertSeries(num, pole)
+            total = hilbert._sum_over_pole(terms)
+            assert total == pairwise, terms
+            expansions = [hilbert.expand(HilbertSeries(num, pole), 12) for num, pole in terms]
+            assert hilbert.expand(total, 12) == [sum(c) for c in zip([0] * 13, *expansions)]
 
 
 class TestExpand:

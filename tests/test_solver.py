@@ -300,7 +300,7 @@ def power_of_maximal(n, d):
 
 def bounds(poset):
     return (solver.maximal_element_bound(poset),
-            hilbert.hdepth_bound(hilbert.series_of_counts(hilbert.poset_counts(poset))))
+            hilbert.hdepth_bound(hilbert.series_of_poset(poset)[0]))
 
 
 class TestBound:

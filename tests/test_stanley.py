@@ -338,17 +338,17 @@ class TestVerifierParity:
         cases = set()
         for _ in range(300):
             low, high = -4, 5
-            boxes = []
+            bounds = []
             for _ in range(rng.randint(0, 8)):
                 lo, hi = rng.choice(ends), rng.choice(ends)
                 if lo is not None and hi is not None and lo > hi:
                     lo, hi = hi, lo
-                boxes.append(((lo, hi),))
+                bounds.append((lo, hi))
                 cases.add("lo < low" if lo is not None and lo < low else "")
                 cases.add("hi + 1 > high" if hi is not None and hi + 1 > high else "")
                 cases.add("None" if None in (lo, hi) else "")
-            assert stanley._axis_cells(boxes, 0, low, high) == \
-                reference_verify.axis_cells(boxes, 0, low, high), boxes
+            assert stanley._axis_cells(bounds, low, high) == \
+                reference_verify.axis_cells(bounds, low, high), bounds
         assert cases == {"", "lo < low", "hi + 1 > high", "None"}
 
 
