@@ -72,17 +72,23 @@ def _cmd_localize(opts):
     }
 
 
-def _cmd_hilbert(opts):
-    ctx, I, J = _parse_pair(opts)
-    series = hilbert.series_of_quotient(I, J)
-    dmax = opts.get("max_degree", DEFAULT_MAX_DEGREE)
-    coeffs = hilbert.expand(series, dmax)
+def _refuse_unprintable(c):
     try:
-        str(max(coeffs))    # int to str has a digit limit, which parsing relies on
+        str(c)    # int to str has a digit limit, which parsing relies on
     except ValueError:
         raise AnswerTooLargeError(
             "a coefficient has more than %d digits, the limit for printing an integer"
             % sys.get_int_max_str_digits()) from None
+
+
+def _cmd_hilbert(opts):
+    ctx, I, J = _parse_pair(opts)
+    series = hilbert.series_of_quotient(I, J)
+    dmax = opts.get("max_degree", DEFAULT_MAX_DEGREE)
+    # the coefficients count monomials, so the largest is at least the last
+    _refuse_unprintable(hilbert.coefficient(series, dmax))
+    coeffs = hilbert.expand(series, dmax)
+    _refuse_unprintable(max(coeffs))
     maximal = hilbert.count_maximal_spaces(series)
     return {
         "series": parsing.series_to_json(series),
@@ -151,11 +157,23 @@ def run_request(command, opts):
         return {"error": error, "text": lambda: "error: %s" % error}, code
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _json_line(report, code):
-    """A report as one JSON line: every field but the text, and ok."""
+    """A report as one JSON line: every field but the text, and ok, with
+    the keys in sorted order.  A parsing.JSONText value is written as it
+    is; a report without one is encoded in one call."""
     payload = {k: v for k, v in report.items() if k != "text"}
     payload["ok"] = code == EXIT_OK
-    return json.dumps(payload, sort_keys=True) + "\n"
+    if not any(type(v) is parsing.JSONText for v in payload.values()):
+        return _ENCODER.encode(payload) + "\n"
+    parts = ["{"]
+    for k, v in sorted(payload.items()):
+        parts += (_ENCODER.encode(k), ": ",
+                  v if type(v) is parsing.JSONText else _ENCODER.encode(v), ", ")
+    parts[-1] = "}\n"
+    return "".join(parts)
 
 
 def _emit(report, code, fmt, out):

@@ -9,6 +9,7 @@ here ever multiplies two graded components.
 """
 
 from dataclasses import dataclass
+from math import comb
 from operator import eq
 
 from . import ring, solver
@@ -277,13 +278,17 @@ def count_maximal_spaces(obj):
 MAX_DEGREE = 10**5   # expand lists a coefficient per degree: 10^12 would not fit in memory
 
 
-def expand(series, d_max):
-    """The power-series coefficients of degrees 0..d_max, as a list of
-    exact integers indexed by degree."""
+def _check_degree(d_max):
     if d_max < 0:
         raise MalformedInputError("expansion degree must be nonnegative")
     if d_max > MAX_DEGREE:
         raise MalformedInputError("expansion degree exceeds the limit of %d" % MAX_DEGREE)
+
+
+def expand(series, d_max):
+    """The power-series coefficients of degrees 0..d_max, as a list of
+    exact integers indexed by degree."""
+    _check_degree(d_max)
     coeffs = list(series.numerator[: d_max + 1])
     coeffs += [0] * (d_max + 1 - len(coeffs))
     for _ in range(series.pole):
@@ -292,3 +297,22 @@ def expand(series, d_max):
             acc += coeffs[i]
             coeffs[i] = acc
     return coeffs
+
+
+def coefficient(series, d):
+    """The power-series coefficient of degree d alone, expand(series, d)[d]:
+    the sum of P_k C(d-k+pole-1, pole-1) over k <= d, with each binomial
+    taken from the one before it."""
+    _check_degree(d)
+    num, pole = series.numerator, series.pole
+    if pole == 0:
+        return num[d] if d < len(num) else 0
+    r = pole - 1
+    binom = comb(d + r, r)
+    total = 0
+    for k, c in enumerate(num[: d + 1]):
+        if k:
+            # C(m-1, r) = C(m, r) (m-r) / m with m = d-k+1+r; the division is exact
+            binom = binom * (d - k + 1) // (d - k + 1 + r)
+        total += c * binom
+    return total

@@ -10,6 +10,7 @@ indices are 1-based in all external formats and 0-based internally.
 """
 
 import functools
+import json
 import re
 
 from .errors import ParseError
@@ -98,10 +99,14 @@ MAX_EXPONENT_DIGITS = 1000
 
 @functools.lru_cache(maxsize=1024)
 def _factor(factor, n):
-    """(index, exponent) of one stripped factor other than '1' in a ring of
-    n variables, or the message of the ParseError that ``parse_monomial``
-    raises at the factor's column; ParseError for a variable the ring lacks.
-    A request repeats the same few factors thousands of times."""
+    """One factor of a monomial, as split from its text, in a ring of n
+    variables: None for '1', else (index, exponent), or the message of the
+    ParseError that ``parse_monomial`` raises at the factor's column;
+    ParseError for a variable the ring lacks.  A request repeats the same
+    few factors thousands of times."""
+    factor = factor.strip()
+    if factor == "1":
+        return None
     m = _FACTOR.fullmatch(factor)
     if not m:
         return "bad monomial factor %r" % factor
@@ -113,17 +118,17 @@ def _factor(factor, n):
 
 
 def parse_monomial(text, ctx):
-    exps = [0] * ctx.n
-    pos = 0
-    for factor in text.split("*"):
-        col = pos
-        pos += len(factor) + 1
-        factor = factor.strip()
-        if factor == "1":
+    n = ctx.n
+    exps = [0] * n
+    factors = text.split("*")
+    for factor in factors:
+        parsed = _factor(factor, n)
+        if parsed is None:
             continue
-        parsed = _factor(factor, ctx.n)
-        if isinstance(parsed, str):
-            raise ParseError(parsed, col)
+        if type(parsed) is str:
+            # the first bad factor is the first with its text
+            j = factors.index(factor)
+            raise ParseError(parsed, sum(map(len, factors[:j])) + j)
         i, exp = parsed
         exps[i] += exp
     return tuple(exps)
@@ -283,23 +288,34 @@ def space_from_json(obj, ctx):
     )
 
 
+class JSONText(str):
+    """A value that is already JSON text, which ``cli._json_line`` writes
+    into an answer as it is."""
+
+    __slots__ = ()
+
+
 def decomposition_to_json(D):
     """The ring and, per space, its root and the sorted 1-based indices of
-    zplus and zminus.  One index list is built per distinct Z, and each
-    space gets its own copy."""
-    indices = {}
+    zplus and zminus, as JSONText with the keys in sorted order.  Each
+    space is its root written into one format per distinct Z, by %d, so a
+    bool entry is 1 or 0."""
+    head = '{"root": [%s], ' % ", ".join(["%d"] * D.context.n)
+    formats = {}
+    texts = []
+    for s in D.spaces:
+        zplus, zminus = s.zplus, s.zminus
+        fmt = formats.get((zplus, zminus))
+        if fmt is None:
+            fmt = formats[zplus, zminus] = head + '"zminus": [%s], "zplus": [%s]}' % (
+                _one_based(zminus), _one_based(zplus))
+        texts.append(fmt % s.root)
+    return JSONText('{"ring": %s, "spaces": [%s]}' % (
+        json.dumps(ring_to_json(D.context), sort_keys=True), ", ".join(texts)))
 
-    def one_based(z):
-        found = indices.get(z)
-        if found is None:
-            found = indices[z] = sorted(i + 1 for i in z)
-        return found[:]
 
-    return {
-        "ring": ring_to_json(D.context),
-        "spaces": [{"root": list(s.root), "zplus": one_based(s.zplus),
-                    "zminus": one_based(s.zminus)} for s in D.spaces],
-    }
+def _one_based(z):
+    return ", ".join(map(str, sorted(i + 1 for i in z)))
 
 
 def decomposition_from_json(obj):
@@ -310,10 +326,11 @@ def decomposition_from_json(obj):
 
 
 def series_to_json(h):
-    return {
-        "num": [[c, k] for k, c in enumerate(h.numerator) if c != 0],
-        "pole": h.pole,
-    }
+    """The nonzero numerator coefficients as [c, k] pairs, ascending in k,
+    and the pole, as JSONText with the keys in sorted order."""
+    pairs = ", ".join(
+        "[%d, %d]" % (c, k) for k, c in enumerate(h.numerator) if c != 0)
+    return JSONText('{"num": [%s], "pole": %d}' % (pairs, h.pole))
 
 
 def series_from_json(obj):

@@ -2,15 +2,17 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from math import comb
 
 import pytest
 
-from stanleydec import cli, hilbert, parsing
+import reference_json
+from stanleydec import cli, hilbert, parsing, solver
 
-from util import recursion_headroom
+from util import random_quotient, recursion_headroom
 
 
 def run(argv, stdin_text=""):
@@ -512,6 +514,22 @@ class TestBatch:
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
         assert run(["hilbert", "--ring", "n=1", "--I", "(x)"]) == (2, "error: %s\n" % error)
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter converts integers of any size to text")
+    def test_unprintable_last_coefficient_is_refused_before_expanding(self, monkeypatch):
+        """At degree 10,000 of K[x1..x10000] the coefficient is C(19999, 9999),
+        of about 6,000 digits: the request is refused from that coefficient
+        alone, without the expansion, which takes about a minute."""
+        def expand(series, d):
+            raise AssertionError("expanded")
+
+        monkeypatch.setattr(cli.hilbert, "expand", expand)
+        code, out = run(["hilbert", "--ring", "n=10000", "--I", "(1)",
+                         "--max-degree", "10000", "--format", "json"])
+        error = ("a coefficient has more than %d digits, the limit for printing an integer"
+                 % sys.get_int_max_str_digits())
+        assert (code, json.loads(out)) == (2, {"ok": False, "error": error})
+
     def test_unserializable_report_keeps_stream_alive(self, monkeypatch):
         """Each line's JSON is built inside the guard of that line."""
         monkeypatch.setattr(cli.hilbert, "count_maximal_spaces", lambda series: object())
@@ -574,6 +592,19 @@ class TestBatch:
         assert lines[1]["ok"] and lines[1]["maximal_spaces"] == 970298
         assert lines[1]["coefficients"] == [0] + [(d + 1) * (d + 2) // 2 for d in range(1, 11)]
         assert lines[2]["ok"] and lines[2]["sdepth"] == 2
+
+    def test_long_series_answers_in_bounded_memory(self):
+        """The series of (x)/(x^999999) has 999,998 nonzero coefficients; its
+        text, about 13 MB, is written in a process capped at 160 MB, where
+        the lists json.dumps would encode do not fit."""
+        code, lines, stderr = self.run_capped([
+            {"command": "hilbert", "ring": "n=1", "I": "(x)", "J": "(x^999999)"},
+            self.VALID,
+        ], limit=160 << 20)
+        assert code == 0 and len(lines) == 2, stderr
+        series = lines[0]["series"]
+        assert series["pole"] == 0 and series["num"] == [[1, k] for k in range(1, 999999)]
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
     def test_too_many_spaces_answers_in_bounded_memory(self):
         """sdepth of the whole ring with 26 inverted variables has 2^26
@@ -694,3 +725,70 @@ class TestBatch:
         code, out = run(["batch"], json.dumps(req) + "\n")
         assert code == 2
         assert json.loads(out)["error"].startswith("bad request: missing")
+
+
+class TestJsonLine:
+    """Every answer has the bytes json.dumps(sort_keys=True) wrote for the
+    report built with the dict writers of reference_json."""
+
+    @staticmethod
+    def requests():
+        rng = random.Random(67)
+        reqs = []
+        for _ in range(30):
+            ctx, I, J = random_quotient(rng, n=rng.randint(1, 4))
+            base = {"ring": parsing.ring_str(ctx), "I": parsing.ideal_str(I),
+                    "J": parsing.ideal_str(J)}
+            D = parsing.decomposition_str(solver.sdepth(I, J).witness)
+            A = "{%s}" % ",".join(str(i + 1) for i in range(ctx.n) if rng.random() < 0.5)
+            reqs += [
+                dict(base, command="normalize"),
+                dict(base, command="sdepth", options={"budget": 1000}),
+                dict(base, command="decompose"),
+                dict(base, command="hilbert", options={"max_degree": rng.randint(0, 12)}),
+                dict(base, command="verify", D=D),
+                dict(base, command="verify", D=D.rsplit(" + ", 1)[0]),
+                dict(base, command="localize", D=D, A=A),
+                dict(base, command="fdepth", options={"budget": 200}),
+            ]
+        big = "9" * parsing.MAX_EXPONENT_DIGITS
+        every = ",".join(map(str, range(1, 401)))
+        return reqs + [
+            {"command": "decompose", "ring": "n=0", "I": "(1)"},
+            {"command": "hilbert", "ring": "n=0", "I": "(1)"},
+            {"command": "localize", "ring": "n=0", "I": "(1)", "D": "K", "A": "{}"},
+            # every input space dropped: no spaces
+            {"command": "localize", "ring": "n=1", "I": "(1)", "J": "(x)", "D": "K", "A": "{1}"},
+            {"command": "localize", "ring": "n=1", "I": "(x^%s)" % big,
+             "D": "x^%s*K[x]" % big, "A": "{}"},
+            {"command": "verify", "ring": "n=1", "I": "(x^%s)" % big, "D": "x^%s*K" % big},
+            # coefficients of up to 120 digits
+            {"command": "hilbert", "ring": "n=400 invert={%s}" % every, "I": "(1)"},
+            {"command": "sdepth", "ring": "n=3", "I": "(x, y, z)", "options": {"budget": 0}},
+            {"command": "hilbert", "ring": "n=1", "I": "(x)", "J": "(x)"},
+            {"command": "decompose", "ring": "n=2", "I": "(x)", "J": "(y)"},
+            {"command": "sdepth", "ring": "n=2", "I": "(x, q\u00e9\")"},
+            {"command": "nonsense"},
+        ]
+
+    def test_same_bytes_as_the_dict_writers(self, monkeypatch):
+        reqs = self.requests()
+        assert {r["command"] for r in reqs} >= set(cli._COMMANDS)
+        stdin = "\n".join(json.dumps(r) for r in reqs) + "\n[1]\n"
+        answers = run(["batch"], stdin)
+        monkeypatch.setattr(parsing, "decomposition_to_json",
+                            reference_json.decomposition_to_json)
+        monkeypatch.setattr(parsing, "series_to_json", reference_json.series_to_json)
+        monkeypatch.setattr(cli, "_json_line", reference_json.json_line)
+        assert answers == run(["batch"], stdin)
+        assert answers[1].count("\n") == len(reqs) + 1
+
+    @pytest.mark.parametrize("error", [
+        "bad request: unknown command 'q\u00e9\"\\'",
+        "internal error: ValueError: two\nlines\t",
+        "",
+    ])
+    def test_error_reports(self, error):
+        for code in (cli.EXIT_INTERNAL, cli.EXIT_MATH, cli.EXIT_BUDGET):
+            report = {"error": error, "text": lambda: error}
+            assert cli._json_line(report, code) == reference_json.json_line(report, code)

@@ -1,11 +1,12 @@
 import random
 import tracemalloc
 from itertools import product
+from math import comb
 
 import pytest
 
 from stanleydec import hilbert, ring, solver, stanley
-from stanleydec.errors import ZeroModuleError
+from stanleydec.errors import MalformedInputError, ZeroModuleError
 from stanleydec.hilbert import HilbertSeries
 from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
@@ -450,3 +451,17 @@ class TestExpand:
     def test_final_example_coefficients(self):
         h = HilbertSeries((0, 1, 2, 1), 2)
         assert hilbert.expand(h, 3) == [0, 1, 4, 8]
+
+    def test_one_coefficient_is_the_expansion_at_its_degree(self):
+        """coefficient(h, d) is expand(h, d)[d]: numerators of either sign,
+        longer and shorter than d, and poles 0 and 1 (no binomial row)."""
+        rng = random.Random(71)
+        for _ in range(1000):
+            num = tuple(rng.randint(-5, 5) for _ in range(rng.randint(0, 9)))
+            h = HilbertSeries(num, rng.randint(0, 6))
+            d = rng.randint(0, 12)
+            assert hilbert.coefficient(h, d) == hilbert.expand(h, d)[d]
+        assert hilbert.coefficient(HilbertSeries((1,), 10000), 10000) == comb(19999, 9999)
+        for d in (-1, hilbert.MAX_DEGREE + 1):
+            with pytest.raises(MalformedInputError):
+                hilbert.coefficient(HilbertSeries((1,), 1), d)

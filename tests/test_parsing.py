@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+import reference_json
 from stanleydec import filtration, parsing, ring, solver
 from stanleydec.errors import MalformedInputError, ParseError
 from stanleydec.hilbert import HilbertSeries
@@ -95,14 +97,20 @@ class TestMonomialText:
         """Factors are parsed once per ring and text, but every error names
         the column of its own occurrence."""
         ctx = RingContext(2)
-        for text, column in (("x*y^", 2), ("y^", 0), ("x * y^", 3)):
+        cases = (("x*y^", 2), ("y^", 0), ("x * y^", 3), ("1 * y^", 3),
+                 ("x*1*  y^", 4), ("x*y^*y^", 2))
+        for text, column in cases:
             with pytest.raises(ParseError, match=r"bad monomial factor 'y\^' \(column %d\)" % column):
                 parsing.parse_monomial(text, ctx)
         long = "x^" + "9" * (parsing.MAX_EXPONENT_DIGITS + 1)
         for text, column in (("y*" + long, 2), (long, 0)):
             with pytest.raises(ParseError, match=r"more than \d+ digits \(column %d\)" % column):
                 parsing.parse_monomial(text, ctx)
+        with pytest.raises(ParseError, match=r"bad monomial factor '' \(column 2\)"):
+            parsing.parse_monomial("x**y", ctx)
         assert parsing.parse_monomial("x*y*x^2", ctx) == (3, 1)
+        assert parsing.parse_monomial(" 1 * x *1", ctx) == (1, 0)
+        assert parsing.parse_monomial("1", RingContext(0)) == ()
         assert parsing.parse_monomial("x*y*x^2", RingContext(3)) == (3, 1, 0)
 
     def test_unknown_variable(self):
@@ -236,12 +244,58 @@ class TestJson:
         for _ in range(15):
             ctx, I, J = polynomial_quotient(rng)
             D = solver.sdepth(I, J).witness
-            back = parsing.decomposition_from_json(parsing.decomposition_to_json(D))
+            back = parsing.decomposition_from_json(json.loads(parsing.decomposition_to_json(D)))
             assert back.context == ctx and back.spaces == D.spaces
 
     def test_series_round_trip(self):
         for h in (HilbertSeries((0, 1, 2, 1), 2), HilbertSeries((1,), 0), HilbertSeries((), 0)):
-            assert parsing.series_from_json(parsing.series_to_json(h)) == h
+            assert parsing.series_from_json(json.loads(parsing.series_to_json(h))) == h
+
+    def test_decomposition_text_is_the_dict_writers(self):
+        """The text is json.dumps(sort_keys=True) of the object the dict
+        writer built: random spaces, negative roots on inverted axes,
+        roots of 1,000 digits, n = 0, no spaces at all, and n = 40, where
+        a set of indices does not iterate in sorted order."""
+        rng = random.Random(63)
+        big = 10 ** parsing.MAX_EXPONENT_DIGITS - 1
+        for _ in range(200):
+            n = rng.choice((0, 1, 2, 3, 4, 5, 40))
+            A = frozenset(i for i in range(n) if rng.random() < 0.4)
+            ctx = RingContext(n, A)
+            spaces = []
+            for _ in range(rng.choice((0, 1, 6, 40))):
+                root = tuple(rng.choice((rng.randint(-3, 3) if i in A else rng.randint(0, 3),
+                                         -big if i in A else big))
+                             for i in range(n))
+                zplus = frozenset(i for i in range(n) if rng.random() < 0.4)
+                zminus = frozenset(i for i in A - zplus if rng.random() < 0.5)
+                spaces.append(StanleySpace(ctx, root, zplus, zminus))
+            D = StanleyDecomposition(ctx, tuple(spaces))
+            text = parsing.decomposition_to_json(D)
+            assert type(text) is parsing.JSONText
+            assert text == json.dumps(reference_json.decomposition_to_json(D), sort_keys=True)
+
+    def test_bool_root_entries_are_written_as_numbers(self):
+        """The library API accepts bool exponents; they are written as 1
+        and 0, where json.dumps of the dict wrote true and false."""
+        ctx = RingContext(2)
+        D = StanleyDecomposition(ctx, (StanleySpace(ctx, (True, False), frozenset({0})),))
+        assert parsing.decomposition_to_json(D) == (
+            '{"ring": {"invert": [], "n": 2}, '
+            '"spaces": [{"root": [1, 0], "zminus": [], "zplus": [1]}]}')
+
+    def test_series_text_is_the_dict_writers(self):
+        """The same for series: the zero series, coefficients of 1,000
+        digits of either sign, and zero coefficients left out."""
+        rng = random.Random(65)
+        big = 10 ** parsing.MAX_EXPONENT_DIGITS - 1
+        for _ in range(200):
+            num = tuple(rng.choice((0, 0, 1, -2, big, -big)) for _ in range(rng.randint(0, 8)))
+            h = HilbertSeries(num, rng.randint(0, 4))
+            text = parsing.series_to_json(h)
+            assert type(text) is parsing.JSONText
+            assert text == json.dumps(reference_json.series_to_json(h), sort_keys=True)
+        assert parsing.series_to_json(HilbertSeries((), 0)) == '{"num": [], "pole": 0}'
 
     def test_filtration_round_trip(self):
         ctx = RingContext(3)
