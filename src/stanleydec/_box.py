@@ -30,6 +30,16 @@ for _b in range(8):
 del _b
 
 
+def mask_of(codes, nbytes):
+    """The int with the bits at the indices codes set, all below 8 * nbytes,
+    built in one buffer: or-ing in one bit at a time would copy the int
+    each time."""
+    buf = bytearray(nbytes)
+    for c in codes:
+        buf[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(buf, "little")
+
+
 class Box:
     def __init__(self, g):
         n = len(g)
@@ -39,7 +49,7 @@ class Box:
             strides[i] = strides[i + 1] * (g[i + 1] + 1)
         cells = strides[0] * (g[0] + 1) if n else 1
         self.nbytes = cells // 8 + 1     # the bytes that hold a mask
-        self.rows = [self._bits(range(0, (gi + 1) * s, s)) if gi else 1
+        self.rows = [mask_of(range(0, (gi + 1) * s, s), self.nbytes) if gi else 1
                      for s, gi in zip(strides, g)]
         # per axis with g_i > 0: its stride and the mask of its top slab, a_i = g_i
         self.slabs = [(s, self.interval([gi * (j == i) for j in range(n)], g))
@@ -54,14 +64,6 @@ class Box:
         geometric series sum_k 2^(k w), w = g_r + 1, in one division."""
         w = self.g[self.axis] + 1
         return ((1 << self.cells) - 1) // ((1 << w) - 1)
-
-    def _bits(self, codes):
-        """The mask with the bits at the indices codes set, built in one
-        buffer: or-ing in one bit at a time would copy the mask each time."""
-        buf = bytearray(self.nbytes)
-        for c in codes:
-            buf[c >> 3] |= 1 << (c & 7)
-        return int.from_bytes(buf, "little")
 
     def code(self, a):
         """The bit index of the cell a."""

@@ -12,6 +12,7 @@ indices are 1-based in all external formats and 0-based internally.
 import functools
 import json
 import re
+from itertools import chain
 
 from .errors import ParseError
 from .filtration import FiltrationStep, PrimeFiltration
@@ -237,28 +238,36 @@ def decomposition_str(D):
 # --------------------------------------------------------------- series
 
 def series_str(h):
-    if not h.numerator:
+    """P(t)/(1-t)^pole as text, e.g. '(1 + t - 2*t^2) / (1-t)^3', or '0'.
+    The terms are written by one join over a generator, so a numerator of
+    a million terms takes the memory of its text and no more."""
+    terms = _series_terms(h.numerator)
+    first = next(terms, None)
+    if first is None:
         return "0"
-    terms = []
-    for k, c in enumerate(h.numerator):
-        if c == 0:
+    first = first[3:] if first[1] == "+" else "-" + first[3:]
+    head, tail = "", ""
+    if h.pole:
+        tail = " / (1-t)^%d" % h.pole
+        if len(h.numerator) - h.numerator.count(0) > 1:
+            head, tail = "(", ")" + tail
+    return "".join(chain((head, first), terms, (tail,)))
+
+
+def _series_terms(numerator):
+    """' + c*t^k' or ' - c*t^k' per nonzero coefficient c, ascending in k,
+    with 'c*' left out when |c| = 1 and t^0, t^1 written 1, t."""
+    for k, c in enumerate(numerator):
+        if not c:
             continue
+        sign = " - " if c < 0 else " + "
+        c = abs(c)
         if k == 0:
-            body = str(abs(c))
+            yield "%s%d" % (sign, c)
+        elif c == 1:
+            yield sign + "t" if k == 1 else "%st^%d" % (sign, k)
         else:
-            tpart = "t" if k == 1 else "t^%d" % k
-            body = tpart if abs(c) == 1 else "%d*%s" % (abs(c), tpart)
-        sign = "-" if c < 0 else "+"
-        terms.append((sign, body))
-    first_sign, first_body = terms[0]
-    num = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in terms[1:]:
-        num += " %s %s" % (sign, body)
-    if h.pole == 0:
-        return num
-    if len(terms) > 1:
-        num = "(%s)" % num
-    return "%s / (1-t)^%d" % (num, h.pole)
+            yield "%s%d*t" % (sign, c) if k == 1 else "%s%d*t^%d" % (sign, c, k)
 
 
 # ----------------------------------------------------------------- JSON

@@ -172,7 +172,11 @@ def in_quotient(I, J, m):
 
 def contraction(I):
     """The same generators reinterpreted in the polynomial ring (nothing
-    inverted); this is I intersected with the polynomial ring."""
+    inverted); this is I intersected with the polynomial ring.  I itself
+    when its ring inverts nothing: its generators are already normal
+    there, and normalizing them again costs O(g^2)."""
+    if not I.context.inverted:
+        return I
     return MonomialIdeal(I.context.polynomial_context(), I.generators)
 
 

@@ -13,7 +13,7 @@ of ``_intervals``, in the one depth-first search of the package.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, product
+from itertools import chain, compress, product, repeat
 from operator import attrgetter, eq
 
 from . import hilbert, ring, stanley
@@ -47,13 +47,9 @@ class CharacteristicPoset:
     def elements(self):
         """The lex-sorted exponent vectors of I'\\J' below g, built on first
         use, one tuple per cell from the runs of the mask.  Only the
-        singleton answer lists them: ``hilbert``, the bounds and the
-        searches read the mask."""
-        if not self.bound:      # n = 0: the one cell () is no run
-            return ((),) if self.mask else ()
-        tail = self.box.tail
-        return tuple([head + (t,) + tail for head, first, last in self.box.runs(self.mask)
-                      for t in range(first, last + 1)])
+        singleton partition of ``max_interval_partition`` lists them: the
+        commands, the bounds, the searches and the lift read the mask."""
+        return tuple(_singleton_bases(self)[0])
 
 
 @dataclass(frozen=True)
@@ -112,6 +108,15 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
     be dead.  The node budget is shared across the targets above low, and
     exhausting it raises rather than returning a possibly wrong value.
     """
+    k, partition = _best_partition(poset, budget)
+    if partition is None:
+        partition = IntervalPartition(tuple((a, a) for a in poset.elements))
+    return k, partition
+
+
+def _best_partition(poset, budget):
+    """``max_interval_partition``, with None for the singleton partition,
+    which ``_embed_and_invert`` builds from the runs of the poset."""
     if not poset.mask:
         raise ZeroModuleError("empty poset: the quotient is the zero module")
     series, low = hilbert.series_of_poset(poset)
@@ -131,33 +136,68 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
                                       "k = %d set by %s" % (total, start, setters), total, spent)
         if status == "found":
             return k, IntervalPartition(tuple(intervals))
-    return low, IntervalPartition(tuple((a, a) for a in poset.elements))
+    return low, None
 
 
 def _bases(poset, partition):
-    """The spaces an interval partition encodes, as (root, Z) pairs.
+    """The spaces an interval partition encodes, as the lists of their
+    roots and of their Z.
 
     The interval [b, c] gets the admissible set Z = {i : c_i = g_i} and
     one space x^a K[Z] per root a in [b, c] with a_i = b_i on Z; when the
     upper corner is extremal in every non-Z coordinate this is the single
     space x^b K[Z].  An inverted axis has g_i = 0, so it is in every Z.
-    The pairs come in the order of the intervals, then of the roots.  One
-    Z is built per corner pattern, and a singleton [b, b] yields b itself.
+    The spaces come in the order of the intervals, then of the roots.  One
+    Z is built per corner pattern, and a singleton [b, b] gives b itself.
     """
     g = poset.bound
     axes = range(len(g))
     zs = {}
+    roots, zpluses = [], []
     for b, c in partition.intervals:
         pattern = tuple(map(eq, c, g))
         z = zs.get(pattern)
         if z is None:
             z = zs[pattern] = frozenset(compress(axes, pattern))
         if b == c:
-            yield b, z
+            roots.append(b)
+            zpluses.append(z)
             continue
-        for a in product(*[range(bi, bi + 1) if top else range(bi, ci + 1)
-                           for bi, ci, top in zip(b, c, pattern)]):
-            yield a, z
+        before = len(roots)
+        roots += product(*[range(bi, bi + 1) if top else range(bi, ci + 1)
+                           for bi, ci, top in zip(b, c, pattern)])
+        zpluses += repeat(z, len(roots) - before)
+    return roots, zpluses
+
+
+def _singleton_bases(poset):
+    """``_bases`` of the singleton partition, every element [a, a] in lex
+    order, read off the runs of the poset's mask without listing its
+    elements.  A run, head + (t,) + tail for first <= t <= last, shares
+    Z = {i < r : head_i = g_i} and every axis after the run axis r, where
+    g_i = 0; its last cell also has r in Z when it reaches g_r."""
+    g, box = poset.bound, poset.box
+    if not g:           # n = 0: the one cell () is no run
+        roots = [()] if poset.mask else []
+        return roots, [frozenset()] * len(roots)
+    r = box.axis
+    top, after = g[r], range(r + 1, len(g))
+    cells = [(t,) + box.tail for t in range(top + 1)]    # a_r onwards
+    zs = {}
+    roots, zpluses = [], []
+    for head, first, last in box.runs(poset.mask):
+        pattern = tuple(map(eq, head, g))
+        pair = zs.get(pattern)
+        if pair is None:
+            z = frozenset(chain(compress(range(r), pattern), after))
+            pair = zs[pattern] = z, z | {r}
+        roots += map(head.__add__, cells[first:last + 1])
+        if last == top:
+            zpluses += repeat(pair[0], last - first)
+            zpluses.append(pair[1])
+        else:
+            zpluses += repeat(pair[0], last - first + 1)
+    return roots, zpluses
 
 
 def partition_to_decomposition(poset, partition):
@@ -177,10 +217,13 @@ class SdepthResult:
 
 def _embed_and_invert(poset, partition, ctx):
     """The decomposition of I/J over ctx that an interval partition of the
-    poset of its contraction encodes, spaces sorted by key.  Each space of
-    ``_bases`` is fanned out over the inverted variables of ctx, with x or
-    x^-1 for each, built once, straight from its interval."""
-    spaces = stanley._fan_out(ctx, _bases(poset, partition), ctx.inverted)
+    poset of its contraction encodes, spaces sorted by key; None stands
+    for the singleton partition.  Each space of ``_bases`` is fanned out
+    over the inverted variables of ctx, with x or x^-1 for each, built
+    once, straight from its interval."""
+    roots, zpluses = (_singleton_bases(poset) if partition is None
+                      else _bases(poset, partition))
+    spaces = stanley._fan_out(ctx, roots, zpluses, ctx.inverted)
     # every space holds its root and the spaces are disjoint, so no two
     # share a root, and root order is the order of StanleySpace.key
     spaces.sort(key=attrgetter("root"))
@@ -203,5 +246,5 @@ def _poset_of(I, J, message):
 def sdepth(I, J, budget=DEFAULT_BUDGET):
     """Exact Stanley depth of I/J with a verifying witness decomposition."""
     poset = _poset_of(I, J, "I/J is the zero module; sdepth undefined")
-    k, partition = max_interval_partition(poset, budget)
+    k, partition = _best_partition(poset, budget)
     return SdepthResult(k, _embed_and_invert(poset, partition, I.context))

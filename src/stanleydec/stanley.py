@@ -7,11 +7,13 @@ semi-infinite box of lattice points, which is what the Region view makes
 explicit and what all verification works on.
 """
 
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, product
+from itertools import accumulate, chain, compress, product, repeat
 from operator import add, attrgetter, itemgetter, xor
 
 from . import ring
+from ._box import mask_of
 from .errors import (
     AnswerTooLargeError,
     ContextMismatchError,
@@ -20,6 +22,9 @@ from .errors import (
     ZeroModuleError,
 )
 from .ring import MonomialIdeal, RingContext
+
+# runs an iterator to its end and keeps nothing
+_drain = deque(maxlen=0).extend
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,15 +98,14 @@ def make_spaces(ctx, roots, zs):
     if not checked:
         return [StanleySpace(ctx, root, zplus, zminus)
                 for root, (zplus, zminus) in zip(roots, zs)]
-    # what __init__ would store, without running the checks again
-    spaces = []
-    for root, (zplus, zminus) in zip(roots, zs):
-        space = object.__new__(StanleySpace)
-        object.__setattr__(space, "context", ctx)
-        object.__setattr__(space, "root", root)
-        object.__setattr__(space, "zplus", zplus)
-        object.__setattr__(space, "zminus", zminus)
-        spaces.append(space)
+    # what __init__ would store, without running the checks again: each
+    # slot filled in one pass through its descriptor, past the frozen
+    # __setattr__
+    spaces = list(map(object.__new__, repeat(StanleySpace, len(roots))))
+    _drain(map(StanleySpace.context.__set__, spaces, repeat(ctx)))
+    _drain(map(StanleySpace.root.__set__, spaces, roots))
+    _drain(map(StanleySpace.zplus.__set__, spaces, map(itemgetter(0), zs)))
+    _drain(map(StanleySpace.zminus.__set__, spaces, map(itemgetter(1), zs)))
     return spaces
 
 
@@ -172,40 +176,41 @@ def sdepth_of(D):
 MAX_SPACES = 10**6
 
 
-def _fan_out(ctx, bases, A):
-    """Localize the spaces root*K[zplus] of bases, given as (root, zplus)
-    pairs with A inside every zplus, at the variables in A.
+def _fan_out(ctx, roots, zpluses, A):
+    """Localize the spaces root*K[zplus] over the equally long sequences
+    roots and zpluses, of frozensets with A inside each, at the variables
+    in A.
 
     Each space becomes one space of ctx per subset L of A, with x_l^-1 in
     place of x_l and the root divided by x_l for each l in L; the spaces
-    come in the order of bases, then of ``product`` over sorted A.  Every
+    come in the order of roots, then of ``product`` over sorted A.  Every
     new space keeps the dimension of the old one, which is why sdepth does
     not drop under localization.  More than MAX_SPACES spaces raise
-    AnswerTooLargeError before they are built."""
+    AnswerTooLargeError before they are built.  The spaces of each L fill
+    every 2^|A|-th place of the answer in one pass, their Z looked up per
+    distinct zplus."""
+    count = len(roots)
+    if not count:       # no space: the 2^|A| subsets are not built
+        return []
     A = sorted(A)
-    room = MAX_SPACES >> len(A)     # the most bases whose spaces fit
-    subsets = [
-        frozenset(compress(A, bits))
-        for bits in product((False, True), repeat=len(A))
-    ] if room else []
-    # the root of the space for L is root + shift, with -1 on L; the
-    # first subset is empty, and its space keeps the root
-    shifts = [tuple(-(i in L) for i in range(ctx.n)) for L in subsets[1:]]
-    differences = {}    # zplus -> (zplus - L, L) for each L, in the order of subsets
-    roots, zs = [], []
-    for count, (root, zplus) in enumerate(bases):
-        if count == room:
-            raise AnswerTooLargeError(
-                "the answer would have more than %d Stanley spaces" % MAX_SPACES)
-        zplus = frozenset(zplus)
-        pairs = differences.get(zplus)
-        if pairs is None:
-            pairs = differences[zplus] = [(zplus - L, L) for L in subsets]
-        roots.append(root)
-        for shift in shifts:
-            roots.append(tuple(map(add, root, shift)))
-        zs += pairs
-    return make_spaces(ctx, roots, zs)
+    if count << len(A) > MAX_SPACES:
+        raise AnswerTooLargeError(
+            "the answer would have more than %d Stanley spaces" % MAX_SPACES)
+    subsets = [frozenset(compress(A, bits)) for bits in product((False, True), repeat=len(A))]
+    step = len(subsets)
+    distinct = set(zpluses)
+    out_roots, out_zs = [None] * (count * step), [None] * (count * step)
+    for j, L in enumerate(subsets):
+        # the root of the space for L is root + shift, with -1 on L; the
+        # first subset is empty, and its space keeps the root
+        if L:
+            shift = tuple(-(i in L) for i in range(ctx.n))
+            out_roots[j::step] = list(map(tuple, map(map, repeat(add), roots, repeat(shift))))
+        else:
+            out_roots[j::step] = roots
+        z_of = {zplus: (zplus - L, L) for zplus in distinct}
+        out_zs[j::step] = list(map(z_of.__getitem__, zpluses))
+    return make_spaces(ctx, out_roots, out_zs)
 
 
 def canonical_sf_decomposition(ctx):
@@ -213,7 +218,7 @@ def canonical_sf_decomposition(ctx):
     per subset L of the inverted indices, with root prod_{l in L} x_l^-1
     and Z inverting exactly the variables in L.  2^|A| spaces, all of
     dimension n."""
-    spaces = _fan_out(ctx, [(ring.one(ctx), range(ctx.n))], ctx.inverted)
+    spaces = _fan_out(ctx, [ring.one(ctx)], [frozenset(range(ctx.n))], ctx.inverted)
     spaces.sort(key=lambda s: s.key())
     return StanleyDecomposition(ctx, tuple(spaces))
 
@@ -245,12 +250,17 @@ def _axis_cells(bounds, low, high):
     corner is the cell's lowest value and bit k of bits is set when the
     k-th (lo, hi) constraint in bounds admits the cell's values.  The cuts
     are every lo and hi+1, so each constraint is constant on a cell and
-    admits one run of consecutive cells.  Its bit is flipped where the run
-    starts and where it ends, and a prefix XOR over the cells sets it on
-    the run: O(bounds + cells), not one test per constraint and cell.
+    admits one run of consecutive cells.  The constraints are grouped by
+    their distinct (lo, hi), and each group's bits are built once from its
+    indices and flipped where its run starts and where it ends; a prefix
+    XOR over the cells sets them on the run: O(bounds + cells) steps and
+    one bitset per distinct bound, not one test per constraint and cell.
     """
+    groups = defaultdict(list)
+    for k, bound in enumerate(bounds):
+        groups[bound].append(k)
     cuts = {low}
-    for lo, hi in bounds:
+    for lo, hi in groups:
         if lo is not None:
             cuts.add(lo)
         if hi is not None:
@@ -259,12 +269,14 @@ def _axis_cells(bounds, low, high):
     end = len(corners)
     at = dict(zip(corners, range(end)))
     flips = [0] * (end + 1)
-    for k, (lo, hi) in enumerate(bounds):
+    for (lo, hi), ks in groups.items():
         first = 0 if lo is None or lo <= low else at.get(lo, end)
         last = end if hi is None or hi >= high else 0 if hi < low else at[hi + 1]
         if first < last:
-            flips[first] ^= 1 << k
-            flips[last] ^= 1 << k
+            # no wider than its highest bit; a lone bit costs one shift
+            group = mask_of(ks, ks[-1] // 8 + 1) if len(ks) > 1 else 1 << ks[0]
+            flips[first] ^= group
+            flips[last] ^= group
     return list(zip(corners, accumulate(flips[:end], xor)))
 
 
@@ -357,8 +369,9 @@ def localize_decomposition(D, I, J, A):
     If = ring.extend_to(I, new_ctx)
     Jf = ring.extend_to(J, new_ctx)
     dropped = tuple(idx for idx, s in enumerate(D.spaces) if not A <= s.zplus)
-    bases = [(s.root, s.zplus) for s in D.spaces if A <= s.zplus]
-    Df = StanleyDecomposition(new_ctx, tuple(_fan_out(new_ctx, bases, A)))
+    kept = [s for s in D.spaces if A <= s.zplus]
+    Df = StanleyDecomposition(new_ctx, tuple(_fan_out(
+        new_ctx, [s.root for s in kept], [s.zplus for s in kept], A)))
     return LocalizationResult(Df, dropped, If, Jf)
 
 

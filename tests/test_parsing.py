@@ -4,6 +4,7 @@ import random
 import pytest
 
 import reference_json
+import reference_text
 from stanleydec import filtration, parsing, ring, solver
 from stanleydec.errors import MalformedInputError, ParseError
 from stanleydec.hilbert import HilbertSeries
@@ -224,6 +225,19 @@ class TestSeriesText:
         assert parsing.series_str(HilbertSeries((1, 1, -1), 1)) == "(1 + t - t^2) / (1-t)^1"
         assert parsing.series_str(HilbertSeries((2,), 0)) == "2"
         assert parsing.series_str(HilbertSeries((), 0)) == "0"
+
+    def test_matches_reference(self):
+        """The same text as the term-by-term writer on random series with
+        zero, negative and 20-digit coefficients, one term or many, with
+        and without a pole."""
+        rng = random.Random(67)
+        big = 10**19
+        for case in range(2000):
+            coefficients = (0, 0, 1, -1, 2, -7, rng.randint(big, 10 * big),
+                            -rng.randint(big, 10 * big))
+            num = tuple(rng.choice(coefficients) for _ in range(rng.randint(0, 9)))
+            h = HilbertSeries(num, rng.randint(0, 3))
+            assert parsing.series_str(h) == reference_text.series_str(h), h
 
 
 class TestJson:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +139,26 @@ class TestContraction:
         ctx = RingContext(3, frozenset({1, 2}))
         I = ring.ideal(ctx, (2, 1, 0), (1, 0, 3), (0, 2, 2))
         assert ring.extend_to(ring.contraction(I), ctx) == I
+
+    def test_polynomial_ring_keeps_the_ideal(self):
+        """Over a ring that inverts nothing the contraction is I itself, and
+        elsewhere it equals I's generators normalized again in the
+        polynomial ring."""
+        rng = random.Random(71)
+        kept = 0
+        for case in range(300):
+            n = case % 5
+            A = frozenset(i for i in range(n) if rng.random() < 0.4)
+            ctx = RingContext(n, A)
+            gens = [tuple(rng.randint(-2 if i in A else 0, 3) for i in range(n))
+                    for _ in range(rng.randint(0, 5))]
+            I = ring.ideal(ctx, *gens)
+            Ic = ring.contraction(I)
+            assert Ic == MonomialIdeal(RingContext(n), I.generators), (ctx, gens)
+            if not A:
+                assert Ic is I
+                kept += 1
+        assert kept > 50
 
 
 small_exp = st.integers(min_value=0, max_value=3)

@@ -448,18 +448,28 @@ class TestSingletonLevel:
 
     def test_no_kernel_at_the_singleton_level(self, monkeypatch):
         """(1)/(x^11, y^11, z^11) has both upper bounds 0 = low: its 1331
-        singletons come without a search, and without spending budget."""
+        singletons come without a search, without spending budget, and,
+        in sdepth, without listing the poset's elements;
+        max_interval_partition still returns them as an IntervalPartition."""
         def no_search(*args):
             raise AssertionError("the kernel ran")
+
+        def no_elements(self):
+            raise AssertionError("the elements were listed")
 
         monkeypatch.setattr(solver, "find_partition", no_search)
         ctx = parsing.parse_ring("n=3")
         I = parsing.parse_ideal("(1)", ctx)
         J = parsing.parse_ideal("(x^11, y^11, z^11)", ctx)
+        cells = list(product(range(11), repeat=3))
+        assert solver.max_interval_partition(contracted_poset(I, J), budget=0) == (
+            0, solver.IntervalPartition(tuple((a, a) for a in cells)))
+        monkeypatch.setattr(solver.CharacteristicPoset, "elements", property(no_elements))
         res = solver.sdepth(I, J, budget=0)
         assert res.value == 0
-        assert [s.root for s in res.witness.spaces] == list(product(range(11), repeat=3))
+        assert [s.root for s in res.witness.spaces] == cells
         assert all(not s.zplus and not s.zminus for s in res.witness.spaces)
+
 
 class TestPartitionToDecomposition:
     def test_full_corner_interval(self):
@@ -495,23 +505,42 @@ class TestLiftParity:
     def test_lift_matches_reference(self):
         """The same spaces in the same order as the reference lift, for the
         optimal, singleton, greedy and split partitions of random quotients
-        with 0, 1 or 2 inverted variables."""
+        with 0, 1 or 2 inverted variables, and for the singletons lifted
+        from the runs of the mask (None).  Added inputs: n = 0, boxes of
+        one cell, every axis inverted, and inverted axes before, after and
+        between plain ones; runs both reach g_r and stop short of it."""
         rng = random.Random(37)
-        wide = inverted_cases = 0
+        cases = []
         for case in range(120):
             n = case % 4 + 1
             A = frozenset(rng.sample(range(n), min(n, case % 3)))
-            ctx, I, J = random_quotient(rng, n=n, inverted=A)
+            cases.append(random_quotient(rng, n=n, inverted=A))
+        for n, A in ((3, {0}), (3, {2}), (3, {1}), (4, {0, 3}), (4, {1, 2})):
+            cases += [random_quotient(rng, n=n, inverted=A, max_exp=3) for _ in range(6)]
+        for ring_text, I, J in (("n=0", "(1)", "(0)"), ("n=2", "(1)", "(0)"),
+                                ("n=2 invert={1,2}", "(1)", "(0)"),
+                                ("n=3 invert={1,2,3}", "(x)", "(0)"),
+                                ("n=2", "(x, y)", "(x^2*y^2)")):
+            ctx = parsing.parse_ring(ring_text)
+            cases.append((ctx, parsing.parse_ideal(I, ctx), parsing.parse_ideal(J, ctx)))
+        wide = inverted_cases = 0
+        reach = set()
+        for ctx, I, J in cases:
             poset = contracted_poset(I, J)
+            if poset.bound:
+                top = poset.bound[poset.box.axis]
+                reach |= {last == top for _, _, last in poset.box.runs(poset.mask)}
             _, best = solver.max_interval_partition(poset)
-            for partition in (best, singleton_partition(poset), greedy_partition(poset, rng),
-                              split_refinement(best, poset)):
-                wide += any(b != c for b, c in partition.intervals)
+            singletons = singleton_partition(poset)
+            for partition in (best, singletons, greedy_partition(poset, rng),
+                              split_refinement(best, poset), None):
                 got = solver._embed_and_invert(poset, partition, ctx)
+                partition = partition or singletons
+                wide += any(b != c for b, c in partition.intervals)
                 assert got.spaces == reference_lift.lift(poset, partition, ctx).spaces, (
                     I, J, partition)
-            inverted_cases += bool(A)
-        assert wide > 60 and inverted_cases > 60
+            inverted_cases += bool(ctx.inverted)
+        assert wide > 60 and inverted_cases > 60 and reach == {True, False}
 
 
 class TestSdepth:

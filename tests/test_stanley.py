@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from itertools import product
 
 import pytest
 
-from stanleydec import ring, solver, stanley
+from stanleydec import parsing, ring, solver, stanley
 from stanleydec.errors import (
     AnswerTooLargeError,
     MalformedInputError,
@@ -184,6 +185,25 @@ class TestMakeSpaces:
             assert isinstance(expected, list)
             assert _outcome(lambda: stanley.make_spaces(ctx, roots, zs)) == expected
 
+    def test_bulk_spaces_are_frozen_and_equal(self):
+        """Spaces whose slots are filled in bulk are frozen, and equal and
+        hash-equal to the spaces the constructor builds."""
+        ctx = RingContext(3, frozenset({2}))
+        roots = [(0, 0, 0), (1, 2, -1), (0, 1, 5), (2, 0, -3)]
+        zs = [(frozenset({0}), frozenset({2})), (frozenset({0, 1}), frozenset())] * 2
+        bulk = stanley.make_spaces(ctx, roots, zs)
+        alone = _one_by_one(ctx, roots, zs)
+        assert bulk == alone
+        assert list(map(hash, bulk)) == list(map(hash, alone))
+        assert len(set(bulk + alone)) == len(roots)
+        for s in bulk:
+            for name, value in (("root", (9, 9, 9)), ("zplus", frozenset()),
+                                ("zminus", frozenset()), ("context", RingContext(3))):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(s, name, value)
+        assert [(s.context, s.root, s.zplus, s.zminus) for s in bulk] == [
+            (ctx, root, zplus, zminus) for root, (zplus, zminus) in zip(roots, zs)]
+
     def test_bad_spaces_raise_as_alone(self):
         """Each defect, alone at any place or after another defect in
         either order, raises what StanleySpace raises for the first bad
@@ -266,6 +286,20 @@ class TestVerify:
         assert report.failure == "disjointness"
         assert report.witness == (1,)
 
+    def test_space_listed_twice(self):
+        """A decomposition that lists one of its spaces twice fails on
+        disjointness at the same witness as the box enumeration, whichever
+        space is repeated."""
+        for ctx, I, J in ((RingContext(2), "(1)", "(x^3, y^2)"),
+                          (RingContext(2, frozenset({1})), "(x, y)", "(x^2)")):
+            I, J = parsing.parse_ideal(I, ctx), parsing.parse_ideal(J, ctx)
+            D = solver.sdepth(I, J).witness
+            for k, s in enumerate(D.spaces):
+                E = StanleyDecomposition(ctx, D.spaces[:k + 1] + (s,) + D.spaces[k + 1:])
+                report = stanley.verify_decomposition(E, I, J)
+                assert report.failure == "disjointness"
+                assert report == reference_verify.verify_decomposition(E, I, J)
+
     def test_coverage_failure(self):
         ctx = RingContext(2)
         I = ring.ideal(ctx, (1, 0), (0, 1))
@@ -332,24 +366,30 @@ class TestVerifierParity:
     def test_axis_cells_match_the_cell_scan(self):
         """The prefix-XOR cells equal the per-cell scan, also for bounds the
         verifier never makes: lo < low, hi + 1 > high, runs wholly outside
-        [low, high], and None on either side."""
+        [low, high], and None on either side.  Every tenth list has
+        hundreds of bounds over a few distinct values, as a
+        decomposition's spaces give: each copy keeps its own bit."""
         rng = random.Random(23)
         ends = (None, -9, -5, -4, -1, 0, 2, 5, 6, 9)
         cases = set()
-        for _ in range(300):
+        for case in range(300):
             low, high = -4, 5
-            bounds = []
+            pool = []
             for _ in range(rng.randint(0, 8)):
                 lo, hi = rng.choice(ends), rng.choice(ends)
                 if lo is not None and hi is not None and lo > hi:
                     lo, hi = hi, lo
-                bounds.append((lo, hi))
+                pool.append((lo, hi))
                 cases.add("lo < low" if lo is not None and lo < low else "")
                 cases.add("hi + 1 > high" if hi is not None and hi + 1 > high else "")
                 cases.add("None" if None in (lo, hi) else "")
+            bounds = pool
+            if case % 10 == 0 and pool:
+                bounds = [rng.choice(pool) for _ in range(rng.randint(100, 700))]
+                cases.add("many")
             assert stanley._axis_cells(bounds, low, high) == \
                 reference_verify.axis_cells(bounds, low, high), bounds
-        assert cases == {"", "lo < low", "hi + 1 > high", "None"}
+        assert cases == {"", "lo < low", "hi + 1 > high", "None", "many"}
 
 
 class TestLocalize:
