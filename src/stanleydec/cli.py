@@ -65,7 +65,7 @@ def _cmd_localize(opts):
         "decomposition": parsing.decomposition_to_json(res.decomposition),
         "dropped": list(res.dropped),
         "sdepth_of": stanley.sdepth_of(res.decomposition)
-        if res.decomposition.spaces
+        if res.decomposition.roots
         else None,
         "text": lambda: "%s\ndropped input spaces: %s"
         % (parsing.decomposition_str(res.decomposition), list(res.dropped)),

@@ -18,7 +18,7 @@ from .errors import ParseError
 from .filtration import FiltrationStep, PrimeFiltration
 from .hilbert import HilbertSeries
 from .ring import MonomialIdeal, RingContext
-from .stanley import StanleyDecomposition, StanleySpace, make_spaces
+from .stanley import StanleyDecomposition, StanleySpace, check_columns
 
 _ALIASES = ("x", "y", "z", "w")
 
@@ -201,38 +201,98 @@ def parse_space(text, ctx):
 
 
 def space_str(s):
-    ctx = s.context
-    entries = []
-    for i in range(ctx.n):
-        if i in s.zplus:
-            entries.append(var_name(i, ctx))
-        elif i in s.zminus:
-            entries.append("%s^-1" % var_name(i, ctx))
-    head = "" if all(e == 0 for e in s.root) else monomial_str(s.root, ctx) + "*"
-    if not entries:
-        return head + "K"
-    return "%sK[%s]" % (head, ", ".join(entries))
+    return _root_str(s.root, s.context) + _k_str(s.zplus, s.zminus, s.context)
+
+
+def _root_str(root, ctx):
+    """The text of a space before its K: '' for the root 1, else the root
+    and '*'."""
+    return monomial_str(root, ctx) + "*" if any(root) else ""
+
+
+def _k_str(zplus, zminus, ctx):
+    """'K[...]' over the admissible variables in index order, or 'K'."""
+    entries = [var_name(i, ctx) if i in zplus else "%s^-1" % var_name(i, ctx)
+               for i in sorted(zplus | zminus)]
+    return "K[%s]" % ", ".join(entries) if entries else "K"
+
+
+_UNREAD = object()
+
+
+def _canonical_parts(part, n, factors, bodies):
+    """(root, (zplus, zminus)) of the text of one space in the form
+    ``space_str`` writes, with whitespace around it, or None for any other
+    text and for text that does not parse, which ``_space_parts`` reads.
+
+    The stripped text is split at its first K.  Before it comes '' or a
+    root and '*', whose '*'-separated factors are looked up in the dict
+    factors over ``_factor``; after it, '' or '[' body ']', looked up in
+    the dict bodies over ``_admissible``.  ``_admissible`` refuses a ']'
+    or a 'K' in the body, so this K and this body are the ones ``_SPACE``
+    matches, and ``_factor`` and ``_admissible`` strip the whitespace that
+    the regex leaves out."""
+    head, k, rest = part.strip().partition("K")
+    if not k:
+        return None
+    z = bodies.get(rest)
+    if z is None:
+        if rest and (rest[0] != "[" or rest[-1] != "]"):
+            return None
+        try:
+            z = bodies[rest] = _admissible(rest[1:-1], n)
+        except ParseError:
+            return None
+    if not head:
+        return (0,) * n, z
+    if head[-1] != "*":
+        return None
+    exps = [0] * n
+    for factor in head[:-1].split("*"):
+        parsed = factors.get(factor, _UNREAD)
+        if parsed is _UNREAD:
+            try:
+                parsed = factors[factor] = _factor(factor, n)
+            except ParseError:
+                return None
+        if parsed is None:
+            continue
+        if type(parsed) is str:
+            return None
+        i, exp = parsed
+        exps[i] += exp
+    return tuple(exps), z
 
 
 def parse_decomposition(text, ctx):
     """The '+'-joined spaces of text, each checked as by ``parse_space``,
-    built by one ``stanley.make_spaces``.  A space that does not parse
-    raises only after the spaces before it are checked, so the first bad
-    space raises its own error."""
+    as the columns of its roots and Z checked by one
+    ``stanley.check_columns``.  A space in the form ``space_str`` writes
+    is read by ``_canonical_parts`` and any other by ``_space_parts``,
+    which raises every parse error.  A space that does not parse raises
+    only after the spaces before it are checked, so the first bad space
+    raises its own error."""
     roots, zs = [], []
+    factors, bodies = {}, {}
     for part in text.split("+"):
-        try:
-            root, z = _space_parts(part, ctx)
-        except ParseError:
-            make_spaces(ctx, roots, zs)
-            raise
-        roots.append(root)
-        zs.append(z)
-    return StanleyDecomposition(ctx, tuple(make_spaces(ctx, roots, zs)))
+        parts = _canonical_parts(part, ctx.n, factors, bodies)
+        if parts is None:
+            try:
+                parts = _space_parts(part, ctx)
+            except ParseError:
+                check_columns(ctx, roots, zs)
+                raise
+        roots.append(parts[0])
+        zs.append(parts[1])
+    return StanleyDecomposition._of_columns(ctx, *check_columns(ctx, roots, zs))
 
 
 def decomposition_str(D):
-    return " + ".join(space_str(s) for s in D.spaces)
+    """The spaces of D joined by ' + ', each K text written once per
+    distinct Z."""
+    ctx = D.context
+    tails = {z: _k_str(*z, ctx) for z in set(D.zs)}
+    return " + ".join([_root_str(root, ctx) + tails[z] for root, z in zip(D.roots, D.zs)])
 
 
 # --------------------------------------------------------------- series
@@ -310,15 +370,9 @@ def decomposition_to_json(D):
     space is its root written into one format per distinct Z, by %d, so a
     bool entry is 1 or 0."""
     head = '{"root": [%s], ' % ", ".join(["%d"] * D.context.n)
-    formats = {}
-    texts = []
-    for s in D.spaces:
-        zplus, zminus = s.zplus, s.zminus
-        fmt = formats.get((zplus, zminus))
-        if fmt is None:
-            fmt = formats[zplus, zminus] = head + '"zminus": [%s], "zplus": [%s]}' % (
-                _one_based(zminus), _one_based(zplus))
-        texts.append(fmt % s.root)
+    formats = {z: head + '"zminus": [%s], "zplus": [%s]}' % (_one_based(z[1]), _one_based(z[0]))
+               for z in set(D.zs)}
+    texts = map(str.__mod__, map(formats.__getitem__, D.zs), D.roots)
     return JSONText('{"ring": %s, "spaces": [%s]}' % (
         json.dumps(ring_to_json(D.context), sort_keys=True), ", ".join(texts)))
 

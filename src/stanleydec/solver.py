@@ -14,7 +14,7 @@ of ``_intervals``, in the one depth-first search of the package.
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, product, repeat
-from operator import attrgetter, eq
+from operator import eq
 
 from . import hilbert, ring, stanley
 from ._box import Box
@@ -42,6 +42,7 @@ class CharacteristicPoset:
     bound: tuple                  # componentwise generator maximum g
     box: Box = field(repr=False, compare=False)   # the cells of [0, g]
     mask: int = field(repr=False)                 # the elements as bits of box
+    generators: frozenset = field(repr=False, compare=False)   # those of I'
 
     @cached_property
     def elements(self):
@@ -76,7 +77,17 @@ def build_characteristic_poset(Ip, Jp):
             )
     box = Box(g)
     mask = box.ideal(Ip.generators) & ~box.ideal(Jp.generators)
-    return CharacteristicPoset(ctx, g, box, mask)
+    return CharacteristicPoset(ctx, g, box, mask, Ip.generators)
+
+
+def least_rho(poset):
+    """The least rho(a) = #{i: a_i = g_i} over the elements a of a
+    nonempty poset, read off the generators of I' whose cells are in it.
+    rho is monotone, and every minimal element of I'\\J' is such a
+    generator: it lies above a generator of I', which is outside J' as
+    the element is, so in the poset and equal to it."""
+    box, mask, g = poset.box, poset.mask, poset.bound
+    return min(sum(map(eq, u, g)) for u in poset.generators if mask >> box.code(u) & 1)
 
 
 def maximal_element_bound(poset):
@@ -91,10 +102,11 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
     count rho(c) = #{i: c_i = g_i} over its intervals.
 
     The answer lies between two bounds.  Below it is low = min rho(a) over
-    the elements: the singleton partition reaches it.  Above it is the
-    least of ``maximal_element_bound`` and ``hilbert.hdepth_bound``; low
-    and the series the Hilbert depth is read from come from one
-    ``hilbert.series_of_poset``.  The decision problem is tried for each
+    the elements (``least_rho``): the singleton partition reaches it.
+    Above it is the least of ``maximal_element_bound`` and
+    ``hilbert.hdepth_bound``, whose series ``hilbert.series_of_poset``
+    sums only when the first bound is above low, as otherwise no target
+    is left to try.  The decision problem is tried for each
     target k from the upper bound down to low + 1, and no k above that
     bound is feasible, so the first feasible k and its witness, the
     lexicographically smallest optimal partition, are those a start at
@@ -119,9 +131,12 @@ def _best_partition(poset, budget):
     which ``_embed_and_invert`` builds from the runs of the poset."""
     if not poset.mask:
         raise ZeroModuleError("empty poset: the quotient is the zero module")
-    series, low = hilbert.series_of_poset(poset)
-    bounds = {"the maximal elements": maximal_element_bound(poset),
-              "the Hilbert depth": hilbert.hdepth_bound(series)}
+    low = least_rho(poset)
+    top = maximal_element_bound(poset)
+    if top <= low:
+        return low, None
+    bounds = {"the maximal elements": top,
+              "the Hilbert depth": hilbert.hdepth_bound(hilbert.series_of_poset(poset)[0])}
     start = min(bounds.values())
     remaining = budget
     spent = {}
@@ -223,11 +238,9 @@ def _embed_and_invert(poset, partition, ctx):
     once, straight from its interval."""
     roots, zpluses = (_singleton_bases(poset) if partition is None
                       else _bases(poset, partition))
-    spaces = stanley._fan_out(ctx, roots, zpluses, ctx.inverted)
     # every space holds its root and the spaces are disjoint, so no two
-    # share a root, and root order is the order of StanleySpace.key
-    spaces.sort(key=attrgetter("root"))
-    return StanleyDecomposition(ctx, tuple(spaces))
+    # share a root
+    return stanley._sorted_by_root(ctx, *stanley._fan_out(ctx, roots, zpluses, ctx.inverted))
 
 
 def _poset_of(I, J, message):

@@ -7,10 +7,11 @@ semi-infinite box of lattice points, which is what the Region view makes
 explicit and what all verification works on.
 """
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, compress, product, repeat
-from operator import add, attrgetter, itemgetter, xor
+from operator import add, attrgetter, itemgetter, not_, xor
 
 from . import ring
 from ._box import mask_of
@@ -22,10 +23,6 @@ from .errors import (
     ZeroModuleError,
 )
 from .ring import MonomialIdeal, RingContext
-
-# runs an iterator to its end and keeps nothing
-_drain = deque(maxlen=0).extend
-
 
 @dataclass(frozen=True, slots=True)
 class StanleySpace:
@@ -70,10 +67,11 @@ def _check_z(ctx, zplus, zminus):
             raise MalformedInputError("admissible index out of range")
 
 
-def make_spaces(ctx, roots, zs):
-    """The list of StanleySpace(ctx, root, zplus, zminus) over the root
-    sequence roots and the equally long sequence zs of (zplus, zminus)
-    pairs of frozensets, with every check StanleySpace makes.
+def check_columns(ctx, roots, zs):
+    """The columns of a decomposition, the root sequence roots and the
+    equally long sequence zs of (zplus, zminus) pairs of frozensets, as
+    tuples, checked as StanleySpace(ctx, root, zplus, zminus) checks each
+    space.
 
     A decomposition has few distinct Z and its roots are tuples of ints,
     so each Z is checked once and the roots in C-level passes over all of
@@ -95,18 +93,11 @@ def make_spaces(ctx, roots, zs):
         )
     except (MalformedInputError, TypeError):
         checked = False
-    if not checked:
-        return [StanleySpace(ctx, root, zplus, zminus)
-                for root, (zplus, zminus) in zip(roots, zs)]
-    # what __init__ would store, without running the checks again: each
-    # slot filled in one pass through its descriptor, past the frozen
-    # __setattr__
-    spaces = list(map(object.__new__, repeat(StanleySpace, len(roots))))
-    _drain(map(StanleySpace.context.__set__, spaces, repeat(ctx)))
-    _drain(map(StanleySpace.root.__set__, spaces, roots))
-    _drain(map(StanleySpace.zplus.__set__, spaces, map(itemgetter(0), zs)))
-    _drain(map(StanleySpace.zminus.__set__, spaces, map(itemgetter(1), zs)))
-    return spaces
+    if checked:
+        return tuple(roots), tuple(zs)
+    spaces = [StanleySpace(ctx, root, zplus, zminus)
+              for root, (zplus, zminus) in zip(roots, zs)]
+    return tuple(s.root for s in spaces), tuple((s.zplus, s.zminus) for s in spaces)
 
 
 @dataclass(frozen=True)
@@ -144,17 +135,48 @@ def space_contains(s, m):
     return space_region(s).contains(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class StanleyDecomposition:
-    context: RingContext
-    spaces: tuple
+    """The spaces of a decomposition as two columns: ``roots``, the root of
+    each space, and ``zs``, its (zplus, zminus) pair of frozensets.  Every
+    command reads the columns; ``spaces``, the StanleySpace objects, is
+    built from them on first read and kept.  Two decompositions are equal
+    when their rings and their columns are, that is, when their spaces are,
+    in order."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "spaces", tuple(self.spaces))
-        ctx = self.context
-        for s in self.spaces:
-            if s.context is not ctx and s.context != ctx:
+    context: RingContext
+    roots: tuple
+    zs: tuple
+
+    def __init__(self, context, spaces):
+        spaces = tuple(spaces)
+        for s in spaces:
+            if s.context is not context and s.context != context:
                 raise ContextMismatchError("space context differs from decomposition")
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "roots", tuple(map(attrgetter("root"), spaces)))
+        object.__setattr__(self, "zs", tuple(zip(map(attrgetter("zplus"), spaces),
+                                                 map(attrgetter("zminus"), spaces))))
+        self.__dict__["spaces"] = spaces
+
+    @classmethod
+    def _of_columns(cls, context, roots, zs):
+        """The decomposition of the tuples roots and zs that
+        ``check_columns`` returned for context."""
+        D = object.__new__(cls)
+        object.__setattr__(D, "context", context)
+        object.__setattr__(D, "roots", roots)
+        object.__setattr__(D, "zs", zs)
+        return D
+
+    @cached_property
+    def spaces(self):
+        ctx = self.context
+        return tuple(StanleySpace(ctx, root, zplus, zminus)
+                     for root, (zplus, zminus) in zip(self.roots, self.zs))
+
+    def __repr__(self):
+        return "StanleyDecomposition(context=%r, spaces=%r)" % (self.context, self.spaces)
 
     def key(self):
         """Multiset-comparable form (order-insensitive equality)."""
@@ -165,10 +187,10 @@ class StanleyDecomposition:
 
 
 def sdepth_of(D):
-    """min |Z_i| over the spaces of the decomposition."""
-    if not D.spaces:
+    """min |Z_i| over the spaces of the decomposition, one per distinct Z."""
+    if not D.zs:
         raise ZeroModuleError("sdepth of an empty decomposition is undefined")
-    return min(s.dimension for s in D.spaces)
+    return min(len(zplus) + len(zminus) for zplus, zminus in set(D.zs))
 
 
 # a space takes about 2 KB before it is printed, so the answers this allows
@@ -188,10 +210,11 @@ def _fan_out(ctx, roots, zpluses, A):
     not drop under localization.  More than MAX_SPACES spaces raise
     AnswerTooLargeError before they are built.  The spaces of each L fill
     every 2^|A|-th place of the answer in one pass, their Z looked up per
-    distinct zplus."""
+    distinct zplus.  Returns the columns of the new spaces, roots and zs,
+    checked by ``check_columns``."""
     count = len(roots)
     if not count:       # no space: the 2^|A| subsets are not built
-        return []
+        return (), ()
     A = sorted(A)
     if count << len(A) > MAX_SPACES:
         raise AnswerTooLargeError(
@@ -210,7 +233,16 @@ def _fan_out(ctx, roots, zpluses, A):
             out_roots[j::step] = roots
         z_of = {zplus: (zplus - L, L) for zplus in distinct}
         out_zs[j::step] = list(map(z_of.__getitem__, zpluses))
-    return make_spaces(ctx, out_roots, out_zs)
+    return check_columns(ctx, out_roots, out_zs)
+
+
+def _sorted_by_root(ctx, roots, zs):
+    """The decomposition of checked columns whose roots are distinct, with
+    its spaces sorted by root: the order of ``StanleySpace.key``, as no Z
+    is compared when no two roots are equal."""
+    pairs = sorted(zip(roots, zs), key=itemgetter(0))
+    return StanleyDecomposition._of_columns(
+        ctx, tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs)))
 
 
 def canonical_sf_decomposition(ctx):
@@ -218,9 +250,8 @@ def canonical_sf_decomposition(ctx):
     per subset L of the inverted indices, with root prod_{l in L} x_l^-1
     and Z inverting exactly the variables in L.  2^|A| spaces, all of
     dimension n."""
-    spaces = _fan_out(ctx, [ring.one(ctx)], [frozenset(range(ctx.n))], ctx.inverted)
-    spaces.sort(key=lambda s: s.key())
-    return StanleyDecomposition(ctx, tuple(spaces))
+    return _sorted_by_root(ctx, *_fan_out(
+        ctx, [ring.one(ctx)], [frozenset(range(ctx.n))], ctx.inverted))
 
 
 @dataclass(frozen=True)
@@ -239,7 +270,7 @@ def clamp_bound(D, I, J):
     roots of D.  Clamping any coordinate into the box of this radius
     preserves every membership predicate, so a verdict on the box is a
     verdict on all of Z^n."""
-    monomials = chain(I.generators, J.generators, map(attrgetter("root"), D.spaces))
+    monomials = chain(I.generators, J.generators, D.roots)
     return max(map(abs, chain.from_iterable(monomials)), default=0) + 1
 
 
@@ -303,17 +334,18 @@ def verify_decomposition(D, I, J):
     B = clamp_bound(D, I, J)
     ctx = D.context
     # one bit per space, then per generator of I, then per generator of J
-    spaces, gens = D.spaces, list(I.generators) + list(J.generators)
-    everything = (1 << (len(spaces) + len(gens))) - 1
-    spaces_mask = (1 << len(spaces)) - 1
-    I_mask = ((1 << len(I.generators)) - 1) << len(spaces)
+    roots, zs = D.roots, D.zs
+    gens = list(I.generators) + list(J.generators)
+    everything = (1 << (len(roots) + len(gens))) - 1
+    spaces_mask = (1 << len(roots)) - 1
+    I_mask = ((1 << len(I.generators)) - 1) << len(roots)
     J_mask = everything - spaces_mask - I_mask
     axes = []
     for i in range(ctx.n):
         # u*K[Z] is AtLeast u_i on zplus, AtMost u_i on zminus, Fixed
         # elsewhere; the multiples of g are AtLeast g_i off the inverted axes
-        bounds = [(None if i in s.zminus else s.root[i], None if i in s.zplus else s.root[i])
-                  for s in spaces]
+        bounds = [(None if i in zminus else root[i], None if i in zplus else root[i])
+                  for root, (zplus, zminus) in zip(roots, zs)]
         if i in ctx.inverted:
             bounds += [(None, None)] * len(gens)
             axes.append(_axis_cells(bounds, -B, B))
@@ -368,10 +400,13 @@ def localize_decomposition(D, I, J, A):
         )
     If = ring.extend_to(I, new_ctx)
     Jf = ring.extend_to(J, new_ctx)
-    dropped = tuple(idx for idx, s in enumerate(D.spaces) if not A <= s.zplus)
-    kept = [s for s in D.spaces if A <= s.zplus]
-    Df = StanleyDecomposition(new_ctx, tuple(_fan_out(
-        new_ctx, [s.root for s in kept], [s.zplus for s in kept], A)))
+    # one subset test per distinct Z
+    keeps = {z: A <= z[0] for z in set(D.zs)}
+    kept = list(map(keeps.__getitem__, D.zs))
+    dropped = tuple(compress(range(len(kept)), map(not_, kept)))
+    Df = StanleyDecomposition._of_columns(new_ctx, *_fan_out(
+        new_ctx, list(compress(D.roots, kept)),
+        list(map(itemgetter(0), compress(D.zs, kept))), A))
     return LocalizationResult(Df, dropped, If, Jf)
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import reference_json
 from stanleydec import cli, hilbert, parsing, solver
+from stanleydec.ring import RingContext
 
 from util import random_quotient, recursion_headroom
 
@@ -174,6 +175,53 @@ class TestVerify:
             run(argv + ["--box-bound", "7"])
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class _CountingSlot:
+    """Stands in for a slot of StanleySpace and counts its writes: every
+    way of making a space, the constructor or a slot filled in bulk,
+    writes each slot once through the class attribute."""
+
+    def __init__(self, slot):
+        self.slot = slot
+        self.writes = 0
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else self.slot.__get__(obj, cls)
+
+    def __set__(self, obj, value):
+        self.writes += 1
+        self.slot.__set__(obj, value)
+
+
+class TestNoSpaceObjects:
+    """Commands answer from the columns of a decomposition: no command
+    makes a StanleySpace, in JSON or in text, over polynomial and
+    localized rings, with a search, at the singleton level, for a valid
+    and an invalid D, and for a localization."""
+
+    REQUESTS = [
+        ["sdepth", "--ring", "n=3 invert={3}", "--I", "(x, y^2)", "--J", "(x^2)"],
+        ["decompose", "--ring", "n=3", "--I", "(x, y, z)"],
+        ["decompose", "--ring", "n=3", "--I", "(1)", "--J", "(x^5, y^5, z^5)"],
+        ["verify", "--ring", "n=3", "--I", "(y)", "--J", "(x*y, y*z)", "--D", "y*K[y]"],
+        ["verify", "--ring", "n=1", "--I", "(1)", "--D", " K[ x ] +  x * K[x]"],
+        TestLocalize.ARGS,
+    ]
+
+    def test_no_command_builds_a_space(self, monkeypatch):
+        from stanleydec.stanley import StanleySpace
+
+        counter = _CountingSlot(StanleySpace.root)
+        monkeypatch.setattr(StanleySpace, "root", counter)
+        for argv in self.REQUESTS:
+            for fmt in ("json", "text"):
+                code, out = run(argv + ["--format", fmt])
+                assert code == 0, (argv, out)
+                assert counter.writes == 0, (argv, fmt)
+        # the count sees a space made either way
+        StanleySpace(RingContext(1), (0,))
+        assert counter.writes == 1
 
 
 class TestExitCodes:

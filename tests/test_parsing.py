@@ -2,10 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_json
 import reference_text
-from stanleydec import filtration, parsing, ring, solver
+from stanleydec import filtration, parsing, ring, solver, stanley
 from stanleydec.errors import MalformedInputError, ParseError
 from stanleydec.hilbert import HilbertSeries
 from stanleydec.ring import MonomialIdeal, RingContext
@@ -216,6 +218,144 @@ class TestSpaceText:
             D = solver.sdepth(I, J).witness
             text = parsing.decomposition_str(D)
             assert parsing.parse_decomposition(text, ctx).spaces == D.spaces
+
+
+_PADS = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
+_BAD_FACTORS = st.sampled_from(["#", "", " ", "x ^2", "q", "x6", "x0", "x^", "y^-", "Q"])
+_BAD_ENTRIES = st.sampled_from(["", " ", "x^2", "q", "x6", "K", "[x", "x]", "y^-2", "x^-1^-1"])
+_SEPARATORS = st.sampled_from(["", " ", "2", " *", "* ", " * ", "**", "*1*", "*#*"])
+
+
+@st.composite
+def _written_space(draw, n):
+    """(head, tail) of a space as space_str writes it, not always a valid
+    one: any root in -2..3, admissible entries in any order, each
+    variable by its alias or its index, a variable and its inverse both
+    admissible."""
+    def name(i):
+        return "x%d" % (i + 1) if n > 4 or draw(st.booleans()) else "xyzw"[i]
+
+    factors = []
+    for i in range(n):
+        e = draw(st.integers(-2, 3))
+        if e:
+            factors.append(name(i) if e == 1 else "%s^%d" % (name(i), e))
+    head = "*".join(factors) + "*" if factors else draw(st.sampled_from(["", "", "1*"]))
+    entries = [name(i) for i in range(n) if draw(st.booleans())]
+    entries += [name(i) + "^-1" for i in range(n) if draw(st.integers(0, 3)) == 0]
+    entries = draw(st.permutations(entries)) if draw(st.booleans()) else entries
+    return head, "K[%s]" % ", ".join(entries) if entries else draw(st.sampled_from(["K", "K[]"]))
+
+
+@st.composite
+def _mangled_space(draw, n):
+    """A written space with one or two edits: a bad factor, a separator
+    other than '*' before the K, a bad entry, a bracket taken away or
+    added, a K doubled or lowered, an empty root or body."""
+    head, tail = draw(_written_space(n))
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.integers(0, 9))
+        if edit == 0:
+            head = head + draw(_BAD_FACTORS) + "*"
+        elif edit == 1:
+            head = draw(_BAD_FACTORS) + "*" + head
+        elif edit == 2:
+            head = head[:-1] + draw(_SEPARATORS) if head else draw(_SEPARATORS)
+        elif edit == 3:
+            tail = tail.replace("[", "", 1) if "[" in tail else tail + "]"
+        elif edit == 4:
+            tail = tail[:-1] if tail.endswith("]") else tail + "["
+        elif edit == 5:
+            tail = "K[%s]" % draw(_BAD_ENTRIES) if tail in ("K", "K[]") else tail.replace(
+                "[", "[%s, " % draw(_BAD_ENTRIES), 1)
+        elif edit == 6:
+            tail = tail.replace("K", draw(st.sampled_from(["KK", "k", "Q", "K K", "K*K"])), 1)
+        elif edit == 7:
+            tail = tail + draw(st.sampled_from(["]", " K", "*K", ",", "x"]))
+        elif edit == 8:
+            head = ""
+        else:
+            tail = draw(st.sampled_from(["", "[x]", "K[", "K]"]))
+    return head + tail
+
+
+@st.composite
+def _decomposition_text(draw):
+    n = draw(st.integers(0, 5))
+    ctx = RingContext(n, frozenset(i for i in range(n) if draw(st.booleans())))
+    parts = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.integers(0, 9))
+        if kind < 5:
+            part = "".join(draw(_written_space(n)))
+        elif kind < 9:
+            part = draw(_mangled_space(n))
+        else:
+            part = draw(st.text("xyzK[]*^-1, \t", max_size=10))
+        parts.append(draw(_PADS) + part + draw(_PADS))
+    return ctx, "+".join(parts)
+
+
+def _error(exc):
+    return type(exc), str(exc), getattr(exc, "column", None)
+
+
+class TestParserDifferential:
+    """parse_decomposition reads a space in the form space_str writes
+    without the regex; _space_parts, the regex path, is the reference."""
+
+    @given(_decomposition_text())
+    @settings(max_examples=600, deadline=None)
+    def test_parts_match_the_regex_path(self, case):
+        """Each part the canonical reader takes gives what _space_parts
+        gives, with the lookups shared over the parts as in a request."""
+        ctx, text = case
+        factors, bodies = {}, {}
+        for part in text.split("+"):
+            parts = parsing._canonical_parts(part, ctx.n, factors, bodies)
+            if parts is not None:
+                assert parts == parsing._space_parts(part, ctx), part
+
+    @given(_decomposition_text())
+    @settings(max_examples=600, deadline=None)
+    def test_decomposition_matches_space_by_space(self, case):
+        """The columns of the spaces _space_parts reads and StanleySpace
+        checks one by one, or the error, with its message and column, of
+        the first space that fails either."""
+        ctx, text = case
+        spaces, expected = [], None
+        for part in text.split("+"):
+            try:
+                root, (zplus, zminus) = parsing._space_parts(part, ctx)
+                spaces.append(StanleySpace(ctx, root, zplus, zminus))
+            except (ParseError, MalformedInputError) as exc:
+                expected = _error(exc)
+                break
+        try:
+            D = parsing.parse_decomposition(text, ctx)
+        except (ParseError, MalformedInputError) as exc:
+            assert _error(exc) == expected
+            return
+        assert expected is None
+        assert D.roots == tuple(s.root for s in spaces)
+        assert D.zs == tuple((s.zplus, s.zminus) for s in spaces)
+
+    def test_written_text_is_read_without_the_regex(self, monkeypatch):
+        """Every space of a written decomposition, random witnesses over
+        rings with inverted axes, is read by the canonical reader."""
+        rng = random.Random(71)
+        texts = []
+        for _ in range(20):
+            ctx, I, J = random_quotient(rng)
+            D = solver.sdepth(I, J).witness
+            texts.append((ctx, D, parsing.decomposition_str(D)))
+
+        def no_regex(part, ctx):
+            raise AssertionError("the regex path read %r" % part)
+
+        monkeypatch.setattr(parsing, "_space_parts", no_regex)
+        for ctx, D, text in texts:
+            assert parsing.parse_decomposition(text, ctx) == D
 
 
 class TestSeriesText:

@@ -422,6 +422,42 @@ class TestSingletonLevel:
                     "found", singletons, len(singletons)), (I, J, k)
             checked += 1
 
+    def test_least_rho_from_the_generators(self):
+        """least_rho, read off the generators of I' whose cells are in the
+        poset, is the low of series_of_poset and the least rho over the
+        elements: random quotients with and without inverted axes, and
+        the ring of n = 0."""
+        rng = random.Random(31)
+        zero = RingContext(0)
+        for case in range(300):
+            n = case % 5
+            if n:
+                ctx, I, J = random_quotient(rng, n=n, max_exp=3 if n <= 3 else 2)
+            else:
+                I, J = ring.ideal(zero, ()), MonomialIdeal(zero)
+            poset = contracted_poset(I, J)
+            assert solver.least_rho(poset) == hilbert.series_of_poset(poset)[1] == min_rho(poset)
+
+    def test_series_only_when_a_target_is_left(self, monkeypatch):
+        """The Hilbert bound is summed only when the maximal elements leave
+        a target above low: not for the 1331 singletons of (1)/(x^11, y^11,
+        z^11), once for the maximal ideal, whose search starts at 2."""
+        calls = []
+        series_of_poset = hilbert.series_of_poset
+
+        def counted(poset):
+            calls.append(poset)
+            return series_of_poset(poset)
+
+        monkeypatch.setattr(hilbert, "series_of_poset", counted)
+        ctx = RingContext(3)
+        assert solver.sdepth(ring.ideal(ctx, (0, 0, 0)), ring.ideal(
+            ctx, (11, 0, 0), (0, 11, 0), (0, 0, 11))).value == 0
+        assert not calls
+        assert solver.sdepth(ring.ideal(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                             MonomialIdeal(ctx)).value == 2
+        assert len(calls) == 1
+
     def test_sdepth_matches_a_search_from_n(self):
         """Value and witness as the oracle's first feasible k from k = n,
         lifted by the reference lift, on random quotients with n = 1..5."""

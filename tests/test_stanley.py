@@ -145,28 +145,31 @@ class _FrozenSet(frozenset):
 
 
 def _outcome(build):
-    """The spaces build returns, each with the types of its fields and
-    root entries, or the type and message of the error it raises."""
+    """The columns build returns, each root and Z with the types of the
+    root, its entries, the pair and its two sets, or the type and message
+    of the error it raises."""
     try:
-        spaces = build()
+        roots, zs = build()
     except (MalformedInputError, TypeError) as exc:
         return type(exc), str(exc)
-    return [(s, type(s.root), type(s.zplus), type(s.zminus), tuple(map(type, s.root)))
-            for s in spaces]
+    return [(root, z, type(root), tuple(map(type, root)), type(z), tuple(map(type, z)))
+            for root, z in zip(roots, zs)]
 
 
 def _one_by_one(ctx, roots, zs):
-    return [StanleySpace(ctx, root, zplus, zminus) for root, (zplus, zminus) in zip(roots, zs)]
+    spaces = [StanleySpace(ctx, root, zplus, zminus) for root, (zplus, zminus) in zip(roots, zs)]
+    return [s.root for s in spaces], [(s.zplus, s.zminus) for s in spaces]
 
 
 class TestMakeSpaces:
-    """make_spaces against StanleySpace one by one: the same spaces with
-    the same field types, or the error of the first bad space."""
+    """The columns of a decomposition as check_columns makes them, against
+    the fields of StanleySpace built one by one: the same roots and Z with
+    the same types, or the error of the first bad space."""
 
     def test_valid_spaces_match(self):
         rng = random.Random(29)
-        assert stanley.make_spaces(RingContext(0), [], []) == []
-        assert stanley.make_spaces(RingContext(2, {1}), [], []) == []
+        assert stanley.check_columns(RingContext(0), [], []) == ((), ())
+        assert stanley.check_columns(RingContext(2, {1}), [], []) == ((), ())
         for case in range(300):
             n = case % 5
             inverted = frozenset() if case % 2 else None
@@ -183,16 +186,19 @@ class TestMakeSpaces:
             zs = [rng.choice(pool) for _ in range(count)]
             expected = _outcome(lambda: _one_by_one(ctx, roots, zs))
             assert isinstance(expected, list)
-            assert _outcome(lambda: stanley.make_spaces(ctx, roots, zs)) == expected
+            assert _outcome(lambda: stanley.check_columns(ctx, roots, zs)) == expected
 
     def test_bulk_spaces_are_frozen_and_equal(self):
-        """Spaces whose slots are filled in bulk are frozen, and equal and
-        hash-equal to the spaces the constructor builds."""
+        """The spaces a decomposition builds from checked columns when
+        they are read are frozen, and equal and hash-equal to the spaces
+        the constructor builds."""
         ctx = RingContext(3, frozenset({2}))
         roots = [(0, 0, 0), (1, 2, -1), (0, 1, 5), (2, 0, -3)]
         zs = [(frozenset({0}), frozenset({2})), (frozenset({0, 1}), frozenset())] * 2
-        bulk = stanley.make_spaces(ctx, roots, zs)
-        alone = _one_by_one(ctx, roots, zs)
+        D = StanleyDecomposition._of_columns(ctx, *stanley.check_columns(ctx, roots, zs))
+        bulk = list(D.spaces)
+        alone = [StanleySpace(ctx, root, zplus, zminus) for root, (zplus, zminus) in zip(roots, zs)]
+        assert D.spaces is D.spaces
         assert bulk == alone
         assert list(map(hash, bulk)) == list(map(hash, alone))
         assert len(set(bulk + alone)) == len(roots)
@@ -244,7 +250,7 @@ class TestMakeSpaces:
                 else:
                     zz[k] = defect(zz[k])
             expected = _outcome(lambda: _one_by_one(ctx, rs, zz))
-            assert _outcome(lambda: stanley.make_spaces(ctx, rs, zz)) == expected
+            assert _outcome(lambda: stanley.check_columns(ctx, rs, zz)) == expected
             if isinstance(expected, tuple):
                 messages.add(expected[1])
 
@@ -264,6 +270,37 @@ class TestMakeSpaces:
             "inverse variable outside the inverted set",
             "admissible index out of range",
         }
+
+
+class TestColumns:
+    def test_columns_equal_spaces(self):
+        """A decomposition made from checked columns equals the one made
+        from its spaces, hashes, keys and compares as it, and builds the
+        same spaces when they are read: a bool root entry, inverted axes,
+        n = 0, no spaces at all, and the witnesses of random quotients."""
+        ctx = RingContext(3, frozenset({2}))
+        cases = [(ctx, [space(ctx, (True, 0, -1), {0}, {2}), space(ctx, (0, 2, 3), {0, 1}),
+                        space(ctx, (1, 1, -4), (), {2})]),
+                 (RingContext(0), [space(RingContext(0), ())]),
+                 (ctx, [])]
+        rng = random.Random(37)
+        for _ in range(30):
+            c, I, J = random_quotient(rng)
+            cases.append((c, list(solver.sdepth(I, J).witness.spaces)))
+        for c, spaces in cases:
+            D = StanleyDecomposition(c, spaces)
+            C = StanleyDecomposition._of_columns(c, *stanley.check_columns(
+                c, [s.root for s in spaces], [(s.zplus, s.zminus) for s in spaces]))
+            assert C == D and hash(C) == hash(D)
+            assert C.key() == D.key() == tuple(sorted(s.key() for s in spaces))
+            assert C.same_as(D) and repr(C) == repr(D)
+            assert type(C.spaces) is tuple and C.spaces == D.spaces == tuple(spaces)
+            assert [tuple(map(type, s.root)) for s in C.spaces] == [
+                tuple(map(type, s.root)) for s in spaces]
+            assert type(C.roots) is type(C.zs) is tuple
+        spaces = cases[0][1]
+        assert StanleyDecomposition(ctx, spaces[:2]) != StanleyDecomposition(ctx, spaces)
+        assert StanleyDecomposition(ctx, spaces[::-1]) != StanleyDecomposition(ctx, spaces)
 
 
 class TestVerify:
