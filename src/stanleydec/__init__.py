@@ -41,7 +41,6 @@ from .ring import (
     contraction,
     ideal,
     in_quotient,
-    signed_supports,
 )
 from .solver import (
     CharacteristicPoset,
@@ -53,7 +52,6 @@ from .solver import (
     sdepth,
 )
 from .stanley import (
-    Region,
     StanleyDecomposition,
     StanleySpace,
     VerificationReport,
@@ -62,7 +60,6 @@ from .stanley import (
     localize_decomposition,
     sdepth_of,
     space_contains,
-    space_region,
     verify_decomposition,
 )
 

@@ -197,7 +197,10 @@ _NUMBERS = ("budget", "max_degree")
 
 def _batch_request(line):
     """(command, opts) of one batch line; ValueError when it is malformed."""
-    req = json.loads(line)
+    try:
+        req = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(req, dict):
         raise ValueError("a request must be a JSON object")
     command = req.get("command")

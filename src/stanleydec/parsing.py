@@ -28,7 +28,6 @@ _RING = re.compile(r"\s*(?:ring\s+)?n\s*=\s*(\d+)\s*(?:invert\s*=\s*(\{[\d\s,]*\
 _INDEX_SET = re.compile(r"\s*\{([\d\s,]*)\}\s*")
 _FACTOR = re.compile(r"([a-z]\d*)(?:\^(-?\d+))?")
 _IDEAL = re.compile(r"\s*\((.*)\)\s*", re.S)
-_SPACE = re.compile(r"\s*(?:(.*?)\s*\*\s*)?K(?:\[(.*?)\])?\s*", re.S)
 _ADMISSIBLE = re.compile(r"([a-z]\d*)(\^-1)?")
 
 
@@ -169,13 +168,47 @@ def ideal_str(I):
 
 # --------------------------------------------------------------- spaces
 
-def _space_parts(text, ctx):
-    """(root, (zplus, zminus)) of the text of one Stanley space."""
-    m = _SPACE.fullmatch(text)
-    if not m:
-        raise ParseError("cannot parse Stanley space %r" % text)
-    root = parse_monomial(m.group(1), ctx) if m.group(1) else (0,) * ctx.n
-    return root, _admissible((m.group(2) or "").strip(), ctx.n)
+def _space_parts(text, ctx, factors, bodies):
+    """(root, (zplus, zminus)) of the text of one Stanley space,
+    [root '*'] 'K' ['[' body ']'] with whitespace around each part.
+
+    The stripped text splits at its first K that has '' or '[...]' after
+    it and, before it, stripped text that ends in '*'; the root is the
+    text before that '*'.  Only when no K splits it is the text read as a
+    bare K or K[...].  The root is read before the body, its
+    '*'-separated factors looked up in the dict factors over ``_factor``,
+    and the body in the dict bodies over ``_admissible``: a request shares
+    both over its spaces."""
+    n = ctx.n
+    s = text.strip()
+    head, k, tail = s.partition("K")
+    while k and not ((not tail or tail[0] == "[" and tail[-1] == "]")
+                     and head.rstrip()[-1:] == "*"):
+        more, k, tail = tail.partition("K")
+        head += "K" + more
+    if k:
+        head = head.rstrip()[:-1]
+    else:
+        head, tail = "", s[1:]
+        if s[:1] != "K" or tail and (tail[0] != "[" or tail[-1] != "]"):
+            raise ParseError("cannot parse Stanley space %r" % text)
+    exps = [0] * n
+    if head:
+        for factor in head.split("*"):
+            try:
+                parsed = factors[factor]
+            except KeyError:
+                parsed = factors[factor] = _factor(factor, n)
+            if parsed is None:
+                continue
+            if type(parsed) is str:
+                parse_monomial(head, ctx)   # raises it at the factor's column
+            i, exp = parsed
+            exps[i] += exp
+    z = bodies.get(tail)
+    if z is None:
+        z = bodies[tail] = _admissible(tail[1:-1].strip(), n)
+    return tuple(exps), z
 
 
 @functools.lru_cache(maxsize=1024)
@@ -196,7 +229,7 @@ def _admissible(body, n):
 
 
 def parse_space(text, ctx):
-    root, (zplus, zminus) = _space_parts(text, ctx)
+    root, (zplus, zminus) = _space_parts(text, ctx, {}, {})
     return StanleySpace(ctx, root, zplus, zminus)
 
 
@@ -217,73 +250,22 @@ def _k_str(zplus, zminus, ctx):
     return "K[%s]" % ", ".join(entries) if entries else "K"
 
 
-_UNREAD = object()
-
-
-def _canonical_parts(part, n, factors, bodies):
-    """(root, (zplus, zminus)) of the text of one space in the form
-    ``space_str`` writes, with whitespace around it, or None for any other
-    text and for text that does not parse, which ``_space_parts`` reads.
-
-    The stripped text is split at its first K.  Before it comes '' or a
-    root and '*', whose '*'-separated factors are looked up in the dict
-    factors over ``_factor``; after it, '' or '[' body ']', looked up in
-    the dict bodies over ``_admissible``.  ``_admissible`` refuses a ']'
-    or a 'K' in the body, so this K and this body are the ones ``_SPACE``
-    matches, and ``_factor`` and ``_admissible`` strip the whitespace that
-    the regex leaves out."""
-    head, k, rest = part.strip().partition("K")
-    if not k:
-        return None
-    z = bodies.get(rest)
-    if z is None:
-        if rest and (rest[0] != "[" or rest[-1] != "]"):
-            return None
-        try:
-            z = bodies[rest] = _admissible(rest[1:-1], n)
-        except ParseError:
-            return None
-    if not head:
-        return (0,) * n, z
-    if head[-1] != "*":
-        return None
-    exps = [0] * n
-    for factor in head[:-1].split("*"):
-        parsed = factors.get(factor, _UNREAD)
-        if parsed is _UNREAD:
-            try:
-                parsed = factors[factor] = _factor(factor, n)
-            except ParseError:
-                return None
-        if parsed is None:
-            continue
-        if type(parsed) is str:
-            return None
-        i, exp = parsed
-        exps[i] += exp
-    return tuple(exps), z
-
-
 def parse_decomposition(text, ctx):
-    """The '+'-joined spaces of text, each checked as by ``parse_space``,
-    as the columns of its roots and Z checked by one
-    ``stanley.check_columns``.  A space in the form ``space_str`` writes
-    is read by ``_canonical_parts`` and any other by ``_space_parts``,
-    which raises every parse error.  A space that does not parse raises
-    only after the spaces before it are checked, so the first bad space
-    raises its own error."""
+    """The '+'-joined spaces of text, each read and checked as by
+    ``parse_space``, as the columns of its roots and Z checked by one
+    ``stanley.check_columns``.  A space that does not parse raises only
+    after the spaces before it are checked, so the first bad space raises
+    its own error."""
     roots, zs = [], []
     factors, bodies = {}, {}
     for part in text.split("+"):
-        parts = _canonical_parts(part, ctx.n, factors, bodies)
-        if parts is None:
-            try:
-                parts = _space_parts(part, ctx)
-            except ParseError:
-                check_columns(ctx, roots, zs)
-                raise
-        roots.append(parts[0])
-        zs.append(parts[1])
+        try:
+            root, z = _space_parts(part, ctx, factors, bodies)
+        except ParseError:
+            check_columns(ctx, roots, zs)
+            raise
+        roots.append(root)
+        zs.append(z)
     return StanleyDecomposition._of_columns(ctx, *check_columns(ctx, roots, zs))
 
 

@@ -9,7 +9,6 @@ componentwise divisibility.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .errors import (
     ContainmentError,
@@ -80,14 +79,6 @@ def strip_units(m, ctx):
 def abs_degree(m):
     """Total absolute degree: sum of |exponent| over all coordinates."""
     return sum(abs(e) for e in m)
-
-
-def signed_supports(m):
-    """Return (supp, supp_plus, supp_minus) as frozensets of indices."""
-    supp = frozenset(i for i, e in enumerate(m) if e != 0)
-    plus = frozenset(i for i, e in enumerate(m) if e > 0)
-    minus = frozenset(i for i, e in enumerate(m) if e < 0)
-    return supp, plus, minus
 
 
 def _divides(g, m, ctx):
@@ -196,13 +187,3 @@ def extend_to(I, ctx):
     if ctx.n != I.context.n:
         raise ContextMismatchError("variable counts differ")
     return MonomialIdeal(ctx, I.generators)
-
-
-def box_monomials(ctx, bound):
-    """All monomials with |exponent| <= bound per coordinate (nonnegative on
-    non-inverted coordinates).  Brute-force helper for oracles."""
-    ranges = [
-        range(-bound, bound + 1) if i in ctx.inverted else range(bound + 1)
-        for i in range(ctx.n)
-    ]
-    return product(*ranges)

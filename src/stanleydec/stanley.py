@@ -3,8 +3,8 @@
 A Stanley space is a root monomial u together with an admissible variable
 set Z: plain variables x_i (any i) and inverses x_j^-1 (only for inverted
 j), never both for the same j.  Geometrically u*K[Z] is an axis-aligned
-semi-infinite box of lattice points, which is what the Region view makes
-explicit and what all verification works on.
+semi-infinite box of lattice points, which is what all verification works
+on.
 """
 
 from collections import defaultdict
@@ -100,39 +100,12 @@ def check_columns(ctx, roots, zs):
     return tuple(s.root for s in spaces), tuple((s.zplus, s.zminus) for s in spaces)
 
 
-@dataclass(frozen=True)
-class Region:
-    """Per-coordinate constraints: (lo, hi) pairs, None meaning unbounded."""
-
-    bounds: tuple
-
-    def contains(self, m):
-        for e, (lo, hi) in zip(m, self.bounds):
-            if lo is not None and e < lo:
-                return False
-            if hi is not None and e > hi:
-                return False
-        return True
-
-
-def space_region(s):
-    """The lattice region of u*K[Z]: coordinatewise AtLeast on zplus,
-    AtMost on zminus, Fixed elsewhere."""
-    bounds = []
-    for i in range(s.context.n):
-        if i in s.zplus:
-            bounds.append((s.root[i], None))
-        elif i in s.zminus:
-            bounds.append((None, s.root[i]))
-        else:
-            bounds.append((s.root[i], s.root[i]))
-    return Region(tuple(bounds))
-
-
 def space_contains(s, m):
-    """Whether the monomial m lies in the space."""
+    """Whether the monomial m lies in the space: at least the root on
+    zplus, at most it on zminus and equal to it elsewhere."""
     m = ring.check_monomial(m, s.context)
-    return space_region(s).contains(m)
+    return all(e >= u if i in s.zplus else e <= u if i in s.zminus else e == u
+               for i, (e, u) in enumerate(zip(m, s.root)))
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -193,8 +166,9 @@ def sdepth_of(D):
     return min(len(zplus) + len(zminus) for zplus, zminus in set(D.zs))
 
 
-# a space takes about 2 KB before it is printed, so the answers this allows
-# take gigabytes; the singletons of a box of solver.MAX_BOX_CELLS cells are as many
+# a decompose answer peaks at about 250 bytes per space, its printed line
+# included: 250 MB for the 970,299 singletons of (1)/(x^99, y^99, z^99);
+# the singletons of a box of solver.MAX_BOX_CELLS cells are as many
 MAX_SPACES = 10**6
 
 
@@ -438,31 +412,4 @@ def adjoin_variable(D, laurent):
             spaces.append(
                 StanleySpace(new_ctx, s.root + (-1,), s.zplus, s.zminus | {t})
             )
-    return StanleyDecomposition(new_ctx, tuple(spaces))
-
-
-def restrict_adjoined(D):
-    """Test-only inverse of the Laurent adjunction: intersect a
-    decomposition of (I/J)[t, t^-1] back down to I/J by stripping t-powers
-    from roots and removing t and t^-1 from every Z."""
-    ctx = D.context
-    t = ctx.n - 1
-    if t not in ctx.inverted:
-        raise MalformedInputError("last variable is not a Laurent adjunction")
-    new_ctx = RingContext(ctx.n - 1, ctx.inverted - {t})
-    spaces = []
-    for s in D.spaces:
-        a = s.root[t]
-        if a > 0 and t not in s.zminus:
-            continue   # the space misses the t-degree-zero slice
-        if a < 0 and t not in s.zplus:
-            continue
-        spaces.append(
-            StanleySpace(
-                new_ctx,
-                s.root[:t],
-                frozenset(s.zplus - {t}),
-                frozenset(s.zminus - {t}),
-            )
-        )
     return StanleyDecomposition(new_ctx, tuple(spaces))

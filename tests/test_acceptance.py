@@ -14,6 +14,7 @@ from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
 from util import (
     all_decomposition_variants,
+    box_monomials,
     localize_pair,
     polynomial_quotient,
     random_quotient,
@@ -272,7 +273,7 @@ def test_criterion_8_fdepth():
 
 def _naive_valid(D, I, J, bound):
     ok = True
-    for m in ring.box_monomials(D.context, bound):
+    for m in box_monomials(D.context, bound):
         hits = sum(1 for s in D.spaces if stanley.space_contains(s, m))
         member = ring.in_quotient(I, J, m)
         if member != (hits == 1) or (not member and hits != 0):

@@ -720,6 +720,16 @@ class TestBatch:
         assert all(l["error"].startswith("bad request") for l in lines[:4])
         assert lines[4]["ok"]
 
+    def test_deeply_nested_line_keeps_stream_alive(self):
+        """json.loads raises RecursionError, not ValueError, on 200,000
+        nested arrays: the line is a bad request and the next is answered."""
+        stdin = "[" * 200_000 + "\n" + json.dumps(self.VALID) + "\n"
+        code, out = run(["batch"], stdin)
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 2 and len(lines) == 2
+        assert lines[0] == {"ok": False, "error": "bad request: JSON nested too deeply"}
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
     def test_internal_error_keeps_stream_alive(self, monkeypatch):
         def broken(opts):
             raise RuntimeError("boom")

@@ -2,10 +2,11 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_json
+import reference_parse
 import reference_text
 from stanleydec import filtration, parsing, ring, solver, stanley
 from stanleydec.errors import MalformedInputError, ParseError
@@ -220,8 +221,8 @@ class TestSpaceText:
             assert parsing.parse_decomposition(text, ctx).spaces == D.spaces
 
 
-_PADS = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
-_BAD_FACTORS = st.sampled_from(["#", "", " ", "x ^2", "q", "x6", "x0", "x^", "y^-", "Q"])
+_PADS = st.sampled_from(["", "", " ", "  ", "\t", "\n ", "\u00a0", "\u2003", "\x1c"])
+_BAD_FACTORS = st.sampled_from(["#", "", " ", "x ^2", "q", "x6", "x0", "x^", "y^-", "Q", "K["])
 _BAD_ENTRIES = st.sampled_from(["", " ", "x^2", "q", "x6", "K", "[x", "x]", "y^-2", "x^-1^-1"])
 _SEPARATORS = st.sampled_from(["", " ", "2", " *", "* ", " * ", "**", "*1*", "*#*"])
 
@@ -300,33 +301,44 @@ def _error(exc):
     return type(exc), str(exc), getattr(exc, "column", None)
 
 
+def _outcome(read):
+    """What read() returns, or the type, message and column of the
+    ParseError it raises."""
+    try:
+        return read()
+    except ParseError as exc:
+        return _error(exc)
+
+
 class TestParserDifferential:
-    """parse_decomposition reads a space in the form space_str writes
-    without the regex; _space_parts, the regex path, is the reference."""
+    """parse_decomposition reads each space by the string splitter
+    _space_parts; the regex reader of reference_parse is the reference."""
 
     @given(_decomposition_text())
+    # a bare K[...] is read only when no later K has a root and '*' before it
+    @example((RingContext(2), "K[ *K[x] + K*K + x*K[x]*K +  *K  + K[]]"))
     @settings(max_examples=600, deadline=None)
     def test_parts_match_the_regex_path(self, case):
-        """Each part the canonical reader takes gives what _space_parts
-        gives, with the lookups shared over the parts as in a request."""
+        """Each part gives the columns, or the error with its message and
+        column, that the regex reader gives, with the lookups shared over
+        the parts as in a request."""
         ctx, text = case
         factors, bodies = {}, {}
         for part in text.split("+"):
-            parts = parsing._canonical_parts(part, ctx.n, factors, bodies)
-            if parts is not None:
-                assert parts == parsing._space_parts(part, ctx), part
+            assert _outcome(lambda: parsing._space_parts(part, ctx, factors, bodies)) \
+                == _outcome(lambda: reference_parse.space_parts(part, ctx)), part
 
     @given(_decomposition_text())
     @settings(max_examples=600, deadline=None)
     def test_decomposition_matches_space_by_space(self, case):
-        """The columns of the spaces _space_parts reads and StanleySpace
+        """The columns of the spaces the regex reader reads and StanleySpace
         checks one by one, or the error, with its message and column, of
         the first space that fails either."""
         ctx, text = case
         spaces, expected = [], None
         for part in text.split("+"):
             try:
-                root, (zplus, zminus) = parsing._space_parts(part, ctx)
+                root, (zplus, zminus) = reference_parse.space_parts(part, ctx)
                 spaces.append(StanleySpace(ctx, root, zplus, zminus))
             except (ParseError, MalformedInputError) as exc:
                 expected = _error(exc)
@@ -339,23 +351,6 @@ class TestParserDifferential:
         assert expected is None
         assert D.roots == tuple(s.root for s in spaces)
         assert D.zs == tuple((s.zplus, s.zminus) for s in spaces)
-
-    def test_written_text_is_read_without_the_regex(self, monkeypatch):
-        """Every space of a written decomposition, random witnesses over
-        rings with inverted axes, is read by the canonical reader."""
-        rng = random.Random(71)
-        texts = []
-        for _ in range(20):
-            ctx, I, J = random_quotient(rng)
-            D = solver.sdepth(I, J).witness
-            texts.append((ctx, D, parsing.decomposition_str(D)))
-
-        def no_regex(part, ctx):
-            raise AssertionError("the regex path read %r" % part)
-
-        monkeypatch.setattr(parsing, "_space_parts", no_regex)
-        for ctx, D, text in texts:
-            assert parsing.parse_decomposition(text, ctx) == D
 
 
 class TestSeriesText:

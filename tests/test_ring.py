@@ -12,6 +12,8 @@ from stanleydec.errors import (
 )
 from stanleydec.ring import MonomialIdeal, RingContext
 
+from util import box_monomials
+
 
 def ctx3_inv3():
     return RingContext(3, frozenset({2}))
@@ -107,17 +109,6 @@ class TestInQuotient:
             ring.in_quotient(self.J, self.I, (0, 1, 0))
 
 
-class TestSignedSupports:
-    def test_mixed(self):
-        assert ring.signed_supports((2, -1, 0)) == ({0, 1}, {0}, {1})
-
-    def test_unit(self):
-        assert ring.signed_supports((0, 0, 0)) == (set(), set(), set())
-
-    def test_all_negative(self):
-        assert ring.signed_supports((-1, -1)) == ({0, 1}, set(), {0, 1})
-
-
 class TestContraction:
     def test_keeps_generators(self):
         ctx = RingContext(3, frozenset({1}))
@@ -186,7 +177,7 @@ def test_contains_matches_brute_force(data):
     ctx, gens = data
     I = ring.ideal(ctx, *gens)
     stripped = [ring.strip_units(g, ctx) for g in gens]
-    for m in ring.box_monomials(ctx, 3):
+    for m in box_monomials(ctx, 3):
         raw = any(
             all(m[i] >= g[i] for i in range(ctx.n) if i not in ctx.inverted)
             for g in stripped

@@ -16,11 +16,13 @@ from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
 import reference_verify
 from util import (
+    box_monomials,
     contracted_poset,
     decomposition_from_partition,
     greedy_partition,
     polynomial_quotient,
     random_quotient,
+    restrict_adjoined,
     singleton_decomposition,
 )
 
@@ -30,22 +32,30 @@ def space(ctx, root, zplus=(), zminus=()):
 
 
 class TestRegion:
+    """The lattice region of u*K[Z]: at least u_i on zplus, at most u_i on
+    zminus, u_i elsewhere."""
+
     def test_plain_space(self):
         ctx = RingContext(2)
-        r = stanley.space_region(space(ctx, (1, 0), zplus={0, 1}))
-        assert r.bounds == ((1, None), (0, None))
+        s = space(ctx, (1, 0), zplus={0, 1})
+        assert stanley.space_contains(s, (1, 0)) and stanley.space_contains(s, (5, 3))
+        assert not stanley.space_contains(s, (0, 3))
 
     def test_fixed_negative_coordinate(self):
         ctx = RingContext(3, frozenset({2}))
-        r = stanley.space_region(space(ctx, (1, 0, -1), zplus={1}))
-        assert r.bounds == ((1, 1), (0, None), (-1, -1))
+        s = space(ctx, (1, 0, -1), zplus={1})
+        assert stanley.space_contains(s, (1, 4, -1))
+        assert not stanley.space_contains(s, (1, 4, -2))
+        assert not stanley.space_contains(s, (1, 4, 0))
+        assert not stanley.space_contains(s, (2, 4, -1))
 
     def test_inverse_direction(self):
         ctx = RingContext(3, frozenset({1, 2}))
-        r = stanley.space_region(
-            space(ctx, (0, -1, 0), zplus={0, 2}, zminus={1})
-        )
-        assert r.bounds == ((0, None), (None, -1), (0, None))
+        s = space(ctx, (0, -1, 0), zplus={0, 2}, zminus={1})
+        assert stanley.space_contains(s, (3, -1, 2))
+        assert stanley.space_contains(s, (0, -5, 0))
+        assert not stanley.space_contains(s, (0, 0, 0))
+        assert not stanley.space_contains(s, (0, -1, -1))
 
 
 class TestSpaceContains:
@@ -73,7 +83,7 @@ class TestSpaceContains:
         for b in range(4):
             for c in range(4):
                 reachable.add((1, b, -1 - c))
-        for m in ring.box_monomials(ctx, 3):
+        for m in box_monomials(ctx, 3):
             assert stanley.space_contains(s, m) == (m in reachable)
 
 
@@ -369,7 +379,7 @@ def _broken_variants(D, I, J, rng):
     variants.append(spaces[:k] + [StanleySpace(ctx, root, s.zplus, s.zminus)]
                     + spaces[k + 1:])
     B = stanley.clamp_bound(D, I, J)
-    outside = [m for m in ring.box_monomials(ctx, B)
+    outside = [m for m in box_monomials(ctx, B)
                if not (ring.contains(I, m) and not ring.contains(J, m))]
     if outside:
         variants.append(spaces + [StanleySpace(ctx, rng.choice(outside))])
@@ -559,7 +569,7 @@ class TestAdjoin:
             ctx, I, J = polynomial_quotient(rng, n=2)
             D = solver.sdepth(I, J).witness
             D2 = stanley.adjoin_variable(D, laurent=True)
-            back = stanley.restrict_adjoined(D2)
+            back = restrict_adjoined(D2)
             assert stanley.verify_decomposition(back, I, J).valid
 
 

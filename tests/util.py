@@ -3,11 +3,23 @@
 import random
 import sys
 from contextlib import contextmanager
+from itertools import product
 
 from stanleydec import ring, solver
+from stanleydec.errors import MalformedInputError
 from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.solver import IntervalPartition
-from stanleydec.stanley import StanleyDecomposition
+from stanleydec.stanley import StanleyDecomposition, StanleySpace
+
+
+def box_monomials(ctx, bound):
+    """All monomials with |exponent| <= bound per coordinate (nonnegative on
+    non-inverted coordinates), in lex order."""
+    ranges = [
+        range(-bound, bound + 1) if i in ctx.inverted else range(bound + 1)
+        for i in range(ctx.n)
+    ]
+    return product(*ranges)
 
 
 def random_quotient(rng, n=None, inverted=None, max_exp=2, max_gens=3):
@@ -60,8 +72,6 @@ def singleton_partition(poset):
 def greedy_partition(poset, rng):
     """Random valid interval partition: repeatedly take the lex-smallest
     uncovered element and a random feasible upper corner."""
-    from itertools import product
-
     g = poset.bound
     n = poset.context.n
     elems = set(poset.elements)
@@ -142,3 +152,30 @@ def recursion_headroom(frames):
         yield
     finally:
         sys.setrecursionlimit(limit)
+
+
+def restrict_adjoined(D):
+    """The inverse of the Laurent adjunction: intersect a decomposition of
+    (I/J)[t, t^-1] back down to I/J by stripping t-powers from roots and
+    removing t and t^-1 from every Z."""
+    ctx = D.context
+    t = ctx.n - 1
+    if t not in ctx.inverted:
+        raise MalformedInputError("last variable is not a Laurent adjunction")
+    new_ctx = RingContext(ctx.n - 1, ctx.inverted - {t})
+    spaces = []
+    for s in D.spaces:
+        a = s.root[t]
+        if a > 0 and t not in s.zminus:
+            continue   # the space misses the t-degree-zero slice
+        if a < 0 and t not in s.zplus:
+            continue
+        spaces.append(
+            StanleySpace(
+                new_ctx,
+                s.root[:t],
+                frozenset(s.zplus - {t}),
+                frozenset(s.zminus - {t}),
+            )
+        )
+    return StanleyDecomposition(new_ctx, tuple(spaces))
