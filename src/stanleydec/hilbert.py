@@ -201,9 +201,8 @@ def series_of_decomposition(D):
 
 
 def series_of_poset(poset):
-    """(H, low): the series of I'/J', the sum over the elements a of its
-    characteristic poset of t^{|a|}/(1-t)^{rho(a)}, rho(a) = #{i: a_i =
-    g_i}, and low, the least rho(a) (None for the empty poset).
+    """The series of I'/J', the sum over the elements a of its characteristic
+    poset of t^{|a|}/(1-t)^{rho(a)}, rho(a) = #{i: a_i = g_i}.
 
     It is read off the runs of the mask (``Box.runs``).  A run head + (t,)
     + tail, first <= t <= last, has rho = rho(head) + len(tail) + (t ==
@@ -215,7 +214,7 @@ def series_of_poset(poset):
     a numerator over (1-t)^{rho+1}."""
     g, box = poset.bound, poset.box
     if not g:       # n = 0: the one cell () is no run
-        return (HilbertSeries((1,), 0), 0) if poset.mask else (ZERO_SERIES, None)
+        return HilbertSeries((1,), 0) if poset.mask else ZERO_SERIES
     r = box.axis
     top, g_head = g[r], g[:r]
     zeros = g.count(0)
@@ -232,8 +231,7 @@ def series_of_poset(poset):
         if first <= last:
             blocks[k][d + first] += 1
             blocks[k][d + last + 1] -= 1
-    low = next((zeros + i for i, block in enumerate(blocks) if any(block)), None)
-    return _sum_over_pole([(block, zeros + i + 1) for i, block in enumerate(blocks)]), low
+    return _sum_over_pole([(block, zeros + i + 1) for i, block in enumerate(blocks)])
 
 
 def hdepth_bound(series):
@@ -262,7 +260,7 @@ def series_of_quotient(I, J):
     already counts each inverted variable's one-cell axis.  Raises
     ZeroModuleError when I/J is the zero module."""
     poset = solver._poset_of(I, J, "I/J is the zero module; no Hilbert series is computed")
-    plain, _ = series_of_poset(poset)
+    plain = series_of_poset(poset)
     laurent = _binomials(len(I.context.inverted))
     return HilbertSeries(_poly_mul(plain.numerator, laurent), plain.pole)
 

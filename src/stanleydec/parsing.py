@@ -15,10 +15,8 @@ import re
 from itertools import chain
 
 from .errors import ParseError
-from .filtration import FiltrationStep, PrimeFiltration
-from .hilbert import HilbertSeries
 from .ring import MonomialIdeal, RingContext
-from .stanley import StanleyDecomposition, StanleySpace, check_columns
+from .stanley import StanleyDecomposition, check_columns
 
 _ALIASES = ("x", "y", "z", "w")
 
@@ -69,11 +67,6 @@ def parse_ring(text):
         raise ParseError("n exceeds the limit of %d variables" % MAX_VARIABLES)
     inverted = parse_index_set(m.group(2)) if m.group(2) else frozenset()
     return RingContext(int(digits), inverted)
-
-
-def ring_str(ctx):
-    inv = ",".join(str(i + 1) for i in sorted(ctx.inverted))
-    return "ring n=%d invert={%s}" % (ctx.n, inv)
 
 
 def parse_index_set(text):
@@ -228,15 +221,6 @@ def _admissible(body, n):
     return frozenset(zplus), frozenset(zminus)
 
 
-def parse_space(text, ctx):
-    root, (zplus, zminus) = _space_parts(text, ctx, {}, {})
-    return StanleySpace(ctx, root, zplus, zminus)
-
-
-def space_str(s):
-    return _root_str(s.root, s.context) + _k_str(s.zplus, s.zminus, s.context)
-
-
 def _root_str(root, ctx):
     """The text of a space before its K: '' for the root 1, else the root
     and '*'."""
@@ -251,11 +235,11 @@ def _k_str(zplus, zminus, ctx):
 
 
 def parse_decomposition(text, ctx):
-    """The '+'-joined spaces of text, each read and checked as by
-    ``parse_space``, as the columns of its roots and Z checked by one
-    ``stanley.check_columns``.  A space that does not parse raises only
-    after the spaces before it are checked, so the first bad space raises
-    its own error."""
+    """The '+'-joined spaces of text, each read by ``_space_parts``, as the
+    columns of its roots and Z checked by one ``stanley.check_columns``,
+    the one check of columns from outside the program.  A space that does
+    not parse raises only after the spaces before it are checked, so the
+    first bad space raises its own error."""
     roots, zs = [], []
     factors, bodies = {}, {}
     for part in text.split("+"):
@@ -318,25 +302,8 @@ def ring_to_json(ctx):
     return {"n": ctx.n, "invert": sorted(i + 1 for i in ctx.inverted)}
 
 
-def ring_from_json(obj):
-    return RingContext(obj["n"], frozenset(i - 1 for i in obj.get("invert", [])))
-
-
 def ideal_to_json(I):
     return {"generators": [list(g) for g in I.sorted_generators()]}
-
-
-def ideal_from_json(obj, ctx):
-    return MonomialIdeal(ctx, frozenset(tuple(g) for g in obj["generators"]))
-
-
-def space_from_json(obj, ctx):
-    return StanleySpace(
-        ctx,
-        tuple(obj["root"]),
-        frozenset(i - 1 for i in obj.get("zplus", [])),
-        frozenset(i - 1 for i in obj.get("zminus", [])),
-    )
 
 
 class JSONText(str):
@@ -363,26 +330,12 @@ def _one_based(z):
     return ", ".join(map(str, sorted(i + 1 for i in z)))
 
 
-def decomposition_from_json(obj):
-    ctx = ring_from_json(obj["ring"])
-    return StanleyDecomposition(
-        ctx, tuple(space_from_json(s, ctx) for s in obj["spaces"])
-    )
-
-
 def series_to_json(h):
     """The nonzero numerator coefficients as [c, k] pairs, ascending in k,
     and the pole, as JSONText with the keys in sorted order."""
     pairs = ", ".join(
         "[%d, %d]" % (c, k) for k, c in enumerate(h.numerator) if c != 0)
     return JSONText('{"num": [%s], "pole": %d}' % (pairs, h.pole))
-
-
-def series_from_json(obj):
-    num = [0] * (1 + max((k for _, k in obj["num"]), default=0))
-    for c, k in obj["num"]:
-        num[k] = c
-    return HilbertSeries(tuple(num), obj["pole"])
 
 
 def filtration_to_json(F):
@@ -398,29 +351,3 @@ def filtration_to_json(F):
             for s in F.steps
         ],
     }
-
-
-def filtration_from_json(obj):
-    ctx = ring_from_json(obj["ring"])
-    chain = tuple(ideal_from_json(I, ctx) for I in obj["chain"])
-    steps = tuple(
-        FiltrationStep(
-            tuple(s["u"]),
-            frozenset(i - 1 for i in s["primes"]),
-            tuple(s["shift"]),
-        )
-        for s in obj["steps"]
-    )
-    return PrimeFiltration(ctx, chain, steps)
-
-
-def filtration_str(F):
-    ctx = F.context
-    lines = [" < ".join(ideal_str(I) for I in F.chain)]
-    for i, s in enumerate(F.steps):
-        primes = ", ".join(var_name(j, ctx) for j in sorted(s.primes))
-        lines.append(
-            "  step %d: u = %s, P = (%s), a = %s"
-            % (i + 1, monomial_str(s.monomial, ctx), primes, list(s.shift))
-        )
-    return "\n".join(lines)

@@ -66,19 +66,9 @@ def one(ctx):
     return (0,) * ctx.n
 
 
-def mul(a, b):
-    """Product of two monomials."""
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def strip_units(m, ctx):
     """Zero out the exponents on inverted coordinates (divide by a unit)."""
     return tuple(0 if i in ctx.inverted else e for i, e in enumerate(m))
-
-
-def abs_degree(m):
-    """Total absolute degree: sum of |exponent| over all coordinates."""
-    return sum(abs(e) for e in m)
 
 
 def _divides(g, m, ctx):

@@ -136,7 +136,7 @@ def _best_partition(poset, budget):
     if top <= low:
         return low, None
     bounds = {"the maximal elements": top,
-              "the Hilbert depth": hilbert.hdepth_bound(hilbert.series_of_poset(poset)[0])}
+              "the Hilbert depth": hilbert.hdepth_bound(hilbert.series_of_poset(poset))}
     start = min(bounds.values())
     remaining = budget
     spent = {}
@@ -240,7 +240,7 @@ def _embed_and_invert(poset, partition, ctx):
                       else _bases(poset, partition))
     # every space holds its root and the spaces are disjoint, so no two
     # share a root
-    return stanley._sorted_by_root(ctx, *stanley._fan_out(ctx, roots, zpluses, ctx.inverted))
+    return stanley._sorted_by_root(ctx, *stanley._fan_out(ctx, roots, zpluses))
 
 
 def _poset_of(I, J, message):

@@ -134,8 +134,9 @@ class StanleyDecomposition:
 
     @classmethod
     def _of_columns(cls, context, roots, zs):
-        """The decomposition of the tuples roots and zs that
-        ``check_columns`` returned for context."""
+        """The decomposition of the tuples roots and zs of valid spaces of
+        context: those ``check_columns`` returned, or those ``_fan_out``
+        built from valid spaces."""
         D = object.__new__(cls)
         object.__setattr__(D, "context", context)
         object.__setattr__(D, "roots", roots)
@@ -172,10 +173,10 @@ def sdepth_of(D):
 MAX_SPACES = 10**6
 
 
-def _fan_out(ctx, roots, zpluses, A):
+def _fan_out(ctx, roots, zpluses):
     """Localize the spaces root*K[zplus] over the equally long sequences
-    roots and zpluses, of frozensets with A inside each, at the variables
-    in A.
+    roots and zpluses, of frozensets holding every inverted index A of
+    ctx, at the variables in A.
 
     Each space becomes one space of ctx per subset L of A, with x_l^-1 in
     place of x_l and the root divided by x_l for each l in L; the spaces
@@ -185,11 +186,12 @@ def _fan_out(ctx, roots, zpluses, A):
     AnswerTooLargeError before they are built.  The spaces of each L fill
     every 2^|A|-th place of the answer in one pass, their Z looked up per
     distinct zplus.  Returns the columns of the new spaces, roots and zs,
-    checked by ``check_columns``."""
+    as tuples and unchecked: valid spaces stay valid, as a root moves by
+    -1 only on L and zminus = L lies in A, which zplus - L avoids."""
     count = len(roots)
     if not count:       # no space: the 2^|A| subsets are not built
         return (), ()
-    A = sorted(A)
+    A = sorted(ctx.inverted)
     if count << len(A) > MAX_SPACES:
         raise AnswerTooLargeError(
             "the answer would have more than %d Stanley spaces" % MAX_SPACES)
@@ -207,7 +209,7 @@ def _fan_out(ctx, roots, zpluses, A):
             out_roots[j::step] = roots
         z_of = {zplus: (zplus - L, L) for zplus in distinct}
         out_zs[j::step] = list(map(z_of.__getitem__, zpluses))
-    return check_columns(ctx, out_roots, out_zs)
+    return tuple(out_roots), tuple(out_zs)
 
 
 def _sorted_by_root(ctx, roots, zs):
@@ -224,8 +226,7 @@ def canonical_sf_decomposition(ctx):
     per subset L of the inverted indices, with root prod_{l in L} x_l^-1
     and Z inverting exactly the variables in L.  2^|A| spaces, all of
     dimension n."""
-    return _sorted_by_root(ctx, *_fan_out(
-        ctx, [ring.one(ctx)], [frozenset(range(ctx.n))], ctx.inverted))
+    return _sorted_by_root(ctx, *_fan_out(ctx, [ring.one(ctx)], [frozenset(range(ctx.n))]))
 
 
 @dataclass(frozen=True)
@@ -380,7 +381,7 @@ def localize_decomposition(D, I, J, A):
     dropped = tuple(compress(range(len(kept)), map(not_, kept)))
     Df = StanleyDecomposition._of_columns(new_ctx, *_fan_out(
         new_ctx, list(compress(D.roots, kept)),
-        list(map(itemgetter(0), compress(D.zs, kept))), A))
+        list(map(itemgetter(0), compress(D.zs, kept)))))
     return LocalizationResult(Df, dropped, If, Jf)
 
 

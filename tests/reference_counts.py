@@ -13,13 +13,12 @@ from stanleydec.hilbert import ZERO_SERIES, HilbertSeries
 
 
 def series_of_poset(poset):
-    """(H, low): the sum over the elements a of the poset of
-    t^{|a|}/(1-t)^{rho(a)}, rho(a) = #{i: a_i = g_i}, and the least
-    rho(a) (None when the poset is empty), from the decoded cells."""
+    """The sum over the elements a of the poset of t^{|a|}/(1-t)^{rho(a)},
+    rho(a) = #{i: a_i = g_i}, from the decoded cells."""
     box, g = poset.box, poset.bound
     cells = map(box.cell, box.codes(poset.mask))
     counts = Counter((sum(map(eq, a, g)), sum(a)) for a in cells)
     total = ZERO_SERIES
     for (rho, d), count in counts.items():
         total += HilbertSeries((0,) * d + (count,), rho)
-    return total, min((rho for rho, _ in counts), default=None)
+    return total

@@ -8,9 +8,10 @@ case is t^{|root|}/(1-t)^{|Z|}.  It recurses once per unit of conflicting
 exponent, so it is only fit for small roots.
 """
 
-from stanleydec import ring
 from stanleydec.hilbert import HilbertSeries
 from stanleydec.stanley import StanleySpace
+
+from util import abs_degree
 
 
 def series_of_space(s):
@@ -21,7 +22,7 @@ def series_of_space(s):
             conflict = i
             break
     if conflict is None:
-        return HilbertSeries((0,) * ring.abs_degree(root) + (1,), s.dimension)
+        return HilbertSeries((0,) * abs_degree(root) + (1,), s.dimension)
     i = conflict
     if root[i] > 0:
         slab = StanleySpace(s.context, root, s.zplus, s.zminus - {i})

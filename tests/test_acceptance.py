@@ -16,6 +16,7 @@ from util import (
     all_decomposition_variants,
     box_monomials,
     localize_pair,
+    mul,
     polynomial_quotient,
     random_quotient,
 )
@@ -246,7 +247,7 @@ def test_criterion_7_space_series():
             u0 = ring.strip_units(u, ctx)
             total = hilbert.ZERO_SERIES
             for s in stanley.canonical_sf_decomposition(ctx).spaces:
-                shifted = space(ctx, ring.mul(s.root, u0), s.zplus, s.zminus)
+                shifted = space(ctx, mul(s.root, u0), s.zplus, s.zminus)
                 total = total + hilbert.series_of_space(shifted)
             assert closed == total, (u, A)
 

@@ -13,7 +13,7 @@ import reference_json
 from stanleydec import cli, hilbert, parsing, solver
 from stanleydec.ring import RingContext
 
-from util import random_quotient, recursion_headroom
+from util import random_quotient, recursion_headroom, ring_text
 
 
 def run(argv, stdin_text=""):
@@ -795,7 +795,7 @@ class TestJsonLine:
         reqs = []
         for _ in range(30):
             ctx, I, J = random_quotient(rng, n=rng.randint(1, 4))
-            base = {"ring": parsing.ring_str(ctx), "I": parsing.ideal_str(I),
+            base = {"ring": ring_text(ctx), "I": parsing.ideal_str(I),
                     "J": parsing.ideal_str(J)}
             D = parsing.decomposition_str(solver.sdepth(I, J).witness)
             A = "{%s}" % ",".join(str(i + 1) for i in range(ctx.n) if rng.random() < 0.5)

@@ -14,7 +14,7 @@ from stanleydec.hilbert import HilbertSeries
 from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
-from util import polynomial_quotient, random_quotient
+from util import polynomial_quotient, random_quotient, ring_text
 
 
 class TestRingText:
@@ -27,7 +27,7 @@ class TestRingText:
 
     def test_round_trip(self):
         for ctx in (RingContext(5, frozenset({0, 4})), RingContext(2), RingContext(3, frozenset({2}))):
-            assert parsing.parse_ring(parsing.ring_str(ctx)) == ctx
+            assert parsing.parse_ring(ring_text(ctx)) == ctx
 
     def test_bad_input(self):
         with pytest.raises(ParseError):
@@ -146,10 +146,17 @@ class TestIdealText:
                 assert parsing.parse_ideal(parsing.ideal_str(X), ctx) == X
 
 
+def _space(text, ctx):
+    """(root, zplus, zminus) of the one space of a one-space text."""
+    D = parsing.parse_decomposition(text, ctx)
+    (root,), ((zplus, zminus),) = D.roots, D.zs
+    return root, zplus, zminus
+
+
 def _error_of(text, ctx):
-    """The message parse_space raises for text, or ''."""
+    """The message parse_decomposition raises for a one-space text, or ''."""
     try:
-        parsing.parse_space(text, ctx)
+        parsing.parse_decomposition(text, ctx)
     except (ParseError, MalformedInputError) as exc:
         return str(exc)
     return ""
@@ -158,25 +165,23 @@ def _error_of(text, ctx):
 class TestSpaceText:
     def test_parse(self):
         ctx = RingContext(3, frozenset({2}))
-        s = parsing.parse_space("x*z^-1*K[y, z^-1]", ctx)
-        assert s.root == (1, 0, -1)
-        assert s.zplus == {1} and s.zminus == {2}
+        assert _space("x*z^-1*K[y, z^-1]", ctx) == ((1, 0, -1), {1}, {2})
 
     def test_bare_field(self):
         ctx = RingContext(2)
-        s = parsing.parse_space("x^2*K", ctx)
-        assert s.root == (2, 0) and not s.zplus and not s.zminus
+        assert _space("x^2*K", ctx) == ((2, 0), set(), set())
 
     def test_print(self):
         ctx = RingContext(3, frozenset({2}))
-        s = StanleySpace(ctx, (0, 2, -1), frozenset({0}), frozenset({2}))
-        assert parsing.space_str(s) == "y^2*z^-1*K[x, z^-1]"
-        unit = StanleySpace(ctx, (0, 0, 0), frozenset(), frozenset())
-        assert parsing.space_str(unit) == "K"
+        for root, zplus, zminus, text in (((0, 2, -1), {0}, {2}, "y^2*z^-1*K[x, z^-1]"),
+                                          ((0, 0, 0), (), (), "K")):
+            D = StanleyDecomposition(ctx, (StanleySpace(ctx, root, frozenset(zplus),
+                                                        frozenset(zminus)),))
+            assert parsing.decomposition_str(D) == text
 
     def test_errors_of_the_first_bad_space(self):
         """A decomposition raises the error of its first bad space, with
-        the text parse_space raises for it alone."""
+        the text that space raises as a one-space text."""
         ctx = RingContext(3, frozenset({2}))
         cases = [
             ("K[x] + K[x^2]", ParseError, "bad admissible variable 'x^2'"),
@@ -203,14 +208,12 @@ class TestSpaceText:
 
     def test_admissible_sets_per_ring(self):
         """The same K[...] text is read again in a ring of another size."""
-        assert parsing.parse_decomposition("K[w]", RingContext(4)).spaces[0].zplus == {3}
-        assert parsing.parse_space("K[w]", RingContext(4)).zplus == {3}
-        for parse in (parsing.parse_decomposition, parsing.parse_space):
-            with pytest.raises(ParseError, match="unknown variable 'w'"):
-                parse("K[w]", RingContext(3))
-            with pytest.raises(ParseError, match="x5 out of range for n=4"):
-                parse("K[x5]", RingContext(4))
-        assert parsing.parse_space("K[x5]", RingContext(5)).zplus == {4}
+        assert _space("K[w]", RingContext(4))[1] == {3}
+        with pytest.raises(ParseError, match="unknown variable 'w'"):
+            _space("K[w]", RingContext(3))
+        with pytest.raises(ParseError, match="x5 out of range for n=4"):
+            _space("K[x5]", RingContext(4))
+        assert _space("K[x5]", RingContext(5))[1] == {4}
 
     def test_round_trip_decomposition(self):
         rng = random.Random(57)
@@ -229,8 +232,8 @@ _SEPARATORS = st.sampled_from(["", " ", "2", " *", "* ", " * ", "**", "*1*", "*#
 
 @st.composite
 def _written_space(draw, n):
-    """(head, tail) of a space as space_str writes it, not always a valid
-    one: any root in -2..3, admissible entries in any order, each
+    """(head, tail) of a space as decomposition_str writes it, not always
+    a valid one: any root in -2..3, admissible entries in any order, each
     variable by its alias or its index, a variable and its inverse both
     admissible."""
     def name(i):
@@ -376,29 +379,20 @@ class TestSeriesText:
 
 
 class TestJson:
-    def test_ring_round_trip(self):
-        ctx = RingContext(4, frozenset({0, 3}))
-        obj = parsing.ring_to_json(ctx)
-        assert obj == {"n": 4, "invert": [1, 4]}
-        assert parsing.ring_from_json(obj) == ctx
+    def test_ring_to_json(self):
+        assert parsing.ring_to_json(RingContext(4, frozenset({3, 0}))) == {"n": 4, "invert": [1, 4]}
+        assert parsing.ring_to_json(RingContext(0)) == {"n": 0, "invert": []}
 
-    def test_ideal_round_trip(self):
-        rng = random.Random(59)
-        for _ in range(20):
-            ctx, I, J = random_quotient(rng)
-            assert parsing.ideal_from_json(parsing.ideal_to_json(I), ctx) == I
-
-    def test_decomposition_round_trip(self):
-        rng = random.Random(61)
-        for _ in range(15):
-            ctx, I, J = polynomial_quotient(rng)
-            D = solver.sdepth(I, J).witness
-            back = parsing.decomposition_from_json(json.loads(parsing.decomposition_to_json(D)))
-            assert back.context == ctx and back.spaces == D.spaces
-
-    def test_series_round_trip(self):
-        for h in (HilbertSeries((0, 1, 2, 1), 2), HilbertSeries((1,), 0), HilbertSeries((), 0)):
-            assert parsing.series_from_json(json.loads(parsing.series_to_json(h))) == h
+    def test_ideal_to_json(self):
+        """Generators in lex order, each the list of its exponents; the
+        zero ideal has none, and units are stripped on inverted axes."""
+        ctx = RingContext(2)
+        assert parsing.ideal_to_json(ring.ideal(ctx, (2, 0), (1, 1), (3, 1))) == {
+            "generators": [[1, 1], [2, 0]]}
+        assert parsing.ideal_to_json(MonomialIdeal(ctx)) == {"generators": []}
+        laurent = RingContext(3, frozenset({1}))
+        assert parsing.ideal_to_json(ring.ideal(laurent, (1, -3, 0), (0, 5, 2))) == {
+            "generators": [[0, 0, 2], [1, 0, 0]]}
 
     def test_decomposition_text_is_the_dict_writers(self):
         """The text is json.dumps(sort_keys=True) of the object the dict
@@ -446,18 +440,23 @@ class TestJson:
             assert text == json.dumps(reference_json.series_to_json(h), sort_keys=True)
         assert parsing.series_to_json(HilbertSeries((), 0)) == '{"num": [], "pole": 0}'
 
-    def test_filtration_round_trip(self):
+    def test_filtration_to_json(self):
+        """The JSON text of a witness filtration, read back by json.loads,
+        holds its ring, chain and steps field by field, with 1-based
+        primes: the paper's quotient and random ones, with and without
+        inverted axes."""
         ctx = RingContext(3)
-        I = ring.ideal(ctx, (0, 1, 0))
-        J = ring.ideal(ctx, (1, 1, 0), (0, 1, 1))
-        F = filtration.fdepth(I, J).witness
-        back = parsing.filtration_from_json(parsing.filtration_to_json(F))
-        assert back == F
-
-    def test_filtration_str_mentions_chain(self):
-        ctx = RingContext(3)
-        I = ring.ideal(ctx, (0, 1, 0))
-        J = ring.ideal(ctx, (1, 1, 0), (0, 1, 1))
-        F = filtration.fdepth(I, J).witness
-        text = parsing.filtration_str(F)
-        assert "(y*z, x*y) < (y)" in text and "P = (x, z)" in text
+        cases = [(ring.ideal(ctx, (0, 1, 0)), ring.ideal(ctx, (1, 1, 0), (0, 1, 1)))]
+        rng = random.Random(61)
+        cases += [random_quotient(rng)[1:] for _ in range(15)]
+        for I, J in cases:
+            F = filtration.fdepth(I, J).witness
+            obj = json.loads(json.dumps(parsing.filtration_to_json(F)))
+            assert obj["ring"] == {"n": F.context.n,
+                                   "invert": sorted(i + 1 for i in F.context.inverted)}
+            assert obj["chain"] == [{"generators": [list(g) for g in sorted(X.generators)]}
+                                    for X in F.chain]
+            assert len(obj["steps"]) == len(F.steps)
+            for got, step in zip(obj["steps"], F.steps):
+                assert got == {"u": list(step.monomial), "shift": list(step.shift),
+                               "primes": sorted(i + 1 for i in step.primes)}

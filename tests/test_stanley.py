@@ -313,6 +313,43 @@ class TestColumns:
         assert StanleyDecomposition(ctx, spaces[::-1]) != StanleyDecomposition(ctx, spaces)
 
 
+class TestBuiltColumns:
+    """The lift, the localization and the canonical decomposition build
+    their columns from valid spaces and do not check them: the columns
+    they build are tuples that check_columns returns unchanged, and their
+    spaces build without an error."""
+
+    @staticmethod
+    def assert_valid(D):
+        assert type(D.roots) is type(D.zs) is tuple
+        assert stanley.check_columns(D.context, D.roots, D.zs) == (D.roots, D.zs)
+        D.spaces
+
+    def test_random_quotients(self):
+        """With and without inverted axes; each localization also from a
+        D built through the API with its 0 and 1 root entries as bools."""
+        rng = random.Random(41)
+        localized = 0
+        for case in range(160):
+            ctx, I, J = random_quotient(rng, n=case % 4 + 1,
+                                        inverted=frozenset() if case % 2 else None)
+            W = solver.sdepth(I, J).witness
+            self.assert_valid(W)
+            self.assert_valid(stanley.canonical_sf_decomposition(ctx))
+            if ctx.inverted:
+                continue
+            A = frozenset(i for i in range(ctx.n) if rng.random() < 0.6)
+            bools = StanleyDecomposition(ctx, [
+                space(ctx, tuple(bool(e) if e in (0, 1) else e for e in s.root), s.zplus)
+                for s in W.spaces])
+            for D in (W, bools):
+                Df = stanley.localize_decomposition(D, I, J, A).decomposition
+                self.assert_valid(Df)
+                localized += bool(A and Df.roots)
+        assert localized > 20
+        self.assert_valid(stanley.canonical_sf_decomposition(RingContext(0)))
+
+
 class TestVerify:
     def test_paper_quotient(self):
         ctx = RingContext(3)

@@ -12,6 +12,22 @@ from stanleydec.solver import IntervalPartition
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
 
+def mul(a, b):
+    """Product of two monomials."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def abs_degree(m):
+    """Total absolute degree: sum of |exponent| over all coordinates."""
+    return sum(abs(e) for e in m)
+
+
+def ring_text(ctx):
+    """The ring as --ring reads it, e.g. 'ring n=3 invert={1,3}'."""
+    inv = ",".join(str(i + 1) for i in sorted(ctx.inverted))
+    return "ring n=%d invert={%s}" % (ctx.n, inv)
+
+
 def box_monomials(ctx, bound):
     """All monomials with |exponent| <= bound per coordinate (nonnegative on
     non-inverted coordinates), in lex order."""
@@ -48,7 +64,7 @@ def random_quotient(rng, n=None, inverted=None, max_exp=2, max_gens=3):
         Jg = set()
         for g in I.generators:
             if rng.random() < 0.5:
-                Jg.add(ring.mul(g, rand_gen()))
+                Jg.add(mul(g, rand_gen()))
         J = MonomialIdeal(ctx, frozenset(Jg))
         if I == J:
             continue
