@@ -44,7 +44,6 @@ from .ring import (
 )
 from .solver import (
     CharacteristicPoset,
-    IntervalPartition,
     SdepthResult,
     build_characteristic_poset,
     max_interval_partition,

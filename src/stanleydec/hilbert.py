@@ -9,12 +9,12 @@ here ever multiplies two graded components.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from operator import eq
 
 from . import ring, solver
 from .errors import MalformedInputError
-from .stanley import StanleyDecomposition
 
 
 def _poly_trim(p):
@@ -37,11 +37,7 @@ def _poly_div_one_minus_t(p):
     """Exact division by (1-t); returns None when not divisible."""
     if not p:
         return ()
-    q = []
-    acc = 0
-    for c in p:
-        acc += c
-        q.append(acc)
+    q = list(accumulate(p))
     if q[-1] != 0:
         return None
     return _poly_trim(q[:-1])
@@ -141,10 +137,6 @@ def hilbert_count(I, J, d):
     return sum(1 for a in vectors if divided(gens_I, a) and not divided(gens_J, a))
 
 
-def _t_power(k):
-    return (0,) * k + (1,)
-
-
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -173,7 +165,7 @@ def series_of_space(s):
         for i in range(s.context.n)
         if (root[i] > 0 and i in s.zminus) or (root[i] < 0 and i in s.zplus)
     ]
-    num = _t_power(sum(abs(e) for i, e in enumerate(root) if i not in conflicts))
+    num = (0,) * sum(abs(e) for i, e in enumerate(root) if i not in conflicts) + (1,)
     for i in conflicts:
         num = _poly_mul(num, (1, 1) + (0,) * (abs(root[i]) - 1) + (-1,))
     return HilbertSeries(num, s.dimension)
@@ -247,10 +239,7 @@ def hdepth_bound(series):
     r = series.pole
     while r > 0 and min(coeffs, default=0) < 0:
         r -= 1
-        acc = 0
-        for i, c in enumerate(coeffs):
-            acc += c
-            coeffs[i] = acc
+        coeffs = list(accumulate(coeffs))
     return r
 
 
@@ -265,12 +254,10 @@ def series_of_quotient(I, J):
     return HilbertSeries(_poly_mul(plain.numerator, laurent), plain.pole)
 
 
-def count_maximal_spaces(obj):
+def count_maximal_spaces(series):
     """P(1) of the canonical series - the decomposition-independent number
     of maximal-dimension Stanley spaces."""
-    if isinstance(obj, StanleyDecomposition):
-        obj = series_of_decomposition(obj)
-    return obj.numerator_at_one()
+    return series.numerator_at_one()
 
 
 MAX_DEGREE = 10**5   # expand lists a coefficient per degree: 10^12 would not fit in memory
@@ -290,10 +277,7 @@ def expand(series, d_max):
     coeffs = list(series.numerator[: d_max + 1])
     coeffs += [0] * (d_max + 1 - len(coeffs))
     for _ in range(series.pole):
-        acc = 0
-        for i in range(d_max + 1):
-            acc += coeffs[i]
-            coeffs[i] = acc
+        coeffs = list(accumulate(coeffs))
     return coeffs
 
 

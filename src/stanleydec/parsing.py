@@ -204,11 +204,9 @@ def _space_parts(text, ctx, factors, bodies):
     return tuple(exps), z
 
 
-@functools.lru_cache(maxsize=1024)
 def _admissible(body, n):
     """(zplus, zminus) as frozensets of the stripped body of K[...] in a
-    ring of n variables.  A decomposition repeats the same few bodies over
-    hundreds of spaces."""
+    ring of n variables."""
     zplus, zminus = set(), set()
     if body:
         for entry in body.split(","):

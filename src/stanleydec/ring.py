@@ -39,10 +39,6 @@ class RingContext:
         """Indices of the non-inverted (ordinary polynomial) variables."""
         return [i for i in range(self.n) if i not in self.inverted]
 
-    def polynomial_context(self):
-        """The same variables with nothing inverted."""
-        return RingContext(self.n, frozenset())
-
 
 def check_monomial(m, ctx):
     """Validate an exponent tuple against the ring, returning it as a tuple."""
@@ -158,7 +154,7 @@ def contraction(I):
     there, and normalizing them again costs O(g^2)."""
     if not I.context.inverted:
         return I
-    return MonomialIdeal(I.context.polynomial_context(), I.generators)
+    return MonomialIdeal(RingContext(I.context.n), I.generators)
 
 
 def colon(I, u):

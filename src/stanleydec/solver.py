@@ -53,11 +53,6 @@ class CharacteristicPoset:
         return tuple(_singleton_bases(self)[0])
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
-    intervals: tuple              # (b, c) pairs, b <= c <= g
-
-
 def build_characteristic_poset(Ip, Jp):
     """The finite poset of exponent vectors a <= g with x^a in I'\\J', g the
     componentwise maximum over all generators, as the mask of I' minus J' in
@@ -98,8 +93,9 @@ def maximal_element_bound(poset):
 
 
 def max_interval_partition(poset, budget=DEFAULT_BUDGET):
-    """Best interval partition of the poset: maximizes the minimum corner
-    count rho(c) = #{i: c_i = g_i} over its intervals.
+    """(k, intervals): the best interval partition of the poset, as a
+    tuple of (b, c) pairs with b <= c <= g, and k, the minimum corner
+    count rho(c) = #{i: c_i = g_i} over its intervals, which it maximizes.
 
     The answer lies between two bounds.  Below it is low = min rho(a) over
     the elements (``least_rho``): the singleton partition reaches it.
@@ -122,7 +118,7 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
     """
     k, partition = _best_partition(poset, budget)
     if partition is None:
-        partition = IntervalPartition(tuple((a, a) for a in poset.elements))
+        partition = tuple((a, a) for a in poset.elements)
     return k, partition
 
 
@@ -150,13 +146,13 @@ def _best_partition(poset, budget):
             raise BudgetExceededError("interval search budget exceeded after %d nodes, from "
                                       "k = %d set by %s" % (total, start, setters), total, spent)
         if status == "found":
-            return k, IntervalPartition(tuple(intervals))
+            return k, tuple(intervals)
     return low, None
 
 
 def _bases(poset, partition):
-    """The spaces an interval partition encodes, as the lists of their
-    roots and of their Z.
+    """The spaces an interval partition, a tuple of (b, c) pairs, encodes,
+    as the lists of their roots and of their Z.
 
     The interval [b, c] gets the admissible set Z = {i : c_i = g_i} and
     one space x^a K[Z] per root a in [b, c] with a_i = b_i on Z; when the
@@ -169,7 +165,7 @@ def _bases(poset, partition):
     axes = range(len(g))
     zs = {}
     roots, zpluses = [], []
-    for b, c in partition.intervals:
+    for b, c in partition:
         pattern = tuple(map(eq, c, g))
         z = zs.get(pattern)
         if z is None:

@@ -68,36 +68,28 @@ def _check_z(ctx, zplus, zminus):
 
 
 def check_columns(ctx, roots, zs):
-    """The columns of a decomposition, the root sequence roots and the
-    equally long sequence zs of (zplus, zminus) pairs of frozensets, as
-    tuples, checked as StanleySpace(ctx, root, zplus, zminus) checks each
-    space.
+    """The columns of a parsed decomposition, the list roots and the
+    equally long list zs of (zplus, zminus) pairs, as tuples, checked as
+    StanleySpace(ctx, root, zplus, zminus) checks each space.
 
-    A decomposition has few distinct Z and its roots are tuples of ints,
-    so each Z is checked once and the roots in C-level passes over all of
-    them: each a tuple of length n, with int entries, none negative on a
-    plain coordinate.  If any of these fails, the spaces are built one by
-    one, so the first bad space raises the error it raises alone, and
-    lists, bools and int subclasses are normalized or accepted as there.
+    ``parsing.parse_decomposition`` is the one caller, and its reader
+    builds each root as a tuple of n ints and each Z as a pair of
+    frozensets of indices below n, so text can get a space wrong only in
+    a Z, checked once per distinct Z, or by a negative exponent on a plain
+    coordinate, one ``min`` pass per coordinate.  If either fails, the
+    spaces are built one by one, so the first bad space raises the error
+    it raises alone.
     """
     try:
         for zplus, zminus in set(zs):
             _check_z(ctx, zplus, zminus)
-        checked = (
-            set(map(type, chain.from_iterable(zs))) <= {frozenset}
-            and set(map(type, roots)) <= {tuple}
-            and set(map(len, roots)) <= {ctx.n}
-            and set(map(type, chain.from_iterable(roots))) <= {int}
-            and all(min(map(itemgetter(i), roots), default=0) >= 0
-                    for i in ctx.plain)
-        )
-    except (MalformedInputError, TypeError):
+        checked = all(min(map(itemgetter(i), roots), default=0) >= 0 for i in ctx.plain)
+    except MalformedInputError:
         checked = False
-    if checked:
-        return tuple(roots), tuple(zs)
-    spaces = [StanleySpace(ctx, root, zplus, zminus)
-              for root, (zplus, zminus) in zip(roots, zs)]
-    return tuple(s.root for s in spaces), tuple((s.zplus, s.zminus) for s in spaces)
+    if not checked:
+        for root, (zplus, zminus) in zip(roots, zs):
+            StanleySpace(ctx, root, zplus, zminus)
+    return tuple(roots), tuple(zs)
 
 
 def space_contains(s, m):
@@ -383,14 +375,6 @@ def localize_decomposition(D, I, J, A):
         new_ctx, list(compress(D.roots, kept)),
         list(map(itemgetter(0), compress(D.zs, kept)))))
     return LocalizationResult(Df, dropped, If, Jf)
-
-
-def adjoin_ideal(I, laurent):
-    """Extend an ideal by one fresh variable t (inverted iff laurent)."""
-    ctx = I.context
-    inverted = ctx.inverted | ({ctx.n} if laurent else frozenset())
-    new_ctx = RingContext(ctx.n + 1, inverted)
-    return MonomialIdeal(new_ctx, frozenset(g + (0,) for g in I.generators))
 
 
 def adjoin_variable(D, laurent):

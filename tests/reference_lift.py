@@ -16,7 +16,7 @@ def bases(poset, partition):
     """(root, Z) per space of each interval, in the order of the intervals,
     then of the roots."""
     g = poset.bound
-    for b, c in partition.intervals:
+    for b, c in partition:
         z = frozenset(i for i, (ci, gi) in enumerate(zip(c, g)) if ci == gi)
         for a in product(*[range(bi, bi + 1) if ci == gi else range(bi, ci + 1)
                            for bi, ci, gi in zip(b, c, g)]):

@@ -13,6 +13,7 @@ from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
 from util import (
+    adjoin_ideal,
     all_decomposition_variants,
     box_monomials,
     localize_pair,
@@ -184,8 +185,8 @@ def test_criterion_4_adjoined_variable():
             base = solver.sdepth(I, J)
             record(I, J, base.witness)
             for laurent in (False, True):
-                I2 = stanley.adjoin_ideal(I, laurent)
-                J2 = stanley.adjoin_ideal(J, laurent)
+                I2 = adjoin_ideal(I, laurent)
+                J2 = adjoin_ideal(J, laurent)
                 res = solver.sdepth(I2, J2)
                 assert res.value == base.value + 1, (I, J, laurent)
                 record(I2, J2, res.witness)
@@ -202,7 +203,8 @@ def test_criterion_5_series_invariance():
                 continue
             series = {hilbert.series_of_decomposition(D) for D in variants}
             assert len(series) == 1, (I, J)
-            p1 = {hilbert.count_maximal_spaces(D) for D in variants}
+            p1 = {hilbert.count_maximal_spaces(hilbert.series_of_decomposition(D))
+                  for D in variants}
             assert len(p1) == 1, (I, J)
             record(I, J, *variants)
             done += 1

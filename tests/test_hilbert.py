@@ -250,7 +250,7 @@ class TestSeriesOfDecomposition:
         ctx, I, J, D = final_example()
         h = hilbert.series_of_decomposition(D)
         assert (h.numerator, h.pole) == ((0, 1, 2, 1), 2)
-        assert hilbert.count_maximal_spaces(D) == 4
+        assert hilbert.count_maximal_spaces(h) == 4
 
     def test_canonical_polynomial_ring(self):
         D = stanley.canonical_sf_decomposition(RingContext(3))

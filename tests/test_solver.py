@@ -207,7 +207,7 @@ class TestPartitionSearch:
         )
         k, partition = solver.max_interval_partition(poset)
         assert k == 1
-        assert partition.intervals == (((0,), (0,)),)
+        assert partition == (((0,), (0,)),)
 
     def test_sdepth_zero_instance(self):
         ctx = RingContext(2)
@@ -323,8 +323,7 @@ class TestBound:
                     list(poset.elements), poset.bound, k, 10**6)
                 if status == "found":
                     break
-            assert solver.max_interval_partition(poset) == (
-                k, solver.IntervalPartition(tuple(intervals))), (I, J)
+            assert solver.max_interval_partition(poset) == (k, tuple(intervals)), (I, J)
             assert min(bounds(poset)) >= k
             checked += 1
 
@@ -475,7 +474,7 @@ class TestSingletonLevel:
                     list(poset.elements), poset.bound, k, 10**6)
                 if status == "found":
                     break
-            partition = solver.IntervalPartition(tuple(intervals))
+            partition = tuple(intervals)
             res = solver.sdepth(I, J)
             assert res.value == k
             assert res.witness == reference_lift.lift(poset, partition, ctx), (I, J)
@@ -485,7 +484,7 @@ class TestSingletonLevel:
         """(1)/(x^11, y^11, z^11) has both upper bounds 0 = low: its 1331
         singletons come without a search, without spending budget, and,
         in sdepth, without listing the poset's elements;
-        max_interval_partition still returns them as an IntervalPartition."""
+        max_interval_partition still returns them as a tuple of pairs."""
         def no_search(*args):
             raise AssertionError("the kernel ran")
 
@@ -498,7 +497,7 @@ class TestSingletonLevel:
         J = parsing.parse_ideal("(x^11, y^11, z^11)", ctx)
         cells = list(product(range(11), repeat=3))
         assert solver.max_interval_partition(contracted_poset(I, J), budget=0) == (
-            0, solver.IntervalPartition(tuple((a, a) for a in cells)))
+            0, tuple((a, a) for a in cells))
         monkeypatch.setattr(solver.CharacteristicPoset, "elements", property(no_elements))
         res = solver.sdepth(I, J, budget=0)
         assert res.value == 0
@@ -511,7 +510,7 @@ class TestPartitionToDecomposition:
         ctx = RingContext(3)
         I = ring.ideal(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1))
         poset = solver.build_characteristic_poset(I, MonomialIdeal(ctx))
-        part = solver.IntervalPartition((((1, 1, 1), (1, 1, 1)),))
+        part = (((1, 1, 1), (1, 1, 1)),)
         D = solver.partition_to_decomposition(poset, part)
         assert D.spaces[0].key() == ((1, 1, 1), (0, 1, 2), ())
 
@@ -520,7 +519,7 @@ class TestPartitionToDecomposition:
         Ip = ring.ideal(ctx, (1, 0), (0, 2))
         Jp = ring.ideal(ctx, (2, 0))
         poset = solver.build_characteristic_poset(Ip, Jp)
-        part = solver.IntervalPartition((((1, 0), (1, 2)),))
+        part = (((1, 0), (1, 2)),)
         D = solver.partition_to_decomposition(poset, part)
         assert D.spaces[0].key() == ((1, 0), (1,), ())
 
@@ -571,7 +570,7 @@ class TestLiftParity:
                               split_refinement(best, poset), None):
                 got = solver._embed_and_invert(poset, partition, ctx)
                 partition = partition or singletons
-                wide += any(b != c for b, c in partition.intervals)
+                wide += any(b != c for b, c in partition)
                 assert got.spaces == reference_lift.lift(poset, partition, ctx).spaces, (
                     I, J, partition)
             inverted_cases += bool(ctx.inverted)

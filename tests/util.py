@@ -8,7 +8,6 @@ from itertools import product
 from stanleydec import ring, solver
 from stanleydec.errors import MalformedInputError
 from stanleydec.ring import MonomialIdeal, RingContext
-from stanleydec.solver import IntervalPartition
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
 
@@ -26,6 +25,14 @@ def ring_text(ctx):
     """The ring as --ring reads it, e.g. 'ring n=3 invert={1,3}'."""
     inv = ",".join(str(i + 1) for i in sorted(ctx.inverted))
     return "ring n=%d invert={%s}" % (ctx.n, inv)
+
+
+def adjoin_ideal(I, laurent):
+    """Extend an ideal by one fresh variable t (inverted iff laurent)."""
+    ctx = I.context
+    inverted = ctx.inverted | ({ctx.n} if laurent else frozenset())
+    new_ctx = RingContext(ctx.n + 1, inverted)
+    return MonomialIdeal(new_ctx, frozenset(g + (0,) for g in I.generators))
 
 
 def box_monomials(ctx, bound):
@@ -82,7 +89,7 @@ def localize_pair(I, J, A):
 
 def singleton_partition(poset):
     """Every poset element as its own interval: always a valid partition."""
-    return IntervalPartition(tuple((e, e) for e in poset.elements))
+    return tuple((e, e) for e in poset.elements)
 
 
 def greedy_partition(poset, rng):
@@ -104,14 +111,14 @@ def greedy_partition(poset, rng):
         c, cells = feasible[rng.randrange(len(feasible))]
         covered.update(cells)
         intervals.append((b, c))
-    return IntervalPartition(tuple(intervals))
+    return tuple(intervals)
 
 
 def split_refinement(partition, poset):
     """Split every splittable interval once along its first wide axis."""
     out = []
     g = poset.bound
-    for b, c in partition.intervals:
+    for b, c in partition:
         axis = next((i for i in range(len(b)) if c[i] > b[i]), None)
         if axis is None:
             out.append((b, c))
@@ -120,7 +127,7 @@ def split_refinement(partition, poset):
         high_b = tuple(b[i] + 1 if i == axis else b[i] for i in range(len(b)))
         out.append((b, low_c))
         out.append((high_b, c))
-    return IntervalPartition(tuple(out))
+    return tuple(out)
 
 
 def contracted_poset(I, J):
