@@ -17,7 +17,6 @@ from .filtration import (
     FdepthResult,
     FiltrationStep,
     PrimeFiltration,
-    enumerate_prime_filtrations,
     fdepth,
     fdepth_of,
     localize_filtration,

@@ -1,8 +1,9 @@
 """The one depth-first search of the package, and the interval search on it.
 
-``descend`` is the lex-first DFS over the steps a caller's ``steps``
-function yields; it skips the states it knows are dead.  The interval
-search below and the prime-filtration searches of ``filtration`` run on it.
+``descend`` returns the lex-first path of a DFS over the steps a caller's
+``steps`` function yields; it skips the states it knows are dead.  The
+interval search below and the prime-filtration search of ``filtration``,
+one call for each target, run on it.
 
     find_partition(box, poset, k, budget) -> (status, intervals, nodes)
 
@@ -28,36 +29,32 @@ from itertools import product
 
 
 def descend(steps, start, end, tickets):
-    """Depth-first search for paths from the state start to the state end.
-    steps(state) yields the steps out of a state in the order to try, each
-    a tuple whose last item is the state it leads to.  A node is a step
-    taken into a state not known to be dead (with no path to end), and
-    takes an item of the iterator tickets.  Yields each path found, a list
-    of steps the search goes on to change, and None when tickets run out.
-    The open path is a stack bounded by memory, not the recursion limit;
-    each dead state is kept, so memory grows with the nodes."""
+    """The lex-first path from the state start to the state end, found by
+    depth-first search.  steps(state) yields the steps out of a state in
+    the order to try, each a tuple whose last item is the state it leads
+    to.  A node is a step taken into a state not known to be dead (with
+    no path to end), and takes an item of the iterator tickets.  Returns
+    the path, a list of steps; [] when there is none, and None when
+    tickets run out.  The open path is a stack bounded by memory, not the
+    recursion limit; each dead state is kept, so memory grows with the
+    nodes."""
     dead = set()
     path = []
     stack = [steps(start)]
-    alive = 0           # the open states stack[:alive] have a path to end
     while stack:
         step = next(stack[-1], None)
         if step is None:
             stack.pop()
-            if stack and len(stack) >= alive:
-                dead.add(path[len(stack) - 1][-1])
-            alive = min(alive, len(stack))
+            if stack:
+                dead.add(path.pop()[-1])
         elif step[-1] not in dead:
             if next(tickets, None) is None:
-                yield None
-                return
-            del path[len(stack) - 1:]
+                return None
             path.append(step)
             if step[-1] == end:
-                alive = len(stack)
-                yield path
-            else:
-                stack.append(steps(step[-1]))
+                return path
+            stack.append(steps(step[-1]))
+    return []
 
 
 def find_partition(box, poset, k, budget):
@@ -91,7 +88,7 @@ def find_partition(box, poset, k, budget):
     if not poset:
         return "found", [], 0
     tickets = iter(range(budget))
-    path = next(descend(steps, poset, 0, tickets), False)
+    path = descend(steps, poset, 0, tickets)
     if path is None:
         return "budget", None, budget + 1
     nodes = next(tickets, budget)    # the first ticket not taken

@@ -10,9 +10,10 @@ The searches run on the ideals L, J' <= L <= I', as masks of the clamp box
 [0, g] of the characteristic poset (``_box.Box``): every generator of L is
 <= g, so x^a is in L exactly when its clamp min(a, g) is, and the mask is
 an up-set.  ``_prime_steps`` reads the prime steps off the corners of I'
-minus L; the enumeration and fdepth walk them with ``_intervals.descend``,
-the DFS of the interval search.  Only the chains returned are built as
-ideals, and ``verify_filtration`` checks each step with ``ring.colon``.
+minus L; fdepth walks them with ``_intervals.descend``, the DFS of the
+interval search, which returns the lex-first chain for each target.  Only
+the chain of the answer is built as ideals, and ``verify_filtration``
+checks each step with ``ring.colon``.
 """
 
 from dataclasses import dataclass
@@ -106,10 +107,10 @@ def fdepth_of(F):
 
 def _prime_steps(poset, Jp):
     """The masks of J' and I' in the clamp box of the characteristic poset
-    of I'/J', and steps(L, most), which yields (u, primes, L + (u)) for
-    each u whose colon (L : u) is the variable prime on `primes`, in lex
-    order of u, and nothing when a chain from L needs a step of more than
-    `most` primes.
+    of I'/J', and steps(L, most), the steps of ``fdepth``'s search: it
+    yields (u, primes, L + (u)) for each u whose colon (L : u) is the
+    variable prime on `primes`, in lex order of u, and nothing when a
+    chain from L needs a step of more than `most` primes.
 
     Lemma.  Let J' <= L < I', and call the maximal cells T of the rest
     R = I' minus L its corners, with P_T = {i : T_i < g_i}.  (a) The steps
@@ -169,28 +170,6 @@ def _filtration(ctx, start, path):
     return PrimeFiltration(ctx, tuple(chain), steps)
 
 
-def enumerate_prime_filtrations(Ip, Jp, budget=DEFAULT_BUDGET):
-    """All prime filtrations of I'/J' whose witnesses stay below the
-    characteristic bound, found by ``_intervals.descend`` over the steps
-    with any number of primes.  No ideal is dead then: each L, J' <= L <
-    I', has a step (see ``_prime_steps``).
-
-    Returns (filtrations, complete); complete is False when the node
-    budget ran out and the list is only partial.
-    """
-    ctx = Ip.context
-    poset = solver.build_characteristic_poset(Ip, Jp)   # checks the ring and J' <= I'
-    if not poset.mask:
-        raise ZeroModuleError("zero module has no prime filtration")
-    start, end, steps = _prime_steps(poset, Jp)
-    found = []
-    for path in descend(lambda L: steps(L, ctx.n), start, end, iter(range(budget))):
-        if path is None:
-            return found, False
-        found.append(_filtration(ctx, Jp, path))
-    return found, True
-
-
 def last_step_bound(poset, generators, start):
     """An upper bound on fdepth I'/J', given the generators of I' and the
     mask start of J'.  The last step of a chain adds to some L, J' <= L <
@@ -243,8 +222,8 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
     tickets = iter(range(budget))   # one per node, for all targets
 
     def search(t):
-        """The first chain with steps >= t; None out of budget, False if none."""
-        return next(descend(lambda L: steps(L, ctx.n - t), start, end, tickets), False)
+        """The first chain with steps >= t; None out of budget, [] if none."""
+        return descend(lambda L: steps(L, ctx.n - t), start, end, tickets)
 
     path = search(0)
     if not path:

@@ -94,7 +94,7 @@ MAX_EXPONENT_DIGITS = 1000
 def _factor(factor, n):
     """One factor of a monomial, as split from its text, in a ring of n
     variables: None for '1', else (index, exponent), or the message of the
-    ParseError that ``parse_monomial`` raises at the factor's column;
+    ParseError that ``_monomial`` raises at the factor's column;
     ParseError for a variable the ring lacks.  A request repeats the same
     few factors thousands of times."""
     factor = factor.strip()
@@ -110,21 +110,29 @@ def _factor(factor, n):
     return i, int(exp)
 
 
-def parse_monomial(text, ctx):
-    n = ctx.n
+def _monomial(text, n, factors):
+    """The exponents of the '*'-separated factors of text, each looked up
+    in the dict factors over ``_factor``; ParseError at the column of the
+    first bad factor."""
     exps = [0] * n
-    factors = text.split("*")
-    for factor in factors:
-        parsed = _factor(factor, n)
+    parts = text.split("*")
+    for part in parts:
+        parsed = factors.get(part, False)    # False: not looked up yet
+        if parsed is False:
+            parsed = factors[part] = _factor(part, n)
         if parsed is None:
             continue
         if type(parsed) is str:
             # the first bad factor is the first with its text
-            j = factors.index(factor)
-            raise ParseError(parsed, sum(map(len, factors[:j])) + j)
+            j = parts.index(part)
+            raise ParseError(parsed, sum(map(len, parts[:j])) + j)
         i, exp = parsed
         exps[i] += exp
     return tuple(exps)
+
+
+def parse_monomial(text, ctx):
+    return _monomial(text, ctx.n, {})
 
 
 def monomial_str(m, ctx):
@@ -168,10 +176,9 @@ def _space_parts(text, ctx, factors, bodies):
     The stripped text splits at its first K that has '' or '[...]' after
     it and, before it, stripped text that ends in '*'; the root is the
     text before that '*'.  Only when no K splits it is the text read as a
-    bare K or K[...].  The root is read before the body, its
-    '*'-separated factors looked up in the dict factors over ``_factor``,
-    and the body in the dict bodies over ``_admissible``: a request shares
-    both over its spaces."""
+    bare K or K[...].  The root is read before the body, by ``_monomial``
+    over the dict factors, and the body is looked up in the dict bodies
+    over ``_admissible``: a request shares both over its spaces."""
     n = ctx.n
     s = text.strip()
     head, k, tail = s.partition("K")
@@ -185,23 +192,11 @@ def _space_parts(text, ctx, factors, bodies):
         head, tail = "", s[1:]
         if s[:1] != "K" or tail and (tail[0] != "[" or tail[-1] != "]"):
             raise ParseError("cannot parse Stanley space %r" % text)
-    exps = [0] * n
-    if head:
-        for factor in head.split("*"):
-            try:
-                parsed = factors[factor]
-            except KeyError:
-                parsed = factors[factor] = _factor(factor, n)
-            if parsed is None:
-                continue
-            if type(parsed) is str:
-                parse_monomial(head, ctx)   # raises it at the factor's column
-            i, exp = parsed
-            exps[i] += exp
+    root = _monomial(head, n, factors) if head else (0,) * n
     z = bodies.get(tail)
     if z is None:
         z = bodies[tail] = _admissible(tail[1:-1].strip(), n)
-    return tuple(exps), z
+    return root, z
 
 
 def _admissible(body, n):

@@ -1,17 +1,19 @@
 """Recursive reference search for prime filtrations and fdepth.
 
 The depth-first recursion that ``stanleydec.filtration`` replaced, kept as
-the oracle of the filtration parity test.  ``enumerate_prime_filtrations``
-follows the library's contract and search order: prime steps in lex order
-of the candidate monomial, the node budget counted per prime step, so it
-returns the same filtrations and ``complete`` flags.  ``fdepth`` is the
-memoized max-min search over the reachable ideals that the library's
-target search replaced, with a witness walk: the lex-first chain whose
-steps all reach the value.  Where it completes, the library returns the
-same value and witness.  Its budget runs out sooner on some inputs, the
-maximal ideal in five variables among them, and an exhausted budget
-reports the value of the best chain found so far.  Both recurse once per
-step of a chain, so they are only fit for short chains.
+the oracle of the filtration tests.  ``enumerate_prime_filtrations`` is
+the only enumeration of every prime filtration: the library searches for
+one lex-first chain per target and enumerates none, so the tests that
+need every filtration take them from here.  It tries prime steps in lex
+order of the candidate monomial and counts the node budget per prime
+step.  ``fdepth`` is the memoized max-min search over the reachable
+ideals that the library's target search replaced, with a witness walk:
+the lex-first chain whose steps all reach the value.  Where it completes,
+the library returns the same value and witness.  Its budget runs out
+sooner on some inputs, the maximal ideal in five variables among them,
+and an exhausted budget reports the value of the best chain found so far.
+Both recurse once per step of a chain, so they are only fit for short
+chains.
 """
 
 from stanleydec import ring, solver

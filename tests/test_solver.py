@@ -192,6 +192,46 @@ class TestPoset:
                 solver.build_characteristic_poset(ring.ideal(ctx, g), MonomialIdeal(ctx))
 
 
+class TestDescend:
+    # s -> a -> d is a dead end; d is reached again from b, and s -> b -> e -> t
+    # is the lex-first path to t, ahead of s -> c -> t
+    EDGES = {"s": "abc", "a": "d", "b": "de", "c": "t", "d": "", "e": "t", "t": ""}
+
+    def run(self, end, budget):
+        """descend on EDGES from s to end with budget tickets: its result,
+        the tickets it took and the states whose steps it read."""
+        entered = []
+
+        def steps(state):
+            entered.append(state)
+            return ((state, nxt) for nxt in self.EDGES[state])
+
+        tickets = iter(range(budget))
+        path = _intervals.descend(steps, "s", end, tickets)
+        return path, budget - len(list(tickets)), entered
+
+    def test_lex_first_path(self):
+        path, taken, entered = self.run("t", 100)
+        assert path == [("s", "b"), ("b", "e"), ("e", "t")]
+        # nodes a, d, b, e, t: reaching the dead d from b costs no ticket
+        assert taken == 5
+        assert entered == ["s", "a", "d", "b", "e"]
+
+    def test_unreachable_end(self):
+        path, taken, entered = self.run("z", 100)
+        assert path == []
+        # nodes a, d, b, e, t, c: each state is entered once
+        assert taken == 6
+        assert sorted(entered) == sorted(self.EDGES)
+
+    @pytest.mark.parametrize("end, nodes", [("t", 5), ("z", 6)])
+    def test_none_exactly_when_the_tickets_run_out(self, end, nodes):
+        for budget in range(nodes + 3):
+            path, taken, _ = self.run(end, budget)
+            assert (path is None) == (budget < nodes), budget
+            assert taken == min(budget, nodes)
+
+
 class TestPartitionSearch:
     def test_maximal_ideal_n3(self):
         ctx = RingContext(3)
