@@ -3,6 +3,7 @@ polynomial rings: construction, verification, localization, Stanley depth,
 fdepth via prime filtrations, and total-absolute-degree Hilbert series."""
 
 from .errors import (
+    AnswerTooLargeError,
     BoxTooLargeError,
     BudgetExceededError,
     ContainmentError,

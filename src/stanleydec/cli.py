@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 internal error, 2 mathematical, parse or bad
 request error, 3 budget exhausted.  The `batch` command reads one JSON
-request per stdin line and writes one JSON report per line.  A malformed
-line is answered with a "bad request" report (exit 2).  A line that raises
-an exception other than a library error is answered with an "internal
-error" report (exit 1).  Either way the stream goes on with the next line.
+request per stdin line, in UTF-8, and writes one JSON report per line.  A
+malformed line, or one that is not UTF-8, is answered with a "bad request"
+report (exit 2).  A line that raises an exception other than a library
+error is answered with an "internal error" report (exit 1).  Either way
+the stream goes on with the next line.
 The exit code of the stream is 1 when any line hit an internal error, and
 otherwise the largest code of its lines.
 """
@@ -234,11 +235,14 @@ def _batch_request(line):
 def _batch(stdin, stdout):
     worst = EXIT_OK
     internal = False
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
+    # a stream over bytes is read as bytes and each line decoded by itself,
+    # so a line that is not UTF-8 is one bad request (UnicodeDecodeError is
+    # a ValueError) and not the end of the stream
+    for line in getattr(stdin, "buffer", stdin):
         try:
+            line = (line.decode() if type(line) is bytes else line).strip()
+            if not line:
+                continue
             command, opts = _batch_request(line)
         except ValueError as exc:
             code = EXIT_MATH

@@ -13,10 +13,11 @@ import functools
 import json
 import re
 from itertools import chain
+from operator import itemgetter
 
 from .errors import ParseError
-from .ring import MonomialIdeal, RingContext
-from .stanley import StanleyDecomposition, check_columns
+from .ring import MonomialIdeal, RingContext, check_monomial
+from .stanley import StanleyDecomposition, _check_z
 
 _ALIASES = ("x", "y", "z", "w")
 
@@ -229,21 +230,31 @@ def _k_str(zplus, zminus, ctx):
 
 def parse_decomposition(text, ctx):
     """The '+'-joined spaces of text, each read by ``_space_parts``, as the
-    columns of its roots and Z checked by one ``stanley.check_columns``,
-    the one check of columns from outside the program.  A space that does
-    not parse raises only after the spaces before it are checked, so the
-    first bad space raises its own error."""
+    columns of its roots and Z, checked as ``StanleySpace`` checks each
+    space.  The reader builds roots of n ints and Z of indices below n, so
+    text can get a space wrong only in its Z, checked by ``_check_z`` when
+    its text is first read, or by a negative exponent on a plain
+    coordinate, found by one ``min`` pass per coordinate.  The first bad
+    space raises the error it raises alone: in one space a parse error
+    first, then a negative root, then a bad Z."""
     roots, zs = [], []
     factors, bodies = {}, {}
-    for part in text.split("+"):
-        try:
+    checked = 0     # the Z of bodies checked so far, each when first read
+    try:
+        for part in text.split("+"):
             root, z = _space_parts(part, ctx, factors, bodies)
-        except ParseError:
-            check_columns(ctx, roots, zs)
-            raise
-        roots.append(root)
-        zs.append(z)
-    return StanleyDecomposition._of_columns(ctx, *check_columns(ctx, roots, zs))
+            roots.append(root)
+            if len(bodies) > checked:
+                _check_z(ctx, *z)
+                checked += 1
+            zs.append(z)
+    finally:
+        # after the loop, or before its error goes on: a bad root read
+        # before that error, or in its space, raises in its place
+        if any(min(map(itemgetter(i), roots), default=0) < 0 for i in ctx.plain):
+            for root in roots:
+                check_monomial(root, ctx)
+    return StanleyDecomposition._of_columns(ctx, tuple(roots), tuple(zs))
 
 
 def decomposition_str(D):

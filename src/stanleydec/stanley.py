@@ -5,6 +5,10 @@ set Z: plain variables x_i (any i) and inverses x_j^-1 (only for inverted
 j), never both for the same j.  Geometrically u*K[Z] is an axis-aligned
 semi-infinite box of lattice points, which is what all verification works
 on.
+
+A space is checked where it enters: by ``StanleySpace`` from the Python
+API, by ``parsing.parse_decomposition`` from text.  Spaces the program
+builds from valid ones are valid and are not checked again.
 """
 
 from collections import defaultdict
@@ -67,31 +71,6 @@ def _check_z(ctx, zplus, zminus):
             raise MalformedInputError("admissible index out of range")
 
 
-def check_columns(ctx, roots, zs):
-    """The columns of a parsed decomposition, the list roots and the
-    equally long list zs of (zplus, zminus) pairs, as tuples, checked as
-    StanleySpace(ctx, root, zplus, zminus) checks each space.
-
-    ``parsing.parse_decomposition`` is the one caller, and its reader
-    builds each root as a tuple of n ints and each Z as a pair of
-    frozensets of indices below n, so text can get a space wrong only in
-    a Z, checked once per distinct Z, or by a negative exponent on a plain
-    coordinate, one ``min`` pass per coordinate.  If either fails, the
-    spaces are built one by one, so the first bad space raises the error
-    it raises alone.
-    """
-    try:
-        for zplus, zminus in set(zs):
-            _check_z(ctx, zplus, zminus)
-        checked = all(min(map(itemgetter(i), roots), default=0) >= 0 for i in ctx.plain)
-    except MalformedInputError:
-        checked = False
-    if not checked:
-        for root, (zplus, zminus) in zip(roots, zs):
-            StanleySpace(ctx, root, zplus, zminus)
-    return tuple(roots), tuple(zs)
-
-
 def space_contains(s, m):
     """Whether the monomial m lies in the space: at least the root on
     zplus, at most it on zminus and equal to it elsewhere."""
@@ -127,8 +106,9 @@ class StanleyDecomposition:
     @classmethod
     def _of_columns(cls, context, roots, zs):
         """The decomposition of the tuples roots and zs of valid spaces of
-        context: those ``check_columns`` returned, or those ``_fan_out``
-        built from valid spaces."""
+        context, which are not checked again: those
+        ``parsing.parse_decomposition`` checked as it read them, or those
+        ``_fan_out`` and ``adjoin_variable`` built from valid spaces."""
         D = object.__new__(cls)
         object.__setattr__(D, "context", context)
         object.__setattr__(D, "roots", roots)
@@ -241,14 +221,15 @@ def clamp_bound(D, I, J):
     return max(map(abs, chain.from_iterable(monomials)), default=0) + 1
 
 
-def _axis_cells(bounds, low, high):
-    """Compress one coordinate of the box, the values [low, high], to cells.
+def _axis_cells(bounds, low):
+    """Compress one coordinate of the box, the values from low up, to cells.
 
     Returns (corner, bits) pairs in ascending order, one per cell: the
     corner is the cell's lowest value and bit k of bits is set when the
     k-th (lo, hi) constraint in bounds admits the cell's values.  The cuts
-    are every lo and hi+1, so each constraint is constant on a cell and
-    admits one run of consecutive cells.  The constraints are grouped by
+    are low and every lo and hi+1, which the clamp box holds, with
+    low <= lo <= hi, so each constraint is constant on a cell and admits
+    one nonempty run of consecutive cells.  The constraints are grouped by
     their distinct (lo, hi), and each group's bits are built once from its
     indices and flipped where its run starts and where it ends; a prefix
     XOR over the cells sets them on the run: O(bounds + cells) steps and
@@ -263,18 +244,15 @@ def _axis_cells(bounds, low, high):
             cuts.add(lo)
         if hi is not None:
             cuts.add(hi + 1)
-    corners = sorted(x for x in cuts if low <= x <= high)
+    corners = sorted(cuts)
     end = len(corners)
     at = dict(zip(corners, range(end)))
     flips = [0] * (end + 1)
     for (lo, hi), ks in groups.items():
-        first = 0 if lo is None or lo <= low else at.get(lo, end)
-        last = end if hi is None or hi >= high else 0 if hi < low else at[hi + 1]
-        if first < last:
-            # no wider than its highest bit; a lone bit costs one shift
-            group = mask_of(ks, ks[-1] // 8 + 1) if len(ks) > 1 else 1 << ks[0]
-            flips[first] ^= group
-            flips[last] ^= group
+        # no wider than its highest bit; a lone bit costs one shift
+        group = mask_of(ks, ks[-1] // 8 + 1) if len(ks) > 1 else 1 << ks[0]
+        flips[0 if lo is None else at[lo]] ^= group
+        flips[end if hi is None else at[hi + 1]] ^= group
     return list(zip(corners, accumulate(flips[:end], xor)))
 
 
@@ -315,10 +293,10 @@ def verify_decomposition(D, I, J):
                   for root, (zplus, zminus) in zip(roots, zs)]
         if i in ctx.inverted:
             bounds += [(None, None)] * len(gens)
-            axes.append(_axis_cells(bounds, -B, B))
+            axes.append(_axis_cells(bounds, -B))
         else:
             bounds += [(g[i], None) for g in gens]
-            axes.append(_axis_cells(bounds, 0, B))
+            axes.append(_axis_cells(bounds, 0))
     for cell in product(*axes):
         bits = everything
         for _, axis_bits in cell:
@@ -382,19 +360,17 @@ def adjoin_variable(D, laurent):
 
     Plain extension appends t to every Z; Laurent extension additionally
     pairs each space with its t^-1 shadow.  Either way sdepth goes up by
-    exactly one.
+    exactly one.  Valid spaces stay valid, so they are not checked again.
     """
     ctx = D.context
     inverted = ctx.inverted | ({ctx.n} if laurent else frozenset())
     new_ctx = RingContext(ctx.n + 1, inverted)
     t = ctx.n
-    spaces = []
-    for s in D.spaces:
-        spaces.append(
-            StanleySpace(new_ctx, s.root + (0,), s.zplus | {t}, s.zminus)
-        )
+    roots, zs = [], []
+    for root, (zplus, zminus) in zip(D.roots, D.zs):
+        roots.append(root + (0,))
+        zs.append((zplus | {t}, zminus))
         if laurent:
-            spaces.append(
-                StanleySpace(new_ctx, s.root + (-1,), s.zplus, s.zminus | {t})
-            )
-    return StanleyDecomposition(new_ctx, tuple(spaces))
+            roots.append(root + (-1,))
+            zs.append((zplus, zminus | {t}))
+    return StanleyDecomposition._of_columns(new_ctx, tuple(roots), tuple(zs))

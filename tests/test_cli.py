@@ -443,6 +443,21 @@ class TestBatch:
         code, out = run(["batch"], "")
         assert code == 0 and out == ""
 
+    def test_line_that_is_not_utf8_is_bad_request(self):
+        """A stream over bytes is decoded line by line: a line that is not
+        UTF-8 is answered as a bad request, and the lines around it are
+        answered too."""
+        good = b'{"command": "normalize", "ring": "n=1", "I": "(x)"}\n'
+        stdin = io.TextIOWrapper(io.BytesIO(good + b"\xff\n" + good),
+                                 encoding="utf-8", errors="strict")
+        out = io.StringIO()
+        code = cli.main(["batch"], stdin=stdin, stdout=out)
+        lines = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert len(lines) == 3 and code == 2
+        assert lines[0]["ok"] and lines[2]["ok"] and lines[0] == lines[2]
+        assert not lines[1]["ok"]
+        assert lines[1]["error"].startswith("bad request: 'utf-8' codec can't decode byte 0xff")
+
     def test_budget_dominates_exit_code(self):
         requests = [
             {

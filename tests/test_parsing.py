@@ -332,6 +332,11 @@ class TestParserDifferential:
                 == _outcome(lambda: reference_parse.space_parts(part, ctx)), part
 
     @given(_decomposition_text())
+    # a bad Z after an earlier negative root, a negative root and a bad Z
+    # in one space, and a parse error after a negative root
+    @example((RingContext(2, frozenset({1})), "x^-1*K[y] + K[y, y^-1]"))
+    @example((RingContext(2, frozenset({1})), "K[x] + x^-1*K[y, y^-1]"))
+    @example((RingContext(2), "x^-1*K[y] + K[q]"))
     @settings(max_examples=600, deadline=None)
     def test_decomposition_matches_space_by_space(self, case):
         """The columns of the spaces the regex reader reads and StanleySpace

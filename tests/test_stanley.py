@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import stanleydec
 from stanleydec import parsing, ring, solver, stanley
 from stanleydec.errors import (
     AnswerTooLargeError,
@@ -146,6 +147,12 @@ class TestSpaceLimit:
             with pytest.raises(AnswerTooLargeError, match="more than %d Stanley" % (spaces - 1)):
                 answer()
 
+    def test_refusal_is_exported(self, monkeypatch):
+        """The refusal is an AnswerTooLargeError under its top-level name."""
+        monkeypatch.setattr(stanley, "MAX_SPACES", 3)
+        with pytest.raises(stanleydec.AnswerTooLargeError, match="more than 3 Stanley"):
+            stanley.canonical_sf_decomposition(RingContext(2, frozenset({0, 1})))
+
 
 def _outcome(build):
     """The columns build returns, each root and Z with the types of the
@@ -164,15 +171,29 @@ def _one_by_one(ctx, roots, zs):
     return [s.root for s in spaces], [(s.zplus, s.zminus) for s in spaces]
 
 
+def _parsed(ctx, roots, zs):
+    """The columns parse_decomposition reads from the text of the spaces,
+    each written with every entry of zplus and then of zminus, so that a
+    Z holding both x_j and x_j^-1 is written as it is."""
+    def name(i):
+        return parsing.var_name(i, ctx)
+
+    text = " + ".join(
+        "%s*K[%s]" % (parsing.monomial_str(root, ctx), ", ".join(
+            [name(i) for i in sorted(zplus)] + [name(i) + "^-1" for i in sorted(zminus)]))
+        for root, (zplus, zminus) in zip(roots, zs))
+    D = parsing.parse_decomposition(text, ctx)
+    return D.roots, D.zs
+
+
 class TestMakeSpaces:
-    """The columns of a decomposition as check_columns makes them, against
-    the fields of StanleySpace built one by one: the same roots and Z with
-    the same types, or the error of the first bad space."""
+    """The columns of a decomposition as parse_decomposition reads them
+    from text, against the fields of StanleySpace built one by one: the
+    same roots and Z with the same types, or the error of the first bad
+    space."""
 
     def test_valid_spaces_match(self):
         rng = random.Random(29)
-        assert stanley.check_columns(RingContext(0), [], []) == ((), ())
-        assert stanley.check_columns(RingContext(2, {1}), [], []) == ((), ())
         for case in range(300):
             n = case % 5
             inverted = frozenset() if case % 2 else None
@@ -183,22 +204,22 @@ class TestMakeSpaces:
                 zminus = frozenset(i for i in ctx.inverted if rng.random() < 0.5)
                 pool.append((frozenset(i for i in range(n)
                                        if i not in zminus and rng.random() < 0.5), zminus))
-            count = rng.randint(0, 12)
+            count = rng.randint(1, 12)
             roots = [tuple(rng.randint(-3 if i in ctx.inverted else 0, 3) for i in range(n))
                      for _ in range(count)]
             zs = [rng.choice(pool) for _ in range(count)]
             expected = _outcome(lambda: _one_by_one(ctx, roots, zs))
             assert isinstance(expected, list)
-            assert _outcome(lambda: stanley.check_columns(ctx, roots, zs)) == expected
+            assert _outcome(lambda: _parsed(ctx, roots, zs)) == expected
 
     def test_bulk_spaces_are_frozen_and_equal(self):
-        """The spaces a decomposition builds from checked columns when
-        they are read are frozen, and equal and hash-equal to the spaces
-        the constructor builds."""
+        """The spaces a decomposition builds from its columns when they
+        are read are frozen, and equal and hash-equal to the spaces the
+        constructor builds."""
         ctx = RingContext(3, frozenset({2}))
-        roots = [(0, 0, 0), (1, 2, -1), (0, 1, 5), (2, 0, -3)]
-        zs = [(frozenset({0}), frozenset({2})), (frozenset({0, 1}), frozenset())] * 2
-        D = StanleyDecomposition._of_columns(ctx, *stanley.check_columns(ctx, roots, zs))
+        roots = ((0, 0, 0), (1, 2, -1), (0, 1, 5), (2, 0, -3))
+        zs = ((frozenset({0}), frozenset({2})), (frozenset({0, 1}), frozenset())) * 2
+        D = StanleyDecomposition._of_columns(ctx, roots, zs)
         bulk = list(D.spaces)
         alone = [StanleySpace(ctx, root, zplus, zminus) for root, (zplus, zminus) in zip(roots, zs)]
         assert D.spaces is D.spaces
@@ -214,10 +235,10 @@ class TestMakeSpaces:
             (ctx, root, zplus, zminus) for root, (zplus, zminus) in zip(roots, zs)]
 
     def test_bad_spaces_raise_as_alone(self):
-        """Each defect that parsed text can carry, alone at any place or
-        after another defect in either order, raises what StanleySpace
-        raises for the first bad space; a negative exponent on an inverted
-        axis is no defect."""
+        """Each defect that parsed text can carry, alone at any place, or
+        with another defect after it or in the same space, in either
+        order, raises what StanleySpace raises for the first bad space; a
+        negative exponent on an inverted axis is no defect."""
         ctx = RingContext(3, frozenset({2}))
         roots = [(0, 0, 0), (1, 2, -1), (0, 1, 0), (2, 0, -3), (1, 1, 1)]
         z1, z2 = (frozenset({0}), frozenset({2})), (frozenset({0, 1}), frozenset())
@@ -229,8 +250,6 @@ class TestMakeSpaces:
         z_defects = {
             "overlap": lambda z: (z[0] | {2}, z[1] | {2}),
             "inverse outside": lambda z: (z[0] - {1}, frozenset({1})),
-            "index too large": lambda z: (z[0] | {3}, z[1]),
-            "negative index": lambda z: (z[0] | {-1}, z[1]),
         }
         defects = [(0, f) for f in root_defects.values()] + [(1, f) for f in z_defects.values()]
         messages = set()
@@ -243,7 +262,7 @@ class TestMakeSpaces:
                 else:
                     zz[k] = defect(zz[k])
             expected = _outcome(lambda: _one_by_one(ctx, rs, zz))
-            assert _outcome(lambda: stanley.check_columns(ctx, rs, zz)) == expected
+            assert _outcome(lambda: _parsed(ctx, rs, zz)) == expected
             if isinstance(expected, tuple):
                 messages.add(expected[1])
 
@@ -253,17 +272,24 @@ class TestMakeSpaces:
         for first in defects:
             for second in defects:
                 check([(1, first), (3, second)])
+                check([(2, first), (2, second)])
         assert messages == {
             "negative exponent on non-inverted variable 2",
             "a variable and its inverse cannot both be admissible",
             "inverse variable outside the inverted set",
-            "admissible index out of range",
         }
+
+    def test_indices_outside_the_ring(self):
+        """Indices that no text can give, checked by StanleySpace alone."""
+        ctx = RingContext(3, frozenset({2}))
+        for zplus in ({0, 3}, {-1}):
+            with pytest.raises(MalformedInputError, match="admissible index out of range"):
+                space(ctx, (0, 0, 0), zplus)
 
 
 class TestColumns:
     def test_columns_equal_spaces(self):
-        """A decomposition made from checked columns equals the one made
+        """A decomposition made from valid columns equals the one made
         from its spaces, hashes, keys and compares as it, and builds the
         same spaces when they are read: a bool root entry, inverted axes,
         n = 0, no spaces at all, and the witnesses of random quotients."""
@@ -278,8 +304,8 @@ class TestColumns:
             cases.append((c, list(solver.sdepth(I, J).witness.spaces)))
         for c, spaces in cases:
             D = StanleyDecomposition(c, spaces)
-            C = StanleyDecomposition._of_columns(c, *stanley.check_columns(
-                c, [s.root for s in spaces], [(s.zplus, s.zminus) for s in spaces]))
+            C = StanleyDecomposition._of_columns(c, tuple(s.root for s in spaces),
+                                                 tuple((s.zplus, s.zminus) for s in spaces))
             assert C == D and hash(C) == hash(D)
             assert C.key() == D.key() == tuple(sorted(s.key() for s in spaces))
             assert C.same_as(D) and repr(C) == repr(D)
@@ -293,11 +319,11 @@ class TestColumns:
 
 
 class TestBuiltColumns:
-    """The lift, the localization and the canonical decomposition build
-    their columns from valid spaces and do not check them: the columns
-    they build are tuples of roots, each a tuple of n ints, and of pairs
-    of frozensets, which check_columns passes unchanged, and their spaces
-    build without an error."""
+    """The lift, the localization, the canonical decomposition and the
+    adjoined variable build their columns from valid spaces and do not
+    check them: the columns they build are tuples of roots, each a tuple
+    of n ints, and of pairs of frozensets, and their spaces, built with
+    StanleySpace's checks, are the columns."""
 
     @staticmethod
     def assert_valid(D):
@@ -307,8 +333,8 @@ class TestBuiltColumns:
                    for root in D.roots)
         assert all(type(z) is tuple and len(z) == 2 and all(type(f) is frozenset for f in z)
                    for z in D.zs)
-        assert stanley.check_columns(D.context, D.roots, D.zs) == (D.roots, D.zs)
-        D.spaces
+        assert tuple(s.root for s in D.spaces) == D.roots
+        assert tuple((s.zplus, s.zminus) for s in D.spaces) == D.zs
 
     def test_random_quotients(self):
         """With and without inverted axes; each localization also from a
@@ -321,6 +347,7 @@ class TestBuiltColumns:
             W = solver.sdepth(I, J).witness
             self.assert_valid(W)
             self.assert_valid(stanley.canonical_sf_decomposition(ctx))
+            self.assert_valid(stanley.adjoin_variable(W, laurent=bool(case % 3)))
             if ctx.inverted:
                 continue
             A = frozenset(i for i in range(ctx.n) if rng.random() < 0.6)
@@ -433,13 +460,14 @@ class TestVerifierParity:
         assert kinds == {"", "coverage", "disjointness", "containment"}
 
     def test_axis_cells_match_the_cell_scan(self):
-        """The prefix-XOR cells equal the per-cell scan, also for bounds the
-        verifier never makes: lo < low, hi + 1 > high, runs wholly outside
-        [low, high], and None on either side.  Every tenth list has
-        hundreds of bounds over a few distinct values, as a
-        decomposition's spaces give: each copy keeps its own bit."""
+        """The prefix-XOR cells equal the per-cell scan on bounds inside
+        [low, high], the only ones the verifier makes: low <= lo <= hi,
+        hi + 1 <= high, runs that start at low and end at high, and None
+        on either side.  Every tenth list has hundreds of bounds over a
+        few distinct values, as a decomposition's spaces give: each copy
+        keeps its own bit."""
         rng = random.Random(23)
-        ends = (None, -9, -5, -4, -1, 0, 2, 5, 6, 9)
+        ends = (None, -4, -3, -1, 0, 2, 4)
         cases = set()
         for case in range(300):
             low, high = -4, 5
@@ -449,16 +477,16 @@ class TestVerifierParity:
                 if lo is not None and hi is not None and lo > hi:
                     lo, hi = hi, lo
                 pool.append((lo, hi))
-                cases.add("lo < low" if lo is not None and lo < low else "")
-                cases.add("hi + 1 > high" if hi is not None and hi + 1 > high else "")
+                cases.add("lo = low" if lo == low else "")
+                cases.add("hi + 1 = high" if hi is not None and hi + 1 == high else "")
                 cases.add("None" if None in (lo, hi) else "")
             bounds = pool
             if case % 10 == 0 and pool:
                 bounds = [rng.choice(pool) for _ in range(rng.randint(100, 700))]
                 cases.add("many")
-            assert stanley._axis_cells(bounds, low, high) == \
+            assert stanley._axis_cells(bounds, low) == \
                 reference_verify.axis_cells(bounds, low, high), bounds
-        assert cases == {"", "lo < low", "hi + 1 > high", "None", "many"}
+        assert cases == {"", "lo = low", "hi + 1 = high", "None", "many"}
 
 
 class TestLocalize:
