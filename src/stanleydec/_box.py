@@ -5,11 +5,14 @@ the first coordinate most significant, so bit order is lex order.
 row_i = sum_{t<=g_i} 2^(t*stride_i) is the mask of the cells on axis i,
 and row_i >> ((g_i - L) * stride_i) the mask of the cells 0, 1, ..., L
 steps up along it, so the cells of the interval [b, c] form the mask
-bit(b) times the product of these over the axes, with L = c_i - b_i.  A
+bit(b) times the product of these over the axes, with L = c_i - b_i: the
+shape of [0, c - b] (``Box.shape``), shifted up to b.  A
 Box keeps only the strides, the rows and the top slabs, at most two boxes
 of bits per axis with g_i > 0, and builds every other mask when asked.
 The characteristic poset is one such mask, and the interval search
-kernel and the prime-filtration search both work on it.
+kernel and the prime-filtration search both work on it.  The kernel reads
+its upper corners off ``Box.at_least_top(k)``, the mask of the cells c with
+rho(c) = #{i : c_i = g_i} >= k, counted slab by slab over the top slabs.
 
 The run axis r is the innermost axis with g_r > 0, or the last axis when
 there is none.  Every axis after it has g_i = 0, so its stride is 1: the
@@ -107,6 +110,16 @@ class Box:
             yield (tuple([b // s % (gi + 1) for s, gi in heads]),
                    b % (top + 1), e % (top + 1))
 
+    def shape(self, off):
+        """The mask of [0, d], d the cell at bit off: the cells of [b, c]
+        are shape(code(c) - code(b)) << code(b)."""
+        mask = 1
+        for row, s, gi in zip(self.rows, self.strides, self.g):
+            d, off = divmod(off, s)
+            if d:
+                mask *= row >> (gi - d) * s
+        return mask
+
     def interval(self, b, c):
         """The mask of the cells of [b, c], for b <= c <= g."""
         mask = 1
@@ -118,6 +131,20 @@ class Box:
     def up(self, a):
         """The mask of the cells >= a: the ideal x^a generates, clamped."""
         return self.interval(a, self.g)
+
+    def at_least_top(self, k):
+        """The mask of the cells c with rho(c) = #{i : c_i = g_i} >= k.  An
+        axis with g_i = 0 counts for every cell.  Over the top slabs, at[j]
+        is the mask of the cells on at least j of the slabs read so far:
+        each slab costs one AND and one OR per threshold j <= t."""
+        t = max(k - (len(self.g) - len(self.slabs)), 0)
+        if t > len(self.slabs):
+            return 0
+        at = [(1 << self.cells) - 1] + [0] * t
+        for _, slab in self.slabs:
+            for j in range(t, 0, -1):
+                at[j] |= at[j - 1] & slab
+        return at[t]
 
     def maximal(self, mask):
         """The maximal cells of an order-convex mask: those c with no c + e_i,

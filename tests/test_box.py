@@ -1,4 +1,5 @@
 import random
+from operator import eq
 
 from stanleydec._box import Box
 
@@ -82,3 +83,50 @@ class TestRuns:
         box = Box(())
         assert box.cells == 1 and box.axis == -1
         assert list(box.runs(1)) == list(box.runs(0)) == []
+
+
+def naive_at_least_top(box, k):
+    """The cells c with #{i : c_i = g_i} >= k, one cell at a time."""
+    mask = 0
+    for code in range(box.cells):
+        if sum(map(eq, box.cell(code), box.g)) >= k:
+            mask |= 1 << code
+    return mask
+
+
+class TestAtLeastTop:
+    def test_matches_a_count_per_cell(self):
+        """Random g, some with g_i = 0 on a few axes, and every k from 0 to
+        n + 1, also those at or below the number of zero axes, where every
+        cell counts."""
+        rng = random.Random(7)
+        bounds = [(0,), (0, 0), (2,), (1, 0, 2), (0, 3, 0)]
+        bounds += [tuple(rng.choice((0, 1, 2, 3)) for _ in range(rng.randint(1, 5)))
+                   for _ in range(200)]
+        for g in bounds:
+            box = Box(g)
+            for k in range(len(g) + 2):
+                assert box.at_least_top(k) == naive_at_least_top(box, k), (g, k)
+
+    def test_no_axis(self):
+        """n = 0: the one cell () has rho = 0."""
+        box = Box(())
+        assert box.at_least_top(0) == 1
+        assert box.at_least_top(1) == 0
+
+
+class TestShape:
+    def test_matches_the_cells_below_d(self):
+        """shape(code(d)) is the mask of the cells of [0, d], on random
+        boxes with some g_i = 0, for every cell d."""
+        rng = random.Random(13)
+        bounds = [(), (0,), (3,), (1, 0, 2)]
+        bounds += [tuple(rng.choice((0, 1, 2, 3)) for _ in range(rng.randint(1, 4)))
+                   for _ in range(50)]
+        for g in bounds:
+            box = Box(g)
+            cells = [box.cell(code) for code in range(box.cells)]
+            for d in cells:
+                want = sum(1 << box.code(c) for c in cells
+                           if all(ci <= di for ci, di in zip(c, d)))
+                assert box.shape(box.code(d)) == want, (g, d)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import product
@@ -274,6 +275,24 @@ class TestPartitionSearch:
         with pytest.raises(BudgetExceededError):
             solver.max_interval_partition(poset, budget=2)
 
+    @staticmethod
+    def assert_kernel_matches_reference(poset):
+        """The kernel against the oracle at every k, also with budgets just
+        below and at the node count."""
+        for k in range(poset.context.n, -1, -1):
+            args = (list(poset.elements), poset.bound, k)
+            mask_args = (poset.box, poset.mask, k)
+            expected = reference_intervals.find_partition(*args, 10**6, dead=True)
+            assert _intervals.find_partition(*mask_args, 10**6) == expected
+            nodes = expected[2]
+            for budget in (nodes - 1, nodes):
+                if budget < 0:
+                    continue
+                want = reference_intervals.find_partition(*args, budget, dead=True)
+                assert _intervals.find_partition(*mask_args, budget) == want
+                if budget < nodes:
+                    assert want == ("budget", None, budget + 1)
+
     def test_kernel_matches_reference(self):
         """Same status, witness and node count as the recursive oracle with
         its own memo of dead uncovered sets, on random quotients with
@@ -287,20 +306,25 @@ class TestPartitionSearch:
             poset = solver.build_characteristic_poset(I, J)
             if len(poset.elements) > 80:
                 continue
-            for k in range(n, -1, -1):
-                args = (list(poset.elements), poset.bound, k)
-                mask_args = (poset.box, poset.mask, k)
-                expected = reference_intervals.find_partition(*args, 10**6, dead=True)
-                assert _intervals.find_partition(*mask_args, 10**6) == expected
-                nodes = expected[2]
-                for budget in (nodes - 1, nodes):
-                    if budget < 0:
-                        continue
-                    want = reference_intervals.find_partition(*args, budget, dead=True)
-                    assert _intervals.find_partition(*mask_args, budget) == want
-                    if budget < nodes:
-                        assert want == ("budget", None, budget + 1)
+            self.assert_kernel_matches_reference(poset)
             checked += 1
+
+    def test_kernel_matches_reference_on_inverted_rings(self):
+        """The same on the contracted posets of random quotients over rings
+        with inverted variables, whose axes with g_j = 0 count in every
+        corner count: each k at or below their number reaches every cell."""
+        rng = random.Random(11)
+        checked = inverted = 0
+        while checked < 200:
+            n = checked % 5 + 1
+            ctx, I, J = random_quotient(rng, n=n, inverted=None, max_exp=3 if n <= 3 else 2)
+            poset = contracted_poset(I, J)
+            if len(poset.elements) > 80:
+                continue
+            self.assert_kernel_matches_reference(poset)
+            inverted += bool(ctx.inverted)
+            checked += 1
+        assert inverted > 50
 
     def test_dead_sets_only_save_nodes(self):
         """Against the oracle without the memo: the same status and witness,
@@ -341,6 +365,27 @@ def power_of_maximal(n, d):
 def bounds(poset):
     return (solver.maximal_element_bound(poset),
             hilbert.hdepth_bound(hilbert.series_of_poset(poset)))
+
+
+def cycle_poset(n):
+    """The poset of S/I(C_n), C_n the n-cycle: I = (1), J = (x1*x2, ..., xn*x1)."""
+    J = "(%s)" % ", ".join("x%d*x%d" % (i, i % n + 1) for i in range(1, n + 1))
+    return parsed_poset(n, "(1)", J)
+
+
+class TestCycleFamily:
+    @pytest.mark.parametrize("n, k, nodes, digest", [
+        (13, 5, 106, "9ed307e3e4f7cdf732cad52f56b258287058613f54eba255cd6e4afce4e11670"),
+        (16, 6, 404, "03e4ed307bf6d75b1e66f660d070d4ab5c7110b82b1c3899e50c59644d221c62"),
+    ], ids=["C_13", "C_16"])
+    def test_witness_and_nodes_at_the_answer(self, n, k, nodes, digest):
+        """The search on S/I(C_13) and S/I(C_16) at their sdepth, 5 and 6:
+        the node count and the sha256 of the repr of the intervals, as the
+        kernel that walked the box above each lower corner gave them."""
+        poset = cycle_poset(n)
+        status, intervals, spent = _intervals.find_partition(poset.box, poset.mask, k, 10**6)
+        assert (status, spent) == ("found", nodes)
+        assert hashlib.sha256(repr(intervals).encode()).hexdigest() == digest
 
 
 class TestBound:
