@@ -16,7 +16,8 @@ the chain of the answer is built as ideals, and ``verify_filtration``
 checks each step with ``ring.colon``.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
+
 from . import ring, solver
 from ._intervals import descend
 from .errors import (
@@ -28,25 +29,17 @@ from .ring import RingContext
 from .solver import DEFAULT_BUDGET
 
 
-@dataclass(frozen=True)
-class FiltrationStep:
-    monomial: tuple       # u_i, the new generator
-    primes: frozenset     # variable indices generating (J_{i-1} : u_i)
-    shift: tuple          # multidegree of u_i
+# monomial: u_i, the new generator; primes: the variable indices that
+# generate (J_{i-1} : u_i); shift: the multidegree of u_i
+FiltrationStep = namedtuple("FiltrationStep", "monomial primes shift")
+
+# chain: J = J_0 < J_1 < ... < J_r = I; steps: its r FiltrationStep records
+PrimeFiltration = namedtuple("PrimeFiltration", "context chain steps")
 
 
-@dataclass(frozen=True)
-class PrimeFiltration:
-    context: RingContext
-    chain: tuple          # J = J_0 < J_1 < ... < J_r = I
-    steps: tuple          # r FiltrationStep records
-
-
-@dataclass(frozen=True)
-class FiltrationReport:
-    valid: bool
-    step: int = -1
-    reason: str = ""
+class FiltrationReport(namedtuple("FiltrationReport", "valid step reason",
+                                  defaults=(-1, ""))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.valid
@@ -193,11 +186,9 @@ def last_step_bound(poset, generators, start):
     return best
 
 
-@dataclass(frozen=True)
-class FdepthResult:
-    value: int
-    complete: bool        # exact when True, certified lower bound otherwise
-    witness: PrimeFiltration
+# complete: the value is exact when True, a certified lower bound otherwise
+class FdepthResult(namedtuple("FdepthResult", "value complete witness")):
+    __slots__ = ()
 
     def __int__(self):
         return self.value

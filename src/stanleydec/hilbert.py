@@ -8,7 +8,6 @@ with integer P, held in the canonical form where P is not divisible by
 here ever multiplies two graded components.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 from operator import eq
@@ -43,16 +42,11 @@ def _poly_div_one_minus_t(p):
     return _poly_trim(q[:-1])
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(ring._Frozen):
     """P(t)/(1-t)^pole with P an ascending integer coefficient tuple."""
 
-    numerator: tuple
-    pole: int
-
-    def __post_init__(self):
-        num = _poly_trim(self.numerator)
-        pole = self.pole
+    def __init__(self, numerator, pole):
+        num = _poly_trim(numerator)
         if pole < 0:
             raise MalformedInputError("pole order must be nonnegative")
         while pole > 0:
@@ -63,6 +57,17 @@ class HilbertSeries:
             pole -= 1
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "pole", pole)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.numerator, self.pole) == (other.numerator, other.pole)
+
+    def __hash__(self):
+        return hash((self.numerator, self.pole))
+
+    def __repr__(self):
+        return "HilbertSeries(numerator=%r, pole=%r)" % (self.numerator, self.pole)
 
     def numerator_at_one(self):
         return sum(self.numerator)

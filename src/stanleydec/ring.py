@@ -8,8 +8,6 @@ zero exponents on inverted coordinates and are pairwise incomparable under
 componentwise divisibility.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import (
     ContainmentError,
     ContextMismatchError,
@@ -17,22 +15,48 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class RingContext:
+class _Frozen:
+    """Base of the package's records that are not tuples.  ``__init__``
+    sets each field once, through ``object.__setattr__``; assigning to or
+    deleting an attribute afterwards raises AttributeError.  A
+    ``cached_property`` still fills in, as it writes the instance's
+    ``__dict__``.  Each record writes its own ``__eq__``, ``__hash__`` and
+    ``__repr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class RingContext(_Frozen):
     """Ambient ring: n variables, the ones in `inverted` made invertible."""
 
-    n: int
-    inverted: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n, inverted=frozenset()):
+        if n < 0:
             raise MalformedInputError("variable count must be nonnegative")
-        object.__setattr__(self, "inverted", frozenset(self.inverted))
-        for j in sorted(self.inverted):
-            if not (0 <= j < self.n):
+        inverted = frozenset(inverted)
+        for j in sorted(inverted):
+            if not (0 <= j < n):
                 raise MalformedInputError(
-                    "inverted variable x%d out of range for n=%d" % (j + 1, self.n)
+                    "inverted variable x%d out of range for n=%d" % (j + 1, n)
                 )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "inverted", inverted)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.inverted) == (other.n, other.inverted)
+
+    def __hash__(self):
+        return hash((self.n, self.inverted))
+
+    def __repr__(self):
+        return "RingContext(n=%r, inverted=%r)" % (self.n, self.inverted)
 
     @property
     def plain(self):
@@ -72,8 +96,7 @@ def _divides(g, m, ctx):
     return all(m[i] >= g[i] for i in range(ctx.n) if i not in ctx.inverted)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Frozen):
     """A monomial ideal in normal form.
 
     The empty generator set is the zero ideal; the set {1} is the unit
@@ -81,13 +104,10 @@ class MonomialIdeal:
     iff their (context, generators) pairs are equal.
     """
 
-    context: RingContext
-    generators: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        gens = [check_monomial(g, self.context) for g in self.generators]
-        gens = {strip_units(g, self.context) for g in gens}
-        unit = one(self.context)
+    def __init__(self, context, generators=frozenset()):
+        gens = [check_monomial(g, context) for g in generators]
+        gens = {strip_units(g, context) for g in gens}
+        unit = one(context)
         if unit in gens:
             gens = {unit}
         else:
@@ -95,10 +115,22 @@ class MonomialIdeal:
                 g
                 for g in gens
                 if not any(
-                    h != g and _divides(h, g, self.context) for h in gens
+                    h != g and _divides(h, g, context) for h in gens
                 )
             }
+        object.__setattr__(self, "context", context)
         object.__setattr__(self, "generators", frozenset(gens))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.context, self.generators) == (other.context, other.generators)
+
+    def __hash__(self):
+        return hash((self.context, self.generators))
+
+    def __repr__(self):
+        return "MonomialIdeal(context=%r, generators=%r)" % (self.context, self.generators)
 
     @property
     def is_zero(self):

@@ -11,7 +11,7 @@ space and adds one to sdepth.  The partition search runs on the masks
 of ``_intervals``, in the one depth-first search of the package.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain, compress, product, repeat
 from operator import eq
@@ -25,8 +25,6 @@ from .errors import (
     ContextMismatchError,
     ZeroModuleError,
 )
-from .ring import RingContext
-from .stanley import StanleyDecomposition
 
 DEFAULT_BUDGET = 10**6
 
@@ -36,13 +34,28 @@ DEFAULT_BUDGET = 10**6
 MAX_BOX_CELLS = 10**6
 
 
-@dataclass(frozen=True)
-class CharacteristicPoset:
-    context: RingContext          # the polynomial ring S of the contraction
-    bound: tuple                  # componentwise generator maximum g
-    box: Box = field(repr=False, compare=False)   # the cells of [0, g]
-    mask: int = field(repr=False)                 # the elements as bits of box
-    generators: frozenset = field(repr=False, compare=False)   # those of I'
+class CharacteristicPoset(ring._Frozen):
+    """The poset of a contraction I'/J' as a mask of its box.  Two posets
+    are equal when their rings, bounds and masks are; the repr shows the
+    ring and the bound."""
+
+    def __init__(self, context, bound, box, mask, generators):
+        object.__setattr__(self, "context", context)        # the ring S of the contraction
+        object.__setattr__(self, "bound", bound)            # componentwise generator maximum g
+        object.__setattr__(self, "box", box)                # the cells of [0, g]
+        object.__setattr__(self, "mask", mask)              # the elements as bits of box
+        object.__setattr__(self, "generators", generators)  # those of I'
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.context, self.bound, self.mask) == (other.context, other.bound, other.mask)
+
+    def __hash__(self):
+        return hash((self.context, self.bound, self.mask))
+
+    def __repr__(self):
+        return "CharacteristicPoset(context=%r, bound=%r)" % (self.context, self.bound)
 
     @cached_property
     def elements(self):
@@ -217,10 +230,8 @@ def partition_to_decomposition(poset, partition):
     return _embed_and_invert(poset, partition, poset.context)
 
 
-@dataclass(frozen=True)
-class SdepthResult:
-    value: int
-    witness: StanleyDecomposition
+class SdepthResult(namedtuple("SdepthResult", "value witness")):
+    __slots__ = ()
 
     def __int__(self):
         return self.value

@@ -11,8 +11,7 @@ API, by ``parsing.parse_decomposition`` from text.  Spaces the program
 builds from valid ones are valid and are not checked again.
 """
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from functools import cached_property
 from itertools import accumulate, chain, compress, product, repeat
 from operator import add, attrgetter, itemgetter, not_, xor
@@ -26,28 +25,37 @@ from .errors import (
     VerificationError,
     ZeroModuleError,
 )
-from .ring import MonomialIdeal, RingContext
+from .ring import RingContext
 
-@dataclass(frozen=True, slots=True)
-class StanleySpace:
-    context: RingContext
-    root: tuple
-    zplus: frozenset = frozenset()
-    zminus: frozenset = frozenset()
 
-    def __post_init__(self):
-        # tuple(t) and frozenset(f) return t and f themselves, so a field
-        # that is already normal is not written back
-        ctx = self.context
-        root = ring.check_monomial(self.root, ctx)
-        if root is not self.root:
-            object.__setattr__(self, "root", root)
-        zplus, zminus = frozenset(self.zplus), frozenset(self.zminus)
-        if zplus is not self.zplus:
-            object.__setattr__(self, "zplus", zplus)
-        if zminus is not self.zminus:
-            object.__setattr__(self, "zminus", zminus)
-        _check_z(ctx, zplus, zminus)
+class StanleySpace(ring._Frozen):
+    __slots__ = ("context", "root", "zplus", "zminus")
+
+    def __init__(self, context, root, zplus=frozenset(), zminus=frozenset()):
+        root = ring.check_monomial(root, context)
+        zplus, zminus = frozenset(zplus), frozenset(zminus)
+        _check_z(context, zplus, zminus)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "zplus", zplus)
+        object.__setattr__(self, "zminus", zminus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.context, self.root, self.zplus, self.zminus)
+                == (other.context, other.root, other.zplus, other.zminus))
+
+    def __hash__(self):
+        return hash((self.context, self.root, self.zplus, self.zminus))
+
+    def __repr__(self):
+        return "StanleySpace(context=%r, root=%r, zplus=%r, zminus=%r)" % (
+            self.context, self.root, self.zplus, self.zminus)
+
+    def __reduce__(self):
+        # pickle would restore the slots through __setattr__, which refuses
+        return StanleySpace, (self.context, self.root, self.zplus, self.zminus)
 
     @property
     def dimension(self):
@@ -79,18 +87,13 @@ def space_contains(s, m):
                for i, (e, u) in enumerate(zip(m, s.root)))
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class StanleyDecomposition:
+class StanleyDecomposition(ring._Frozen):
     """The spaces of a decomposition as two columns: ``roots``, the root of
     each space, and ``zs``, its (zplus, zminus) pair of frozensets.  Every
     command reads the columns; ``spaces``, the StanleySpace objects, is
     built from them on first read and kept.  Two decompositions are equal
     when their rings and their columns are, that is, when their spaces are,
     in order."""
-
-    context: RingContext
-    roots: tuple
-    zs: tuple
 
     def __init__(self, context, spaces):
         spaces = tuple(spaces)
@@ -114,6 +117,14 @@ class StanleyDecomposition:
         object.__setattr__(D, "roots", roots)
         object.__setattr__(D, "zs", zs)
         return D
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.context, self.roots, self.zs) == (other.context, other.roots, other.zs)
+
+    def __hash__(self):
+        return hash((self.context, self.roots, self.zs))
 
     @cached_property
     def spaces(self):
@@ -201,12 +212,11 @@ def canonical_sf_decomposition(ctx):
     return _sorted_by_root(ctx, *_fan_out(ctx, [ring.one(ctx)], [frozenset(range(ctx.n))]))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    valid: bool
-    failure: str = ""        # "", "disjointness", "coverage", "containment"
-    witness: tuple = None    # a concrete monomial exhibiting the failure
-    box_bound: int = 0       # every predicate threshold is < box_bound
+# failure is "", "disjointness", "coverage" or "containment"; witness is a
+# monomial exhibiting it; every predicate threshold is < box_bound
+class VerificationReport(namedtuple("VerificationReport", "valid failure witness box_bound",
+                                    defaults=("", None, 0))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.valid
@@ -315,12 +325,9 @@ def verify_decomposition(D, I, J):
     return VerificationReport(True, "", None, B)
 
 
-@dataclass(frozen=True)
-class LocalizationResult:
-    decomposition: StanleyDecomposition
-    dropped: tuple        # indices of input spaces with Z_A not inside Z_i
-    localized_I: MonomialIdeal
-    localized_J: MonomialIdeal
+# dropped: the indices of the input spaces with Z_A not inside Z_i
+LocalizationResult = namedtuple("LocalizationResult",
+                                "decomposition dropped localized_I localized_J")
 
 
 def localize_decomposition(D, I, J, A):

@@ -1,0 +1,167 @@
+"""The package's records: the value semantics every caller relies on, and
+a start-up that loads neither ``dataclasses`` nor ``inspect``."""
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+from stanleydec import cli, filtration, hilbert, ring, solver, stanley
+from stanleydec.errors import MalformedInputError
+from stanleydec.filtration import FdepthResult, FiltrationReport, FiltrationStep, PrimeFiltration
+from stanleydec.hilbert import HilbertSeries
+from stanleydec.ring import MonomialIdeal, RingContext
+from stanleydec.solver import CharacteristicPoset, SdepthResult
+from stanleydec.stanley import (
+    LocalizationResult,
+    StanleyDecomposition,
+    StanleySpace,
+    VerificationReport,
+)
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _quotient():
+    """(x, y)/(x^2*y) over K[x, y, z], built afresh on each call."""
+    ctx = RingContext(3)
+    return ring.ideal(ctx, (1, 0, 0), (0, 1, 0)), ring.ideal(ctx, (2, 1, 0))
+
+
+def _witness():
+    return solver.sdepth(*_quotient()).witness
+
+
+def _filtration():
+    return filtration.fdepth(*_quotient()).witness
+
+
+# each type, a build of one of its values that makes every object anew,
+# and the names of its fields and cached properties
+BUILDS = [
+    (RingContext, lambda: RingContext(3, {2}), ("n", "inverted")),
+    (MonomialIdeal, lambda: _quotient()[0], ("context", "generators")),
+    (StanleySpace, lambda: StanleySpace(RingContext(3, {2}), [1, 0, -1], {0}, {2}),
+     ("context", "root", "zplus", "zminus")),
+    (StanleyDecomposition, _witness, ("context", "roots", "zs", "spaces")),
+    (VerificationReport,
+     lambda: stanley.verify_decomposition(_witness(), _quotient()[0], ring.ideal(RingContext(3))),
+     ("valid", "failure", "witness", "box_bound")),
+    (LocalizationResult, lambda: stanley.localize_decomposition(_witness(), *_quotient(), {2}),
+     ("decomposition", "dropped", "localized_I", "localized_J")),
+    (HilbertSeries, lambda: hilbert.series_of_quotient(*_quotient()), ("numerator", "pole")),
+    (CharacteristicPoset, lambda: solver.build_characteristic_poset(*_quotient()),
+     ("context", "bound", "box", "mask", "generators", "elements")),
+    (SdepthResult, lambda: solver.sdepth(*_quotient()), ("value", "witness")),
+    (FiltrationStep, lambda: FiltrationStep((1, 0, 0), frozenset({1}), (1, 0, 0)),
+     ("monomial", "primes", "shift")),
+    (PrimeFiltration, _filtration, ("context", "chain", "steps")),
+    (FiltrationReport, lambda: filtration.verify_filtration(_filtration(), *_quotient()),
+     ("valid", "step", "reason")),
+    (FdepthResult, lambda: filtration.fdepth(*_quotient()), ("value", "complete", "witness")),
+]
+
+
+@pytest.mark.parametrize("cls, build, fields", BUILDS, ids=[b[0].__name__ for b in BUILDS])
+def test_value_semantics(cls, build, fields):
+    """Built twice from the same arguments, a record is two objects that
+    are equal, hash alike, print alike and survive pickling; no field, and
+    no other attribute, can be assigned or deleted."""
+    a, b = build(), build()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert pickle.loads(pickle.dumps(a)) == a
+    for name in fields + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name, None))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b and repr(a) == repr(b)
+
+
+def test_repr_text():
+    """Each record prints as its type and its fields by name."""
+    ctx = RingContext(2, {1})
+    space = StanleySpace(ctx, (1, -1), {0}, {1})
+    expect = "StanleySpace(context=%r, root=(1, -1), zplus=frozenset({0}), zminus=frozenset({1}))" % ctx
+    assert repr(ctx) == "RingContext(n=2, inverted=frozenset({1}))"
+    assert repr(MonomialIdeal(ctx, {(1, 5)})) == (
+        "MonomialIdeal(context=%r, generators=frozenset({(1, 0)}))" % ctx)
+    assert repr(space) == expect
+    assert repr(StanleyDecomposition(ctx, [space])) == (
+        "StanleyDecomposition(context=%r, spaces=(%s,))" % (ctx, expect))
+    assert repr(HilbertSeries((1, -1, 0), 2)) == "HilbertSeries(numerator=(1,), pole=1)"
+    assert repr(VerificationReport(True)) == (
+        "VerificationReport(valid=True, failure='', witness=None, box_bound=0)")
+    assert repr(FiltrationReport(False, 2, "x")) == "FiltrationReport(valid=False, step=2, reason='x')"
+    assert repr(FiltrationStep((1, 0), frozenset({1}), (1, 0))) == (
+        "FiltrationStep(monomial=(1, 0), primes=frozenset({1}), shift=(1, 0))")
+    assert repr(solver.sdepth(*_quotient())).startswith(
+        "SdepthResult(value=2, witness=StanleyDecomposition(")
+
+
+def test_poset_compares_and_prints_without_box_and_generators():
+    """Two builds of one poset are equal though their boxes are two
+    objects; the mask is compared, and only the ring and bound print."""
+    P, Q = (solver.build_characteristic_poset(*_quotient()) for _ in range(2))
+    assert P.box is not Q.box and P == Q
+    same = CharacteristicPoset(P.context, P.bound, None, P.mask, frozenset())
+    assert same == P and hash(same) == hash(P)
+    assert CharacteristicPoset(P.context, P.bound, P.box, P.mask ^ 1, P.generators) != P
+    assert repr(P) == "CharacteristicPoset(context=RingContext(n=3, inverted=frozenset()), bound=(2, 1, 0))"
+    assert P.elements is P.elements
+
+
+def test_defaults_normalization_and_validation():
+    """The constructors keep their defaults, normalize their fields and
+    refuse what they refused before."""
+    ctx = RingContext(2)
+    assert ctx.inverted == frozenset() and type(RingContext(2, [1]).inverted) is frozenset
+    assert MonomialIdeal(ctx).generators == frozenset()
+    assert MonomialIdeal(ctx, {(1, 1), (1, 2), (2, 1)}).generators == {(1, 1)}
+    space = StanleySpace(ctx, [0, 1])
+    assert (space.root, space.zplus, space.zminus) == ((0, 1), frozenset(), frozenset())
+    report = VerificationReport(True)
+    assert (report.failure, report.witness, report.box_bound) == ("", None, 0)
+    report = FiltrationReport(True)
+    assert (report.step, report.reason) == (-1, "")
+    assert HilbertSeries([1, -1, 0, 0], 3) == HilbertSeries((1,), 2)
+    for bad in (lambda: RingContext(-1), lambda: RingContext(2, {2}),
+                lambda: MonomialIdeal(ctx, {(1,)}), lambda: HilbertSeries((1,), -1),
+                lambda: StanleySpace(ctx, (0, -1)),
+                lambda: StanleySpace(ctx, (0, 0), {0}, {0})):
+        with pytest.raises(MalformedInputError):
+            bad()
+
+
+def test_equality_within_its_own_type():
+    """A record that is not a tuple equals no tuple of its fields; the
+    results and reports, which are named tuples, do."""
+    ctx = RingContext(2)
+    assert ctx != (2, frozenset())
+    assert StanleySpace(ctx, (0, 0)) != (ctx, (0, 0), frozenset(), frozenset())
+    assert HilbertSeries((1,), 2) != ((1,), 2)
+    assert VerificationReport(True) == (True, "", None, 0)
+    assert int(SdepthResult(3, None)) == 3 and not VerificationReport(False)
+
+
+def test_startup_loads_no_dataclasses_or_inspect():
+    """Importing the command line and answering one batch line, in a fresh
+    interpreter without site, adds neither dataclasses nor inspect to
+    sys.modules."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", os.path.join(HERE, "startup_modules.py")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["package"] == cli.__file__ and report["exit"] == 0
+    assert json.loads(report["answer"])["sdepth"] == 2
+    assert "stanleydec.filtration" in report["added"]
+    assert not {"dataclasses", "inspect"} & set(report["added"])

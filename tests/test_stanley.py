@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import product
 
@@ -229,7 +228,7 @@ class TestMakeSpaces:
         for s in bulk:
             for name, value in (("root", (9, 9, 9)), ("zplus", frozenset()),
                                 ("zminus", frozenset()), ("context", RingContext(3))):
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(AttributeError):
                     setattr(s, name, value)
         assert [(s.context, s.root, s.zplus, s.zminus) for s in bulk] == [
             (ctx, root, zplus, zminus) for root, (zplus, zminus) in zip(roots, zs)]
