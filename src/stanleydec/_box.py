@@ -55,7 +55,7 @@ class Box:
         self.rows = [mask_of(range(0, (gi + 1) * s, s), self.nbytes) if gi else 1
                      for s, gi in zip(strides, g)]
         # per axis with g_i > 0: its stride and the mask of its top slab, a_i = g_i
-        self.slabs = [(s, self.interval([gi * (j == i) for j in range(n)], g))
+        self.slabs = [(s, self.up([gi * (j == i) for j in range(n)]))
                       for i, (s, gi) in enumerate(zip(strides, g)) if gi]
         self.cells = cells
         self.axis = max([i for i, gi in enumerate(g) if gi], default=n - 1)
@@ -120,17 +120,15 @@ class Box:
                 mask *= row >> (gi - d) * s
         return mask
 
-    def interval(self, b, c):
-        """The mask of the cells of [b, c], for b <= c <= g."""
-        mask = 1
-        for row, s, bi, ci, gi in zip(self.rows, self.strides, b, c, self.g):
-            if ci > bi:
-                mask *= row >> ((gi - ci + bi) * s)
-        return mask << self.code(b)
-
     def up(self, a):
-        """The mask of the cells >= a: the ideal x^a generates, clamped."""
-        return self.interval(a, self.g)
+        """The mask of the cells >= a: the ideal x^a generates, clamped.
+        The cells a_i..g_i of each axis with a_i < g_i, shifted up to a."""
+        mask, bit = 1, 0
+        for row, s, ai, gi in zip(self.rows, self.strides, a, self.g):
+            bit += ai * s
+            if ai < gi:
+                mask *= row >> ai * s
+        return mask << bit
 
     def at_least_top(self, k):
         """The mask of the cells c with rho(c) = #{i : c_i = g_i} >= k.  An

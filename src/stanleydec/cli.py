@@ -270,7 +270,6 @@ _HELP = {"ring": 'e.g. "n=3 invert={2,3}"', "I": 'ideal, e.g. "(x, y^2)"',
          "A": "indices to invert, e.g. {1}"}
 
 
-@functools.cache   # building it costs more than a short request
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stanleydec",
@@ -294,11 +293,14 @@ def build_parser():
 def main(argv=None, stdin=None, stdout=None):
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    args = build_parser().parse_args(argv)
-    if args.command == "batch":
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # batch reads no arguments, so answering it builds no parser, which
+    # costs more than a short request
+    opts = {"command": "batch"} if argv == ["batch"] else vars(build_parser().parse_args(argv))
+    command = opts.pop("command")
+    if command == "batch":
         return _batch(stdin, stdout)
-    opts = vars(args)
-    command, fmt = opts.pop("command"), opts.pop("format")
+    fmt = opts.pop("format")
     report, code = run_request(command, opts)
     return _emit(report, code, fmt, stdout)
 

@@ -10,7 +10,7 @@ here ever multiplies two graded components.
 
 from itertools import accumulate
 from math import comb
-from operator import eq
+from operator import attrgetter, eq
 
 from . import ring, solver
 from .errors import MalformedInputError
@@ -45,6 +45,9 @@ def _poly_div_one_minus_t(p):
 class HilbertSeries(ring._Frozen):
     """P(t)/(1-t)^pole with P an ascending integer coefficient tuple."""
 
+    _shown = ("numerator", "pole")
+    _key = attrgetter(*_shown)
+
     def __init__(self, numerator, pole):
         num = _poly_trim(numerator)
         if pole < 0:
@@ -57,20 +60,6 @@ class HilbertSeries(ring._Frozen):
             pole -= 1
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "pole", pole)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.numerator, self.pole) == (other.numerator, other.pole)
-
-    def __hash__(self):
-        return hash((self.numerator, self.pole))
-
-    def __repr__(self):
-        return "HilbertSeries(numerator=%r, pole=%r)" % (self.numerator, self.pole)
-
-    def numerator_at_one(self):
-        return sum(self.numerator)
 
     def __add__(self, other):
         return _sum_over_pole([(self.numerator, self.pole), (other.numerator, other.pole)])
@@ -262,7 +251,7 @@ def series_of_quotient(I, J):
 def count_maximal_spaces(series):
     """P(1) of the canonical series - the decomposition-independent number
     of maximal-dimension Stanley spaces."""
-    return series.numerator_at_one()
+    return sum(series.numerator)
 
 
 MAX_DEGREE = 10**5   # expand lists a coefficient per degree: 10^12 would not fit in memory

@@ -8,6 +8,8 @@ zero exponents on inverted coordinates and are pairwise incomparable under
 componentwise divisibility.
 """
 
+from operator import attrgetter
+
 from .errors import (
     ContainmentError,
     ContextMismatchError,
@@ -20,8 +22,10 @@ class _Frozen:
     sets each field once, through ``object.__setattr__``; assigning to or
     deleting an attribute afterwards raises AttributeError.  A
     ``cached_property`` still fills in, as it writes the instance's
-    ``__dict__``.  Each record writes its own ``__eq__``, ``__hash__`` and
-    ``__repr__``."""
+    ``__dict__``.  Each record declares two class attributes: ``_key``, an
+    ``attrgetter`` of the fields it is compared and hashed by, and
+    ``_shown``, the names its repr prints.  A record equals only records
+    of its own type."""
 
     __slots__ = ()
 
@@ -31,9 +35,24 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._shown))
+
 
 class RingContext(_Frozen):
     """Ambient ring: n variables, the ones in `inverted` made invertible."""
+
+    _shown = ("n", "inverted")
+    _key = attrgetter(*_shown)
 
     def __init__(self, n, inverted=frozenset()):
         if n < 0:
@@ -46,17 +65,6 @@ class RingContext(_Frozen):
                 )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "inverted", inverted)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.inverted) == (other.n, other.inverted)
-
-    def __hash__(self):
-        return hash((self.n, self.inverted))
-
-    def __repr__(self):
-        return "RingContext(n=%r, inverted=%r)" % (self.n, self.inverted)
 
     @property
     def plain(self):
@@ -104,6 +112,9 @@ class MonomialIdeal(_Frozen):
     iff their (context, generators) pairs are equal.
     """
 
+    _shown = ("context", "generators")
+    _key = attrgetter(*_shown)
+
     def __init__(self, context, generators=frozenset()):
         gens = [check_monomial(g, context) for g in generators]
         gens = {strip_units(g, context) for g in gens}
@@ -120,17 +131,6 @@ class MonomialIdeal(_Frozen):
             }
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "generators", frozenset(gens))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.context, self.generators) == (other.context, other.generators)
-
-    def __hash__(self):
-        return hash((self.context, self.generators))
-
-    def __repr__(self):
-        return "MonomialIdeal(context=%r, generators=%r)" % (self.context, self.generators)
 
     @property
     def is_zero(self):

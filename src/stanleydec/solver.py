@@ -14,7 +14,7 @@ of ``_intervals``, in the one depth-first search of the package.
 from collections import namedtuple
 from functools import cached_property
 from itertools import chain, compress, product, repeat
-from operator import eq
+from operator import attrgetter, eq
 
 from . import hilbert, ring, stanley
 from ._box import Box
@@ -39,23 +39,15 @@ class CharacteristicPoset(ring._Frozen):
     are equal when their rings, bounds and masks are; the repr shows the
     ring and the bound."""
 
+    _key = attrgetter("context", "bound", "mask")
+    _shown = ("context", "bound")
+
     def __init__(self, context, bound, box, mask, generators):
         object.__setattr__(self, "context", context)        # the ring S of the contraction
         object.__setattr__(self, "bound", bound)            # componentwise generator maximum g
         object.__setattr__(self, "box", box)                # the cells of [0, g]
         object.__setattr__(self, "mask", mask)              # the elements as bits of box
         object.__setattr__(self, "generators", generators)  # those of I'
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.context, self.bound, self.mask) == (other.context, other.bound, other.mask)
-
-    def __hash__(self):
-        return hash((self.context, self.bound, self.mask))
-
-    def __repr__(self):
-        return "CharacteristicPoset(context=%r, bound=%r)" % (self.context, self.bound)
 
     @cached_property
     def elements(self):

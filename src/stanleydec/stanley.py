@@ -29,7 +29,8 @@ from .ring import RingContext
 
 
 class StanleySpace(ring._Frozen):
-    __slots__ = ("context", "root", "zplus", "zminus")
+    __slots__ = _shown = ("context", "root", "zplus", "zminus")
+    _key = attrgetter(*_shown)
 
     def __init__(self, context, root, zplus=frozenset(), zminus=frozenset()):
         root = ring.check_monomial(root, context)
@@ -40,22 +41,9 @@ class StanleySpace(ring._Frozen):
         object.__setattr__(self, "zplus", zplus)
         object.__setattr__(self, "zminus", zminus)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.context, self.root, self.zplus, self.zminus)
-                == (other.context, other.root, other.zplus, other.zminus))
-
-    def __hash__(self):
-        return hash((self.context, self.root, self.zplus, self.zminus))
-
-    def __repr__(self):
-        return "StanleySpace(context=%r, root=%r, zplus=%r, zminus=%r)" % (
-            self.context, self.root, self.zplus, self.zminus)
-
     def __reduce__(self):
         # pickle would restore the slots through __setattr__, which refuses
-        return StanleySpace, (self.context, self.root, self.zplus, self.zminus)
+        return StanleySpace, self._key(self)
 
     @property
     def dimension(self):
@@ -95,6 +83,9 @@ class StanleyDecomposition(ring._Frozen):
     when their rings and their columns are, that is, when their spaces are,
     in order."""
 
+    _key = attrgetter("context", "roots", "zs")
+    _shown = ("context", "spaces")
+
     def __init__(self, context, spaces):
         spaces = tuple(spaces)
         for s in spaces:
@@ -118,22 +109,11 @@ class StanleyDecomposition(ring._Frozen):
         object.__setattr__(D, "zs", zs)
         return D
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.context, self.roots, self.zs) == (other.context, other.roots, other.zs)
-
-    def __hash__(self):
-        return hash((self.context, self.roots, self.zs))
-
     @cached_property
     def spaces(self):
         ctx = self.context
         return tuple(StanleySpace(ctx, root, zplus, zminus)
                      for root, (zplus, zminus) in zip(self.roots, self.zs))
-
-    def __repr__(self):
-        return "StanleyDecomposition(context=%r, spaces=%r)" % (self.context, self.spaces)
 
     def key(self):
         """Multiset-comparable form (order-insensitive equality)."""

@@ -336,8 +336,9 @@ class TestTextOutput:
 class TestParser:
     SDEPTH = ["sdepth", "--ring", "n=3", "--I", "(x, y, z)"]
 
-    def test_built_once_per_process(self, monkeypatch):
-        """Only the first of several calls builds parsers."""
+    def test_batch_builds_no_parser(self, monkeypatch):
+        """batch reads no arguments, so answering it builds no
+        ArgumentParser; a command with arguments builds its parser."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -345,14 +346,22 @@ class TestParser:
             built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
-        cli.build_parser.cache_clear()
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+        line = '{"command": "normalize", "ring": "n=1", "I": "(x)"}\n'
+        assert run(["batch"], line)[0] == 0
+        assert run(("batch",), line)[0] == 0
+        assert built == []
         assert run(self.SDEPTH)[0] == 0
         assert "stanleydec" in built
-        del built[:]
-        for argv in (self.SDEPTH, ["hilbert", "--ring", "n=1", "--I", "(x)"], ["batch"]):
-            assert run(argv)[0] == 0
-        assert built == []
+
+    @pytest.mark.parametrize("argv, listed", [(["--help"], "batch"),
+                                              (["sdepth", "--help"], "--budget")],
+                             ids=["stanleydec", "sdepth"])
+    def test_help(self, argv, listed, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 0
+        assert listed in capsys.readouterr().out
 
     def test_options_do_not_carry_over(self, monkeypatch):
         budgets = []

@@ -117,6 +117,60 @@ def test_poset_compares_and_prints_without_box_and_generators():
     assert P.elements is P.elements
 
 
+# each value type, a build of one of its values, and per stored field a
+# different value for it: first the fields it is compared by, then those
+# it is not
+COMPARED = [
+    (RingContext, lambda: RingContext(3, {2}),
+     {"n": lambda a: 4, "inverted": lambda a: frozenset({1})}, {}),
+    (MonomialIdeal, lambda: _quotient()[0],
+     {"context": lambda a: RingContext(3, {2}), "generators": lambda a: frozenset({(1, 0, 0)})},
+     {}),
+    (StanleySpace, lambda: StanleySpace(RingContext(3, {2}), [1, 0, -1], {0}, {2}),
+     {"context": lambda a: RingContext(3), "root": lambda a: (1, 0, 0),
+      "zplus": lambda a: frozenset({0, 1}), "zminus": lambda a: frozenset()}, {}),
+    (StanleyDecomposition, _witness,
+     {"context": lambda a: RingContext(3, {2}), "roots": lambda a: a.roots + ((9, 9, 9),),
+      "zs": lambda a: a.zs + ((frozenset(), frozenset()),)}, {}),
+    (HilbertSeries, lambda: hilbert.series_of_quotient(*_quotient()),
+     {"numerator": lambda a: a.numerator + (1,), "pole": lambda a: a.pole + 1}, {}),
+    (CharacteristicPoset, lambda: solver.build_characteristic_poset(*_quotient()),
+     {"context": lambda a: RingContext(3, {2}), "bound": lambda a: (3, 1, 0),
+      "mask": lambda a: a.mask ^ 1},
+     {"box": lambda a: None, "generators": lambda a: frozenset()}),
+]
+
+
+def _replaced(value, fields, name=None, new=None):
+    """A record of value's type whose stored fields are those of value,
+    but for name, which is new.  The fields are set directly, so no
+    constructor normalizes or checks them."""
+    copy = object.__new__(type(value))
+    for field in fields:
+        object.__setattr__(copy, field, new if field == name else getattr(value, field))
+    return copy
+
+
+@pytest.mark.parametrize("cls, build, compared, ignored", COMPARED,
+                         ids=[c[0].__name__ for c in COMPARED])
+def test_each_compared_field_is_compared(cls, build, compared, ignored):
+    """Changing any one field a value type is compared by makes two values
+    unequal; changing one it is not compared by leaves them equal, with
+    one hash.  A field left out of the type's comparison fails here."""
+    a = build()
+    fields = tuple(compared) + tuple(ignored)
+    same = _replaced(a, fields)
+    assert type(a) is cls and same == a and hash(same) == hash(a)
+    for name, change in compared.items():
+        new = change(a)
+        assert new != getattr(a, name)
+        b = _replaced(a, fields, name, new)
+        assert b != a and a != b, name
+    for name, change in ignored.items():
+        b = _replaced(a, fields, name, change(a))
+        assert b == a and hash(b) == hash(a), name
+
+
 def test_defaults_normalization_and_validation():
     """The constructors keep their defaults, normalize their fields and
     refuse what they refused before."""
@@ -153,7 +207,7 @@ def test_equality_within_its_own_type():
 def test_startup_loads_no_dataclasses_or_inspect():
     """Importing the command line and answering one batch line, in a fresh
     interpreter without site, adds neither dataclasses nor inspect to
-    sys.modules."""
+    sys.modules, and builds no argument parser."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-S", os.path.join(HERE, "startup_modules.py")],
@@ -165,3 +219,4 @@ def test_startup_loads_no_dataclasses_or_inspect():
     assert json.loads(report["answer"])["sdepth"] == 2
     assert "stanleydec.filtration" in report["added"]
     assert not {"dataclasses", "inspect"} & set(report["added"])
+    assert report["parsers"] == 0
