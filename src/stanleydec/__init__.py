@@ -1,6 +1,7 @@
 """Stanley decompositions of monomial subquotients in localized
 polynomial rings: construction, verification, localization, Stanley depth,
-fdepth via prime filtrations, and total-absolute-degree Hilbert series."""
+fdepth via prime filtrations, and total-absolute-degree Hilbert series.
+The fdepth names load ``filtration`` the first time one is read."""
 
 from .errors import (
     AnswerTooLargeError,
@@ -13,15 +14,6 @@ from .errors import (
     StanleyError,
     VerificationError,
     ZeroModuleError,
-)
-from .filtration import (
-    FdepthResult,
-    FiltrationStep,
-    PrimeFiltration,
-    fdepth,
-    fdepth_of,
-    localize_filtration,
-    verify_filtration,
 )
 from .hilbert import (
     HilbertSeries,
@@ -66,3 +58,25 @@ __version__ = "0.1.0"
 
 # name of the interval-search kernel; there is one, in pure Python
 KERNEL_BACKEND = "py"
+
+# the names of filtration, which no command but fdepth needs: importing
+# it on first use keeps its compilation off every other start
+_LAZY = ("FdepthResult", "FiltrationStep", "PrimeFiltration", "fdepth", "fdepth_of",
+         "localize_filtration", "verify_filtration")
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import filtration
+
+    value = globals()[name] = getattr(filtration, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()).union(_LAZY))
+
+
+# `from stanleydec import *` binds the lazy names too
+__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -9,14 +9,15 @@ error is answered with an "internal error" report (exit 1).  Either way
 the stream goes on with the next line.
 The exit code of the stream is 1 when any line hit an internal error, and
 otherwise the largest code of its lines.
+``filtration`` loads with the first fdepth request, and ``argparse`` only
+for a command given as arguments, so that ``batch`` loads neither.
 """
 
-import argparse
 import functools
 import json
 import sys
 
-from . import filtration, hilbert, parsing, solver, stanley
+from . import hilbert, parsing, solver, stanley
 from .errors import AnswerTooLargeError, BudgetExceededError, StanleyError
 
 EXIT_OK = 0
@@ -122,6 +123,8 @@ def _cmd_verify(opts):
 
 
 def _cmd_fdepth(opts):
+    from . import filtration
+
     ctx, I, J = _parse_pair(opts)
     res = filtration.fdepth(I, J, budget=opts.get("budget", solver.DEFAULT_BUDGET))
     qualifier = "" if res.complete else " (lower bound: search truncated)"
@@ -183,6 +186,8 @@ def _emit(report, code, fmt, out):
 
 
 def _nonnegative_int(text):
+    import argparse
+
     if not text.isascii() or not text.isdigit():
         raise argparse.ArgumentTypeError("expected a nonnegative integer, not %r" % text)
     return int(text)
@@ -271,6 +276,8 @@ _HELP = {"ring": 'e.g. "n=3 invert={2,3}"', "I": 'ideal, e.g. "(x, y^2)"',
 
 
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="stanleydec",
         description="Stanley decompositions in localized polynomial rings",

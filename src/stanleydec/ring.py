@@ -144,8 +144,18 @@ class MonomialIdeal(_Frozen):
         return sorted(self.generators)
 
     def plus(self, m):
-        """The ideal generated by this one together with the monomial m."""
-        return MonomialIdeal(self.context, self.generators | {tuple(m)})
+        """The ideal generated by this one together with the monomial m:
+        this one when it holds m, and otherwise m and the generators that
+        m does not divide, which are already in normal form."""
+        ctx = self.context
+        m = strip_units(check_monomial(m, ctx), ctx)
+        if any(_divides(g, m, ctx) for g in self.generators):
+            return self
+        I = object.__new__(MonomialIdeal)
+        object.__setattr__(I, "context", ctx)
+        object.__setattr__(I, "generators", frozenset(
+            [g for g in self.generators if not _divides(m, g, ctx)] + [m]))
+        return I
 
 
 def ideal(ctx, *gens):

@@ -1,10 +1,11 @@
 """Import ``stanleydec.cli`` and answer one ``batch`` line, then print, as
 one JSON object, the file of the package, the modules that this added to
 ``sys.modules`` and the number of ``argparse.ArgumentParser`` objects the
-line built.  Exits with 1 when ``dataclasses`` or ``inspect`` is among
-the modules, or when the line built a parser: no module of the package
-needs either module, ``batch`` reads no arguments, and each costs more
-than a short request.
+line built.  Exits with 1 when a module of ``FORBIDDEN`` is among the
+modules, or when the line built a parser: no module of the package needs
+``dataclasses`` or ``inspect``, ``batch`` reads no arguments and so needs
+no ``argparse``, an ``sdepth`` line needs no ``filtration``, and each
+costs more than a short request.
 
     PYTHONPATH=src python tests/startup_modules.py    # the source tree
     cd /tmp && python /path/to/tests/startup_modules.py   # the installed package
@@ -14,7 +15,7 @@ import io
 import json
 import sys
 
-FORBIDDEN = {"dataclasses", "inspect"}
+FORBIDDEN = {"argparse", "dataclasses", "inspect", "stanleydec.filtration"}
 LINE = '{"command": "sdepth", "ring": "n=3 invert={3}", "I": "(x, y)", "J": "(x^2*y)"}\n'
 
 
@@ -22,16 +23,18 @@ def main():
     before = set(sys.modules)
     from stanleydec import cli
 
-    import argparse    # cli has loaded it: this adds nothing
-
+    # parsers are counted only when cli loaded argparse, which it should
+    # not; this script never imports it, so a line that does shows in added
     parsers = []
-    init = argparse.ArgumentParser.__init__
+    argparse = sys.modules.get("argparse")
+    if argparse is not None:
+        init = argparse.ArgumentParser.__init__
 
-    def counted(self, *args, **kwargs):
-        parsers.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
+        def counted(self, *args, **kwargs):
+            parsers.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
 
-    argparse.ArgumentParser.__init__ = counted
+        argparse.ArgumentParser.__init__ = counted
     out = io.StringIO()
     code = cli.main(["batch"], io.StringIO(LINE), out)
     added = sorted(set(sys.modules) - before)

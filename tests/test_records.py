@@ -1,5 +1,6 @@
 """The package's records: the value semantics every caller relies on, and
-a start-up that loads neither ``dataclasses`` nor ``inspect``."""
+a start-up that loads none of ``dataclasses``, ``inspect``, ``argparse``
+and ``filtration``, whose names the package loads on first use."""
 
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+import stanleydec
 from stanleydec import cli, filtration, hilbert, ring, solver, stanley
 from stanleydec.errors import MalformedInputError
 from stanleydec.filtration import FdepthResult, FiltrationReport, FiltrationStep, PrimeFiltration
@@ -204,19 +206,87 @@ def test_equality_within_its_own_type():
     assert int(SdepthResult(3, None)) == 3 and not VerificationReport(False)
 
 
+def _fresh(*args, stdin=None):
+    """The finished process of `python -S args` on the source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run(
+        [sys.executable, "-S", *args], env=dict(os.environ, PYTHONPATH=src),
+        input=stdin, capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_startup_loads_no_dataclasses_or_inspect():
     """Importing the command line and answering one batch line, in a fresh
-    interpreter without site, adds neither dataclasses nor inspect to
-    sys.modules, and builds no argument parser."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-S", os.path.join(HERE, "startup_modules.py")],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
+    interpreter without site, adds none of dataclasses, inspect, argparse
+    and filtration to sys.modules, and builds no argument parser."""
+    proc = _fresh(os.path.join(HERE, "startup_modules.py"))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["package"] == cli.__file__ and report["exit"] == 0
     assert json.loads(report["answer"])["sdepth"] == 2
-    assert "stanleydec.filtration" in report["added"]
+    assert "stanleydec.filtration" not in report["added"]
+    assert "argparse" not in report["added"]
     assert not {"dataclasses", "inspect"} & set(report["added"])
     assert report["parsers"] == 0
+
+
+FDEPTH_LINE = '{"command": "fdepth", "ring": "n=3", "I": "(x, y)", "J": "(x*y)"}'
+# the answer to FDEPTH_LINE, as the package wrote it when it imported
+# filtration at start-up
+FDEPTH_ANSWER = (
+    '{"complete": true, "fdepth": 2, "ok": true, "witness": {"chain": '
+    '[{"generators": [[1, 1, 0]]}, {"generators": [[0, 1, 0]]}, '
+    '{"generators": [[0, 1, 0], [1, 0, 0]]}], "ring": {"invert": [], "n": 3}, '
+    '"steps": [{"primes": [1], "shift": [0, 1, 0], "u": [0, 1, 0]}, '
+    '{"primes": [2], "shift": [1, 0, 0], "u": [1, 0, 0]}]}}\n'
+)
+
+
+def test_first_fdepth_line_loads_filtration():
+    """In one fresh interpreter, an sdepth line leaves filtration unloaded
+    and the fdepth line after it loads it and answers as before."""
+    code = (
+        "import io, sys\n"
+        "from stanleydec import cli\n"
+        "for line in sys.argv[1:]:\n"
+        "    out = io.StringIO()\n"
+        "    cli.main(['batch'], io.StringIO(line + '\\n'), out)\n"
+        "    print('stanleydec.filtration' in sys.modules, out.getvalue(), end='')\n"
+    )
+    sdepth = json.dumps({"command": "sdepth", "ring": "n=3", "I": "(x, y)", "J": "(x*y)"})
+    proc = _fresh("-c", code, sdepth, FDEPTH_LINE)
+    assert proc.returncode == 0, proc.stderr
+    first, second = proc.stdout.splitlines(keepends=True)
+    assert first.startswith("False {") and json.loads(first[6:])["sdepth"] == 2
+    assert second == "True " + FDEPTH_ANSWER
+
+
+LAZY = ("FdepthResult", "FiltrationStep", "PrimeFiltration", "fdepth", "fdepth_of",
+        "localize_filtration", "verify_filtration")
+
+
+@pytest.mark.parametrize("name", LAZY)
+def test_lazy_name_is_the_filtration_one(name):
+    assert getattr(stanleydec, name) is getattr(filtration, name)
+    assert name in dir(stanleydec) and name in stanleydec.__all__
+
+
+def test_lazy_names_import_in_a_fresh_interpreter():
+    """`from stanleydec import name` and `import *` load filtration for
+    the seven names; a name the package lacks raises AttributeError."""
+    names = ", ".join(LAZY)
+    code = (
+        "import sys, stanleydec\n"
+        "assert 'stanleydec.filtration' not in sys.modules\n"
+        "from stanleydec import {names}\n"
+        "got = ({names})\n"
+        "del {names}\n"
+        "from stanleydec import filtration\n"
+        "assert got == tuple(getattr(filtration, name) for name in {lazy})\n"
+        "from stanleydec import *\n"
+        "assert ({names}) == got and StanleySpace is stanleydec.StanleySpace\n"
+    ).format(names=names, lazy=LAZY)
+    proc = _fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stanleydec.no_such_name

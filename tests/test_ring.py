@@ -207,3 +207,49 @@ def test_colon_ideal():
     assert ring.colon(J, (0, 1, 0)).generators == {(1, 0, 0), (0, 0, 1)}
     assert ring.colon(J, (1, 1, 0)).is_unit
     assert ring.colon(MonomialIdeal(ctx), (1, 0, 0)).is_zero
+
+
+@given(raw_ideal(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_plus_matches_renormalizing(data, extra):
+    """I.plus(m) is the ideal the generators of I and m span, normalized
+    from scratch, including when m is already in I, when it divides
+    several generators and when it is a unit."""
+    ctx, gens = data
+    I = ring.ideal(ctx, *gens)
+    m = extra.draw(st.tuples(*[
+        st.integers(min_value=-2 if i in ctx.inverted else 0, max_value=3)
+        for i in range(ctx.n)]))
+    expected = MonomialIdeal(ctx, I.generators | {m})
+    got = I.plus(m)
+    assert got == expected and got.generators == expected.generators
+    assert (got is I) == ring.contains(I, m)
+
+
+class TestPlus:
+    def test_member_gives_the_same_ideal(self):
+        ctx = ctx3_inv3()
+        I = ring.ideal(ctx, (1, 0, 0), (0, 2, 0))
+        assert I.plus((1, 1, -4)) is I
+        assert I.plus([0, 2, 5]) is I
+
+    def test_drops_every_generator_it_divides(self):
+        ctx = ctx3_inv3()
+        I = ring.ideal(ctx, (2, 0, 0), (1, 1, 0), (0, 3, 0))
+        assert I.plus((1, 0, 7)).generators == {(1, 0, 0), (0, 3, 0)}
+        assert I.plus((0, 1, -1)).generators == {(2, 0, 0), (0, 1, 0)}
+
+    def test_unit_and_zero_ideals(self):
+        ctx = ctx3_inv3()
+        unit = ring.ideal(ctx, (0, 0, 0))
+        assert unit.plus((3, 1, 0)) is unit
+        I = ring.ideal(ctx, (2, 0, 0), (1, 1, 0))
+        assert I.plus((0, 0, -2)).generators == {(0, 0, 0)}
+        assert I.plus((0, 0, -2)).is_unit
+        assert MonomialIdeal(ctx).plus((0, 1, 1)).generators == {(0, 1, 0)}
+
+    @pytest.mark.parametrize("m", [(1, 0), (-1, 0, 0), (1, 0.5, 0)])
+    def test_rejects_a_bad_monomial(self, m):
+        I = ring.ideal(ctx3_inv3(), (1, 0, 0))
+        with pytest.raises(MalformedInputError):
+            I.plus(m)
