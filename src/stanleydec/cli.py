@@ -87,7 +87,9 @@ def _cmd_hilbert(opts):
     ctx, I, J = _parse_pair(opts)
     series = hilbert.series_of_quotient(I, J)
     dmax = opts.get("max_degree", DEFAULT_MAX_DEGREE)
-    # the coefficients count monomials, so the largest is at least the last
+    # the coefficient at dmax alone first: when it is too long to print, the
+    # answer is refused before the expansion.  It need not be the largest,
+    # as (1)/(x^3) gives 1, 1, 1, 0, ..., so max(coeffs) is checked after it
     _refuse_unprintable(hilbert.coefficient(series, dmax))
     coeffs = hilbert.expand(series, dmax)
     _refuse_unprintable(max(coeffs))
@@ -180,8 +182,20 @@ def _json_line(report, code):
     return "".join(parts)
 
 
-def _emit(report, code, fmt, out):
-    out.write(_json_line(report, code) if fmt == "json" else report["text"]() + "\n")
+def _emit(command, opts, fmt, out):
+    """Answer one request given as arguments on out, in fmt; returns the
+    exit code.  The report, and the objects of the answer it holds, go
+    before the answer's text is written, and a text answer lets go of the
+    JSON fields before its text is built, as it needs none of them."""
+    report, code = run_request(command, opts)
+    if fmt == "json":
+        answer = _json_line(report, code)
+        del report
+    else:
+        text = report["text"]
+        del report
+        answer = text() + "\n"
+    out.write(answer)
     return code
 
 
@@ -256,6 +270,7 @@ def _batch(stdin, stdout):
             try:
                 report, code = run_request(command, opts)
                 answer = _json_line(report, code)
+                del report      # as in _emit: gone before the answer is written
             except Exception as exc:
                 # the stream must outlive any one line; imported here to
                 # keep traceback off the start-up path of every run
@@ -308,8 +323,7 @@ def main(argv=None, stdin=None, stdout=None):
     if command == "batch":
         return _batch(stdin, stdout)
     fmt = opts.pop("format")
-    report, code = run_request(command, opts)
-    return _emit(report, code, fmt, stdout)
+    return _emit(command, opts, fmt, stdout)
 
 
 if __name__ == "__main__":

@@ -319,15 +319,21 @@ class JSONText(str):
 
 def decomposition_to_json(D):
     """The ring and, per space, its root and the sorted 1-based indices of
-    zplus and zminus, as JSONText with the keys in sorted order.  Each
-    space is its root written into one format per distinct Z, by %d, so a
-    bool entry is 1 or 0."""
-    head = '{"root": [%s], ' % ", ".join(["%d"] * D.context.n)
+    zplus and zminus, as JSONText with the keys in sorted order.  There is
+    one format per distinct Z, with a %d per root entry, so a bool entry is
+    1 or 0.  The ring and the formats of the spaces, in order, are joined
+    into one template, which one % fills in with all the roots' entries;
+    the template is gone before JSONText copies the answer."""
+    head = ', {"root": [%s], ' % ", ".join(["%d"] * D.context.n)
     formats = {z: head + '"zminus": [%s], "zplus": [%s]}' % (_one_based(z[1]), _one_based(z[0]))
                for z in set(D.zs)}
-    texts = map(str.__mod__, map(formats.__getitem__, D.zs), D.roots)
-    return JSONText('{"ring": %s, "spaces": [%s]}' % (
-        json.dumps(ring_to_json(D.context), sort_keys=True), ", ".join(texts)))
+    texts = map(formats.__getitem__, D.zs)
+    ring = '{"ring": %s, "spaces": [' % json.dumps(ring_to_json(D.context), sort_keys=True)
+    # each format opens with the ", " after the space before it, which the
+    # first space's format drops; with no space there is none
+    first = next(texts, ", ")[2:]
+    return JSONText("".join(chain((ring, first), texts, ("]}",)))
+                    % tuple(chain.from_iterable(D.roots)))
 
 
 def _one_based(z):

@@ -234,7 +234,18 @@ def _embed_and_invert(poset, partition, ctx):
     poset of its contraction encodes, spaces sorted by key; None stands
     for the singleton partition.  Each space of ``_bases`` is fanned out
     over the inverted variables of ctx, with x or x^-1 for each, built
-    once, straight from its interval."""
+    once, straight from its interval.
+
+    The singletons over a polynomial ring are taken as ``_singleton_bases``
+    lists them, with no copy and no sort: the runs come in bit order, which
+    is lex order, and t rises within a run, so the roots already ascend.
+    They are no more than the MAX_BOX_CELLS cells of the box, which is
+    MAX_SPACES, so their count needs no check."""
+    if partition is None and not ctx.inverted:
+        roots, zpluses = _singleton_bases(poset)
+        pairs = {zplus: (zplus, frozenset()) for zplus in set(zpluses)}
+        return stanley.StanleyDecomposition._of_columns(
+            ctx, tuple(roots), tuple(map(pairs.__getitem__, zpluses)))
     roots, zpluses = (_singleton_bases(poset) if partition is None
                       else _bases(poset, partition))
     # every space holds its root and the spaces are disjoint, so no two

@@ -102,7 +102,8 @@ class StanleyDecomposition(ring._Frozen):
         """The decomposition of the tuples roots and zs of valid spaces of
         context, which are not checked again: those
         ``parsing.parse_decomposition`` checked as it read them, or those
-        ``_fan_out`` and ``adjoin_variable`` built from valid spaces."""
+        ``_fan_out``, ``adjoin_variable`` and the singleton lift of
+        ``solver._embed_and_invert`` built from valid spaces."""
         D = object.__new__(cls)
         object.__setattr__(D, "context", context)
         object.__setattr__(D, "roots", roots)
@@ -130,9 +131,10 @@ def sdepth_of(D):
     return min(len(zplus) + len(zminus) for zplus, zminus in set(D.zs))
 
 
-# a decompose answer peaks at about 250 bytes per space, its printed line
-# included: 250 MB for the 970,299 singletons of (1)/(x^99, y^99, z^99);
-# the singletons of a box of solver.MAX_BOX_CELLS cells are as many
+# a decompose answer peaks at about 220 bytes per space, its printed line
+# included: 215 MB resident for the 970,299 singletons of
+# (1)/(x^99, y^99, z^99), in JSON and in text; the singletons of a box of
+# solver.MAX_BOX_CELLS cells are as many
 MAX_SPACES = 10**6
 
 

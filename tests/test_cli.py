@@ -613,10 +613,17 @@ class TestBatch:
         assert lines[0]["error"].startswith("internal error: TypeError")
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
-    @staticmethod
-    def run_capped(requests, limit=256 << 20):
+    @classmethod
+    def run_capped(cls, requests, limit=256 << 20):
         """The batch answers to requests, from a process whose address
         space is capped at limit bytes."""
+        code, out, stderr = cls.answer_capped(requests, limit)
+        return code, [json.loads(l) for l in out.splitlines()], stderr
+
+    @staticmethod
+    def answer_capped(requests, limit):
+        """(exit code, stdout, stderr) of batch, answering requests in a
+        process whose address space is capped at limit bytes."""
         code = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (%d, %d))\n"
@@ -629,7 +636,7 @@ class TestBatch:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             input="\n".join(json.dumps(r) for r in requests) + "\n", timeout=120,
         )
-        return proc.returncode, [json.loads(l) for l in proc.stdout.splitlines()], proc.stderr
+        return proc.returncode, proc.stdout, proc.stderr
 
     def test_near_cap_box_answers_in_bounded_memory(self):
         """fdepth over a box of 100,001 cells with budget 1, then a short
@@ -677,6 +684,24 @@ class TestBatch:
         series = lines[0]["series"]
         assert series["pole"] == 0 and series["num"] == [[1, k] for k in range(1, 999999)]
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
+    def test_max_spaces_decompose_answers_in_bounded_memory(self):
+        """The 999,998 singletons of (x)/(x^999999), near MAX_SPACES, about
+        47 MB of JSON, in a process capped at 256 MB, which then answers a
+        short request: the lift takes them in root order without a copy or
+        a sort, one % writes them, and the report is gone before the line
+        is written."""
+        code, out, stderr = self.answer_capped([
+            {"command": "decompose", "ring": "n=1", "I": "(x)", "J": "(x^999999)"},
+            self.VALID,
+        ], limit=256 << 20)
+        assert code == 0, stderr
+        answer, short = out.splitlines()
+        spaces = ", ".join(['{"root": [%d], "zminus": [], "zplus": []}' % a
+                            for a in range(1, 999999)])
+        assert answer == ('{"decomposition": {"ring": {"invert": [], "n": 1}, "spaces": [%s]}, '
+                          '"ok": true, "sdepth": 0}' % spaces)
+        assert json.loads(short)["sdepth"] == 2
 
     def test_too_many_spaces_answers_in_bounded_memory(self):
         """sdepth of the whole ring with 26 inverted variables has 2^26

@@ -403,20 +403,38 @@ class TestJson:
         """The text is json.dumps(sort_keys=True) of the object the dict
         writer built: random spaces, negative roots on inverted axes,
         roots of 1,000 digits, n = 0, no spaces at all, and n = 40, where
-        a set of indices does not iterate in sorted order."""
+        a set of indices does not iterate in sorted order.  Answers of
+        1,000 and more spaces draw their Z from a few, repeated out of
+        order, and every 100th root may have entries of 1,000 digits, so
+        the one % of the writer must fill each format with the entries of
+        its own root."""
         rng = random.Random(63)
         big = 10 ** parsing.MAX_EXPONENT_DIGITS - 1
-        for _ in range(200):
+        for case in range(220):
             n = rng.choice((0, 1, 2, 3, 4, 5, 40))
             A = frozenset(i for i in range(n) if rng.random() < 0.4)
             ctx = RingContext(n, A)
+            if case < 200:
+                count, pool = rng.choice((0, 1, 6, 40)), None
+            else:
+                count, pool = rng.randint(1000, 1500), []
+                while len(pool) < 4:
+                    zplus = frozenset(i for i in range(n) if rng.random() < 0.4)
+                    pool.append((zplus, frozenset(i for i in A - zplus if rng.random() < 0.5)))
             spaces = []
-            for _ in range(rng.choice((0, 1, 6, 40))):
-                root = tuple(rng.choice((rng.randint(-3, 3) if i in A else rng.randint(0, 3),
-                                         -big if i in A else big))
-                             for i in range(n))
-                zplus = frozenset(i for i in range(n) if rng.random() < 0.4)
-                zminus = frozenset(i for i in A - zplus if rng.random() < 0.5)
+            for j in range(count):
+                if pool is None or j % 100 == 0:
+                    root = tuple(rng.choice((rng.randint(-3, 3) if i in A else rng.randint(0, 3),
+                                             -big if i in A else big))
+                                 for i in range(n))
+                else:
+                    root = tuple(rng.randint(-3, 3) if i in A else rng.randint(0, 3)
+                                 for i in range(n))
+                if pool is None:
+                    zplus = frozenset(i for i in range(n) if rng.random() < 0.4)
+                    zminus = frozenset(i for i in A - zplus if rng.random() < 0.5)
+                else:
+                    zplus, zminus = rng.choice(pool)
                 spaces.append(StanleySpace(ctx, root, zplus, zminus))
             D = StanleyDecomposition(ctx, tuple(spaces))
             text = parsing.decomposition_to_json(D)

@@ -6,7 +6,7 @@ from operator import eq
 
 import pytest
 
-from stanleydec import _intervals, filtration, hilbert, parsing, ring, solver, stanley
+from stanleydec import _intervals, cli, filtration, hilbert, parsing, ring, solver, stanley
 from stanleydec.errors import BoxTooLargeError, BudgetExceededError, ZeroModuleError
 from stanleydec.ring import MonomialIdeal, RingContext
 
@@ -660,6 +660,61 @@ class TestLiftParity:
                     I, J, partition)
             inverted_cases += bool(ctx.inverted)
         assert wide > 60 and inverted_cases > 60 and reach == {True, False}
+
+
+class TestPlainSingletonLift:
+    """Over a polynomial ring the singleton answer is taken as the runs of
+    the mask build it, already in root order: no fan-out and no sort."""
+
+    # (ring, I, J, sdepth): Artinian boxes, zero axes after the run axis,
+    # runs that reach g_r and runs that stop short of it, and n = 0
+    CASES = [("n=3", "(1)", "(x^2, y^3)", 1),
+             ("n=0", "(1)", "(0)", 0),
+             ("n=1", "(x)", "(x^40)", 0),
+             ("n=2", "(1)", "(x^3, y^2)", 0),
+             ("n=3", "(1)", "(x^4, y^4, z^4)", 0),
+             ("n=4", "(x2)", "(x1^2*x2, x2^3, x2*x3^2)", 1),
+             ("n=3", "(x*y, z)", "(x^2*y, x*y^2, z^2)", 0)]
+
+    def test_no_fan_out_and_no_sort(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the plain singleton lift needs no fan-out or sort")
+
+        # _fan_out counted the spaces; a poset has at most MAX_BOX_CELLS
+        assert solver.MAX_BOX_CELLS <= stanley.MAX_SPACES
+        monkeypatch.setattr(stanley, "_fan_out", refuse)
+        monkeypatch.setattr(stanley, "_sorted_by_root", refuse)
+        for ring_text, I_text, J_text, value in self.CASES:
+            ctx = parsing.parse_ring(ring_text)
+            I, J = parsing.parse_ideal(I_text, ctx), parsing.parse_ideal(J_text, ctx)
+            poset = contracted_poset(I, J)
+            assert solver._best_partition(poset, 1) == (value, None)
+            witness = solver.sdepth(I, J).witness
+            assert all(a < b for a, b in zip(witness.roots, witness.roots[1:]))
+            expected = reference_lift.lift(poset, singleton_partition(poset), ctx)
+            assert witness.spaces == expected.spaces
+            for command in ("sdepth", "decompose"):
+                report, code = cli.run_request(
+                    command, {"ring": ring_text, "I": I_text, "J": J_text})
+                assert (code, report["sdepth"]) == (0, value), (ring_text, I_text, J_text)
+
+    def test_inverted_rings_and_intervals_still_sort(self, monkeypatch):
+        """The singletons of an inverted ring are fanned out and sorted, and
+        so are the spaces of an interval partition over a plain ring."""
+        calls = []
+        sort = stanley._sorted_by_root
+        monkeypatch.setattr(stanley, "_sorted_by_root",
+                            lambda *args: calls.append(args[0]) or sort(*args))
+        for ring_text, I_text, J_text, value in (("n=2 invert={2}", "(1)", "(x^3)", 1),
+                                                  ("n=3", "(x, y, z)", "(0)", 2)):
+            ctx = parsing.parse_ring(ring_text)
+            I, J = parsing.parse_ideal(I_text, ctx), parsing.parse_ideal(J_text, ctx)
+            poset = contracted_poset(I, J)
+            k, partition = solver.max_interval_partition(poset)
+            res = solver.sdepth(I, J)
+            assert res.value == k == value and calls == [ctx]
+            assert res.witness.spaces == reference_lift.lift(poset, partition, ctx).spaces
+            calls.clear()
 
 
 class TestSdepth:
