@@ -51,7 +51,7 @@ def _cmd_sdepth(opts, key, layout):
     res = solver.sdepth(I, J, budget=opts.get("budget", solver.DEFAULT_BUDGET))
     return {
         "sdepth": res.value,
-        key: parsing.decomposition_to_json(res.witness),
+        key: lambda: parsing.decomposition_to_json(res.witness),
         "text": lambda: layout.format(
             sdepth=res.value, witness=parsing.decomposition_str(res.witness)),
     }
@@ -64,7 +64,7 @@ def _cmd_localize(opts):
     res = stanley.localize_decomposition(D, I, J, A)
     return {
         "ring": parsing.ring_to_json(res.decomposition.context),
-        "decomposition": parsing.decomposition_to_json(res.decomposition),
+        "decomposition": lambda: parsing.decomposition_to_json(res.decomposition),
         "dropped": list(res.dropped),
         "sdepth_of": stanley.sdepth_of(res.decomposition)
         if res.decomposition.roots
@@ -95,7 +95,7 @@ def _cmd_hilbert(opts):
     _refuse_unprintable(max(coeffs))
     maximal = hilbert.count_maximal_spaces(series)
     return {
-        "series": parsing.series_to_json(series),
+        "series": lambda: parsing.series_to_json(series),
         "maximal_spaces": maximal,
         "coefficients": coeffs,
         "text": lambda: "H(t) = %s\nmaximal spaces: %d\ncoefficients (d<=%d): %s"
@@ -153,7 +153,9 @@ _COMMANDS = {
 
 def run_request(command, opts):
     """Dispatch one request; returns (report dict, exit code).  The report's
-    "text" is a function that renders it, called only when it is printed."""
+    "text" is a function that renders it, called only when it is printed;
+    a field that is a function gives its JSON value, called only when the
+    answer is JSON, so a text answer builds no JSON."""
     try:
         report = _COMMANDS[command](opts)
         return report, EXIT_OK
@@ -168,35 +170,28 @@ _ENCODER = json.JSONEncoder(sort_keys=True)
 
 def _json_line(report, code):
     """A report as one JSON line: every field but the text, and ok, with
-    the keys in sorted order.  A parsing.JSONText value is written as it
-    is; a report without one is encoded in one call."""
+    the keys in sorted order.  A field that is a function is written as
+    the value it returns, and a parsing.JSONText value as it is."""
     payload = {k: v for k, v in report.items() if k != "text"}
     payload["ok"] = code == EXIT_OK
-    if not any(type(v) is parsing.JSONText for v in payload.values()):
-        return _ENCODER.encode(payload) + "\n"
     parts = ["{"]
     for k, v in sorted(payload.items()):
+        if callable(v):
+            v = v()
         parts += (_ENCODER.encode(k), ": ",
                   v if type(v) is parsing.JSONText else _ENCODER.encode(v), ", ")
     parts[-1] = "}\n"
     return "".join(parts)
 
 
-def _emit(command, opts, fmt, out):
-    """Answer one request given as arguments on out, in fmt; returns the
-    exit code.  The report, and the objects of the answer it holds, go
-    before the answer's text is written, and a text answer lets go of the
-    JSON fields before its text is built, as it needs none of them."""
+def _answer(command, opts, fmt):
+    """The answer line of one request, in fmt, and its exit code.  The
+    report, and the objects of the answer it holds, go when this returns,
+    before the line is written."""
     report, code = run_request(command, opts)
     if fmt == "json":
-        answer = _json_line(report, code)
-        del report
-    else:
-        text = report["text"]
-        del report
-        answer = text() + "\n"
-    out.write(answer)
-    return code
+        return _json_line(report, code), code
+    return report["text"]() + "\n", code
 
 
 def _nonnegative_int(text):
@@ -268,9 +263,7 @@ def _batch(stdin, stdout):
             answer = _json_line({"error": "bad request: %s" % exc}, code)
         else:
             try:
-                report, code = run_request(command, opts)
-                answer = _json_line(report, code)
-                del report      # as in _emit: gone before the answer is written
+                answer, code = _answer(command, opts, "json")
             except Exception as exc:
                 # the stream must outlive any one line; imported here to
                 # keep traceback off the start-up path of every run
@@ -323,7 +316,9 @@ def main(argv=None, stdin=None, stdout=None):
     if command == "batch":
         return _batch(stdin, stdout)
     fmt = opts.pop("format")
-    return _emit(command, opts, fmt, stdout)
+    answer, code = _answer(command, opts, fmt)
+    stdout.write(answer)
+    return code
 
 
 if __name__ == "__main__":

@@ -163,9 +163,9 @@ def _filtration(ctx, start, path):
     return PrimeFiltration(ctx, tuple(chain), steps)
 
 
-def last_step_bound(poset, generators, start):
-    """An upper bound on fdepth I'/J', given the generators of I' and the
-    mask start of J'.  The last step of a chain adds to some L, J' <= L <
+def last_step_bound(poset, start):
+    """An upper bound on fdepth I'/J', given its characteristic poset and
+    the mask start of J'.  The last step of a chain adds to some L, J' <= L <
     I', a minimal generator u of I' outside J'; every other one is in L,
     as u does not divide it.  So x_i is in (L : u) when u + e_i is in J'
     (its cell in start, for u_i < g_i: else the index leaves u's row) or
@@ -173,7 +173,7 @@ def last_step_bound(poset, generators, start):
     and the step has dimension at most n minus the number of such i.
     """
     box, g = poset.box, poset.bound
-    gens = [u for u in generators if not start >> box.code(u) & 1]
+    gens = [u for u in poset.generators if not start >> box.code(u) & 1]
     best = 0
     for u in gens:
         code = box.code(u)
@@ -222,7 +222,7 @@ def fdepth(I, J, budget=DEFAULT_BUDGET):
                                   budget + 1, {0: budget + 1})
     value = min(step_dimension(ctx, primes) for _, primes, _ in path)
     complete = True
-    for t in range(last_step_bound(poset, I.generators, start), value, -1):
+    for t in range(last_step_bound(poset, start), value, -1):
         found = search(t)
         if found is None:
             complete = False

@@ -164,7 +164,7 @@ def parse_ideal(text, ctx):
 def ideal_str(I):
     if I.is_zero:
         return "(0)"
-    gens = [monomial_str(g, I.context) for g in I.sorted_generators()]
+    gens = [monomial_str(g, I.context) for g in sorted(I.generators)]
     return "(%s)" % ", ".join(gens)
 
 
@@ -307,7 +307,7 @@ def ring_to_json(ctx):
 
 
 def ideal_to_json(I):
-    return {"generators": [list(g) for g in I.sorted_generators()]}
+    return {"generators": [list(g) for g in sorted(I.generators)]}
 
 
 class JSONText(str):

@@ -136,13 +136,6 @@ class MonomialIdeal(_Frozen):
     def is_zero(self):
         return not self.generators
 
-    @property
-    def is_unit(self):
-        return one(self.context) in self.generators
-
-    def sorted_generators(self):
-        return sorted(self.generators)
-
     def plus(self, m):
         """The ideal generated by this one together with the monomial m:
         this one when it holds m, and otherwise m and the generators that

@@ -49,9 +49,6 @@ class StanleySpace(ring._Frozen):
     def dimension(self):
         return len(self.zplus) + len(self.zminus)
 
-    def key(self):
-        return (self.root, tuple(sorted(self.zplus)), tuple(sorted(self.zminus)))
-
 
 def _check_z(ctx, zplus, zminus):
     """Raise MalformedInputError unless the frozensets zplus and zminus
@@ -116,13 +113,6 @@ class StanleyDecomposition(ring._Frozen):
         return tuple(StanleySpace(ctx, root, zplus, zminus)
                      for root, (zplus, zminus) in zip(self.roots, self.zs))
 
-    def key(self):
-        """Multiset-comparable form (order-insensitive equality)."""
-        return tuple(sorted(s.key() for s in self.spaces))
-
-    def same_as(self, other):
-        return self.context == other.context and self.key() == other.key()
-
 
 def sdepth_of(D):
     """min |Z_i| over the spaces of the decomposition, one per distinct Z."""
@@ -179,8 +169,7 @@ def _fan_out(ctx, roots, zpluses):
 
 def _sorted_by_root(ctx, roots, zs):
     """The decomposition of checked columns whose roots are distinct, with
-    its spaces sorted by root: the order of ``StanleySpace.key``, as no Z
-    is compared when no two roots are equal."""
+    its spaces sorted by root."""
     pairs = sorted(zip(roots, zs), key=itemgetter(0))
     return StanleyDecomposition._of_columns(
         ctx, tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs)))

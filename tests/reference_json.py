@@ -29,6 +29,6 @@ def series_to_json(h):
 
 def json_line(report, code):
     """The answer line of a report whose values are plain objects."""
-    payload = {k: v for k, v in report.items() if k != "text"}
+    payload = {k: v() if callable(v) else v for k, v in report.items() if k != "text"}
     payload["ok"] = code == 0
     return json.dumps(payload, sort_keys=True) + "\n"

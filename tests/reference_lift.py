@@ -4,12 +4,13 @@ The per-space loops that ``solver._bases``, ``stanley._fan_out`` and the
 sort of ``solver._embed_and_invert`` replaced with bulk operations, kept
 as the oracle of the lift parity test: every interval builds its own Z
 and runs ``itertools.product`` over its roots, every space is shifted one
-coordinate at a time, and the spaces are sorted by ``StanleySpace.key``.
+coordinate at a time, and the spaces are sorted by ``util.space_key``.
 """
 
 from itertools import product
 
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
+from util import space_key
 
 
 def bases(poset, partition):
@@ -40,7 +41,7 @@ def fan_out(ctx, pairs, A):
 
 def lift(poset, partition, ctx):
     """The decomposition over ctx that the partition of the poset of its
-    contraction encodes, spaces sorted by key."""
+    contraction encodes, spaces sorted by space_key."""
     spaces = fan_out(ctx, bases(poset, partition), ctx.inverted)
-    spaces.sort(key=StanleySpace.key)
+    spaces.sort(key=space_key)
     return StanleyDecomposition(ctx, tuple(spaces))

@@ -333,6 +333,25 @@ class TestTextOutput:
             code, out = run(argv + ["--format", "json"])
             assert code == 0 and json.loads(out)["ok"]
 
+    def test_text_renders_no_json(self, monkeypatch):
+        """A text answer calls neither JSON writer, and its bytes are those
+        it has when the writers work."""
+        requests = self.REQUESTS + [
+            {"command": "hilbert", "ring": "n=3 invert={3}", "I": "(x, y^2)", "J": "(x^2)"}]
+        argvs = [[req["command"]] + [a for key in ("ring", "I", "J", "D", "A")
+                                     if key in req for a in ("--" + key, req[key])]
+                 for req in requests]
+        answers = [run(argv) for argv in argvs]
+
+        def no_json(*args):
+            raise AssertionError("JSON built")
+
+        monkeypatch.setattr(parsing, "decomposition_to_json", no_json)
+        monkeypatch.setattr(parsing, "series_to_json", no_json)
+        assert [run(argv) for argv in argvs] == answers
+        assert [code for code, _ in answers] == [0] * 4
+        assert answers[3][1].startswith("H(t) = ")
+
 class TestParser:
     SDEPTH = ["sdepth", "--ring", "n=3", "--I", "(x, y, z)"]
 
@@ -451,6 +470,14 @@ class TestBatch:
     def test_empty_stdin(self):
         code, out = run(["batch"], "")
         assert code == 0 and out == ""
+
+    def test_blank_lines_are_skipped(self):
+        """A line of nothing but whitespace gets no answer."""
+        line = json.dumps({"command": "normalize", "ring": "n=1", "I": "(x)"})
+        code, out = run(["batch"], "\n" + line + "\n \t\n\n" + line + "\n  ")
+        assert code == 0
+        assert out == run(["batch"], line + "\n" + line + "\n")[1]
+        assert out.count("\n") == 2
 
     def test_line_that_is_not_utf8_is_bad_request(self):
         """A stream over bytes is decoded line by line: a line that is not

@@ -5,7 +5,12 @@ import pytest
 
 from stanleydec import filtration, hilbert, ring, solver, stanley
 from stanleydec._intervals import descend
-from stanleydec.errors import BudgetExceededError, StanleyError, ZeroModuleError
+from stanleydec.errors import (
+    BudgetExceededError,
+    ContextMismatchError,
+    StanleyError,
+    ZeroModuleError,
+)
 from stanleydec.filtration import FiltrationStep, PrimeFiltration
 from stanleydec.ring import MonomialIdeal, RingContext
 
@@ -68,6 +73,31 @@ class TestVerify:
         F = chain_filtration(ctx, J, [(1,)])
         assert not filtration.verify_filtration(F, ring.ideal(ctx, (0,)), J).valid
 
+    @pytest.mark.parametrize("steps, J, report", [
+        ([((0, 0), {0}, (0, 0))], (1, 0), (True, -1, "")),
+        ([], (1, 0), (False, -1, "chain/step length mismatch")),
+        ([((0, 0), {0}, (0, 0))], (2, 0), (False, -1, "chain does not start at J")),
+        ([((1, 0), {0}, (1, 0))], (1, 0), (False, 0, "step monomial already present")),
+        ([((0, 1), {0}, (0, 1))], (1, 0), (False, 0, "chain step is not J + (u)")),
+        ([((0, 0), {1}, (0, 0))], (1, 0), (False, 0, "recorded prime differs from colon")),
+        ([((0, 0), {0}, (1, 0))], (1, 0), (False, 0, "shift is not the multidegree of u")),
+    ], ids=["valid", "length", "start", "present", "not-J+(u)", "prime", "shift"])
+    def test_each_check(self, steps, J, report):
+        """The chain (x) < (1) of K[x, y] with the given steps, checked
+        against (1)/J: each check names its own failure and step."""
+        ctx = RingContext(2)
+        F = PrimeFiltration(ctx, (ring.ideal(ctx, (1, 0)), ring.ideal(ctx, (0, 0))),
+                            tuple(FiltrationStep(u, frozenset(P), s) for u, P, s in steps))
+        got = filtration.verify_filtration(F, ring.ideal(ctx, (0, 0)), ring.ideal(ctx, J))
+        assert tuple(got) == report
+
+    def test_ring_mismatch_raises(self):
+        ctx = RingContext(1)
+        F = chain_filtration(ctx, MonomialIdeal(ctx), [(0,)])
+        other = RingContext(1, frozenset({0}))
+        with pytest.raises(ContextMismatchError, match="must share a ring"):
+            filtration.verify_filtration(F, ring.ideal(other, (0,)), MonomialIdeal(other))
+
 
 class TestFdepthOf:
     def test_codimension_two(self):
@@ -90,6 +120,12 @@ class TestFdepthOf:
         assert filtration.verify_filtration(F, I, J).valid
         assert filtration.fdepth_of(F) == 0
         assert filtration.fdepth(I, J).value == 0
+
+    def test_empty_filtration_rejected(self):
+        ctx = RingContext(2)
+        F = PrimeFiltration(ctx, (MonomialIdeal(ctx),), ())
+        with pytest.raises(ZeroModuleError, match="empty filtration"):
+            filtration.fdepth_of(F)
 
 
 class TestFdepth:
@@ -157,7 +193,7 @@ def bound_of(I, J):
     Ip, Jp = ring.contraction(I), ring.contraction(J)
     poset = solver.build_characteristic_poset(Ip, Jp)
     start, _, _ = filtration._prime_steps(poset, Jp)
-    return filtration.last_step_bound(poset, Ip.generators, start)
+    return filtration.last_step_bound(poset, start)
 
 
 class TestBound:
@@ -462,6 +498,12 @@ class TestLocalizeFiltration:
         Ff = filtration.localize_filtration(F, {0})
         assert len(Ff.steps) == 1
         assert Ff.steps[0].primes == frozenset()
+
+    def test_inverted_input_rejected(self):
+        ctx = RingContext(2, frozenset({0}))
+        F = chain_filtration(ctx, MonomialIdeal(ctx), [(0, 0)])
+        with pytest.raises(ContextMismatchError, match="over the polynomial ring"):
+            filtration.localize_filtration(F, {1})
 
     def test_fdepth_never_decreases_randomized(self):
         rng = random.Random(43)

@@ -90,6 +90,11 @@ class TestHilbertCount:
         S = ring.ideal(ctx, (0,) * 2000)
         assert hilbert.hilbert_count(S, MonomialIdeal(ctx), d) == count
 
+    def test_negative_degree_rejected(self):
+        ctx = RingContext(1)
+        with pytest.raises(MalformedInputError, match="degree must be nonnegative"):
+            hilbert.hilbert_count(ring.ideal(ctx, (0,)), MonomialIdeal(ctx), -1)
+
     def test_one_laurent_variable(self):
         ctx = RingContext(1, frozenset({0}))
         I = ring.ideal(ctx, (0,))
@@ -216,6 +221,10 @@ class TestLaurentRingClosedForm:
     def test_ordinary_polynomial_ring(self):
         h = hilbert.series_of_laurent_ring((0, 0, 0), set(), 3)
         assert (h.numerator, h.pole) == ((1,), 3)
+
+    def test_negative_plain_exponent_rejected(self):
+        with pytest.raises(MalformedInputError, match="negative exponent off the inverted set"):
+            hilbert.series_of_laurent_ring((-1, -1), {0}, 0)
 
     def test_unit_factors_ignored(self):
         a = hilbert.series_of_laurent_ring((3, 1), {0}, 1)

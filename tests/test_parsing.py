@@ -14,7 +14,7 @@ from stanleydec.hilbert import HilbertSeries
 from stanleydec.ring import MonomialIdeal, RingContext
 from stanleydec.stanley import StanleyDecomposition, StanleySpace
 
-from util import polynomial_quotient, random_quotient, ring_text
+from util import is_unit, polynomial_quotient, random_quotient, ring_text
 
 
 class TestRingText:
@@ -130,7 +130,11 @@ class TestIdealText:
         I = parsing.parse_ideal("(x*y, y*z)", ctx)
         assert I == ring.ideal(ctx, (1, 1, 0), (0, 1, 1))
         assert parsing.parse_ideal("(0)", ctx).is_zero
-        assert parsing.parse_ideal("(1)", ctx).is_unit
+        assert is_unit(parsing.parse_ideal("(1)", ctx))
+
+    def test_needs_parentheses(self):
+        with pytest.raises(ParseError, match="ideal must be parenthesized: 'x, y'"):
+            parsing.parse_ideal("x, y", RingContext(2))
 
     def test_print(self):
         ctx = RingContext(2)

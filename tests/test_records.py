@@ -204,6 +204,7 @@ def test_equality_within_its_own_type():
     assert HilbertSeries((1,), 2) != ((1,), 2)
     assert VerificationReport(True) == (True, "", None, 0)
     assert int(SdepthResult(3, None)) == 3 and not VerificationReport(False)
+    assert int(FdepthResult(2, False, None)) == 2
 
 
 def _fresh(*args, stdin=None):

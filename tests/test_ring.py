@@ -12,7 +12,7 @@ from stanleydec.errors import (
 )
 from stanleydec.ring import MonomialIdeal, RingContext
 
-from util import box_monomials
+from util import box_monomials, is_unit
 
 
 def ctx3_inv3():
@@ -59,7 +59,7 @@ class TestNormalize:
     def test_zero_and_unit_ideals(self):
         ctx = RingContext(2)
         assert MonomialIdeal(ctx).is_zero
-        assert ring.ideal(ctx, (0, 0), (1, 2)).is_unit
+        assert is_unit(ring.ideal(ctx, (0, 0), (1, 2)))
 
 
 class TestContains:
@@ -117,9 +117,14 @@ class TestContraction:
         assert Ic.context == RingContext(3)
         assert Ic.generators == I.generators
 
+    def test_extend_to_keeps_n(self):
+        I = ring.ideal(RingContext(2), (1, 0))
+        with pytest.raises(ContextMismatchError, match="variable counts differ"):
+            ring.extend_to(I, RingContext(3, frozenset({2})))
+
     def test_unit_ideal(self):
         ctx = RingContext(2, frozenset({0}))
-        assert ring.contraction(ring.ideal(ctx, (0, 0))).is_unit
+        assert is_unit(ring.contraction(ring.ideal(ctx, (0, 0))))
 
     def test_single_generator(self):
         ctx = RingContext(3, frozenset({2}))
@@ -205,7 +210,7 @@ def test_colon_ideal():
     ctx = RingContext(3)
     J = ring.ideal(ctx, (1, 1, 0), (0, 1, 1))
     assert ring.colon(J, (0, 1, 0)).generators == {(1, 0, 0), (0, 0, 1)}
-    assert ring.colon(J, (1, 1, 0)).is_unit
+    assert is_unit(ring.colon(J, (1, 1, 0)))
     assert ring.colon(MonomialIdeal(ctx), (1, 0, 0)).is_zero
 
 
@@ -245,7 +250,7 @@ class TestPlus:
         assert unit.plus((3, 1, 0)) is unit
         I = ring.ideal(ctx, (2, 0, 0), (1, 1, 0))
         assert I.plus((0, 0, -2)).generators == {(0, 0, 0)}
-        assert I.plus((0, 0, -2)).is_unit
+        assert is_unit(I.plus((0, 0, -2)))
         assert MonomialIdeal(ctx).plus((0, 1, 1)).generators == {(0, 1, 0)}
 
     @pytest.mark.parametrize("m", [(1, 0), (-1, 0, 0), (1, 0.5, 0)])

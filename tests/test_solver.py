@@ -7,7 +7,12 @@ from operator import eq
 import pytest
 
 from stanleydec import _intervals, cli, filtration, hilbert, parsing, ring, solver, stanley
-from stanleydec.errors import BoxTooLargeError, BudgetExceededError, ZeroModuleError
+from stanleydec.errors import (
+    BoxTooLargeError,
+    BudgetExceededError,
+    ContextMismatchError,
+    ZeroModuleError,
+)
 from stanleydec.ring import MonomialIdeal, RingContext
 
 import reference_intervals
@@ -20,6 +25,7 @@ from util import (
     polynomial_quotient,
     random_quotient,
     singleton_partition,
+    space_key,
     split_refinement,
 )
 
@@ -192,6 +198,11 @@ class TestPoset:
             with pytest.raises(BoxTooLargeError):
                 solver.build_characteristic_poset(ring.ideal(ctx, g), MonomialIdeal(ctx))
 
+    def test_inverted_ring_rejected(self):
+        ctx = RingContext(2, frozenset({1}))
+        with pytest.raises(ContextMismatchError, match="needs a polynomial ring"):
+            solver.build_characteristic_poset(ring.ideal(ctx, (1, 0)), MonomialIdeal(ctx))
+
 
 class TestDescend:
     # s -> a -> d is a dead end; d is reached again from b, and s -> b -> e -> t
@@ -274,6 +285,18 @@ class TestPartitionSearch:
         poset = solver.build_characteristic_poset(I, MonomialIdeal(ctx))
         with pytest.raises(BudgetExceededError):
             solver.max_interval_partition(poset, budget=2)
+
+    def test_empty_poset_rejected(self):
+        ctx = RingContext(2)
+        I = ring.ideal(ctx, (1, 0))
+        with pytest.raises(ZeroModuleError, match="empty poset"):
+            solver.max_interval_partition(solver.build_characteristic_poset(I, I))
+
+    def test_empty_mask_is_partitioned_by_nothing(self):
+        """The kernel answers the empty set of cells with no interval and no node."""
+        ctx = RingContext(2)
+        poset = solver.build_characteristic_poset(ring.ideal(ctx, (1, 1)), MonomialIdeal(ctx))
+        assert _intervals.find_partition(poset.box, 0, 2, 10) == ("found", [], 0)
 
     @staticmethod
     def assert_kernel_matches_reference(poset):
@@ -597,7 +620,7 @@ class TestPartitionToDecomposition:
         poset = solver.build_characteristic_poset(I, MonomialIdeal(ctx))
         part = (((1, 1, 1), (1, 1, 1)),)
         D = solver.partition_to_decomposition(poset, part)
-        assert D.spaces[0].key() == ((1, 1, 1), (0, 1, 2), ())
+        assert space_key(D.spaces[0]) == ((1, 1, 1), (0, 1, 2), ())
 
     def test_edge_interval(self):
         ctx = RingContext(2)
@@ -606,7 +629,7 @@ class TestPartitionToDecomposition:
         poset = solver.build_characteristic_poset(Ip, Jp)
         part = (((1, 0), (1, 2)),)
         D = solver.partition_to_decomposition(poset, part)
-        assert D.spaces[0].key() == ((1, 0), (1,), ())
+        assert space_key(D.spaces[0]) == ((1, 0), (1,), ())
 
     def test_full_pipeline_verifies(self):
         ctx = RingContext(3)
@@ -739,6 +762,12 @@ class TestSdepth:
         I = ring.ideal(ctx, (1, 0))
         with pytest.raises(ZeroModuleError):
             solver.sdepth(I, I)
+
+    def test_rings_must_match(self):
+        I = ring.ideal(RingContext(2), (1, 0))
+        J = MonomialIdeal(RingContext(2, frozenset({1})))
+        with pytest.raises(ContextMismatchError, match="different rings"):
+            solver.sdepth(I, J)
 
     def test_witness_soundness_randomized(self):
         rng = random.Random(17)

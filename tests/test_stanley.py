@@ -7,6 +7,7 @@ import stanleydec
 from stanleydec import parsing, ring, solver, stanley
 from stanleydec.errors import (
     AnswerTooLargeError,
+    ContextMismatchError,
     MalformedInputError,
     VerificationError,
     ZeroModuleError,
@@ -24,7 +25,10 @@ from util import (
     polynomial_quotient,
     random_quotient,
     restrict_adjoined,
+    same_spaces,
     singleton_decomposition,
+    space_key,
+    spaces_key,
 )
 
 
@@ -100,11 +104,11 @@ class TestCanonical:
             ((0, 0, -1), (0, 1), (2,)),
             ((0, -1, -1), (0,), (1, 2)),
         }
-        assert {s.key() for s in D.spaces} == expected
+        assert set(map(space_key, D.spaces)) == expected
 
     def test_polynomial_ring(self):
         D = stanley.canonical_sf_decomposition(RingContext(1))
-        assert [s.key() for s in D.spaces] == [((0,), (0,), ())]
+        assert list(map(space_key, D.spaces)) == [((0,), (0,), ())]
 
     def test_one_inverted_verifies(self):
         ctx = RingContext(2, frozenset({0}))
@@ -183,6 +187,21 @@ def _parsed(ctx, roots, zs):
         for root, (zplus, zminus) in zip(roots, zs))
     D = parsing.parse_decomposition(text, ctx)
     return D.roots, D.zs
+
+
+class TestForeignSpace:
+    def test_decomposition_refuses_a_space_of_another_ring(self):
+        ctx = RingContext(2)
+        other = RingContext(2, frozenset({0}))
+        with pytest.raises(ContextMismatchError, match="space context differs"):
+            StanleyDecomposition(ctx, (space(ctx, (0, 0)), space(other, (-1, 0), zminus={0})))
+
+    def test_verifier_refuses_ideals_of_another_ring(self):
+        ctx = RingContext(1)
+        other = RingContext(1, frozenset({0}))
+        D = StanleyDecomposition(ctx, (space(ctx, (0,), zplus={0}),))
+        with pytest.raises(ContextMismatchError, match="must share a ring"):
+            stanley.verify_decomposition(D, ring.ideal(other, (0,)), MonomialIdeal(other))
 
 
 class TestMakeSpaces:
@@ -306,8 +325,8 @@ class TestColumns:
             C = StanleyDecomposition._of_columns(c, tuple(s.root for s in spaces),
                                                  tuple((s.zplus, s.zminus) for s in spaces))
             assert C == D and hash(C) == hash(D)
-            assert C.key() == D.key() == tuple(sorted(s.key() for s in spaces))
-            assert C.same_as(D) and repr(C) == repr(D)
+            assert spaces_key(C) == spaces_key(D) == tuple(sorted(map(space_key, spaces)))
+            assert same_spaces(C, D) and repr(C) == repr(D)
             assert type(C.spaces) is tuple and C.spaces == D.spaces == tuple(spaces)
             assert [tuple(map(type, s.root)) for s in C.spaces] == [
                 tuple(map(type, s.root)) for s in spaces]
@@ -515,7 +534,7 @@ class TestLocalize:
                 space(ctxf, (0, 1, 1), zplus={1, 2}, zminus={0}),
             ),
         )
-        assert res.decomposition.same_as(expected)
+        assert same_spaces(res.decomposition, expected)
         assert res.dropped == (1,)
         assert stanley.sdepth_of(res.decomposition) == 2
         assert stanley.verify_decomposition(
@@ -536,7 +555,7 @@ class TestLocalize:
                 space(ctxf, (0, 0, 0), zminus={1}),
             ),
         )
-        assert res.decomposition.same_as(expected)
+        assert same_spaces(res.decomposition, expected)
         assert stanley.sdepth_of(res.decomposition) == 1
 
     def test_strict_increase_example(self):
@@ -561,7 +580,7 @@ class TestLocalize:
                 space(ctxf, (1, 0), zminus={0}),
             ),
         )
-        assert res.decomposition.same_as(expected)
+        assert same_spaces(res.decomposition, expected)
         assert stanley.sdepth_of(res.decomposition) == 1
 
     def test_invalid_input_rejected(self):
@@ -589,13 +608,13 @@ class TestAdjoin:
         ctx = RingContext(1)
         D = StanleyDecomposition(ctx, (space(ctx, (0,), zplus={0}),))
         D2 = stanley.adjoin_variable(D, laurent=False)
-        assert [s.key() for s in D2.spaces] == [((0, 0), (0, 1), ())]
+        assert list(map(space_key, D2.spaces)) == [((0, 0), (0, 1), ())]
 
     def test_laurent(self):
         ctx = RingContext(1)
         D = StanleyDecomposition(ctx, (space(ctx, (0,), zplus={0}),))
         D2 = stanley.adjoin_variable(D, laurent=True)
-        assert {s.key() for s in D2.spaces} == {
+        assert set(map(space_key, D2.spaces)) == {
             ((0, 0), (0, 1), ()),
             ((0, -1), (0,), (1,)),
         }

@@ -35,6 +35,27 @@ def adjoin_ideal(I, laurent):
     return MonomialIdeal(new_ctx, frozenset(g + (0,) for g in I.generators))
 
 
+def is_unit(I):
+    """Whether I is the unit ideal: in normal form, the one generated by 1."""
+    return ring.one(I.context) in I.generators
+
+
+def space_key(s):
+    """A space as (root, sorted zplus, sorted zminus)."""
+    return (s.root, tuple(sorted(s.zplus)), tuple(sorted(s.zminus)))
+
+
+def spaces_key(D):
+    """The spaces of D as a sorted tuple of space_key, the same for any
+    order of the same spaces."""
+    return tuple(sorted(map(space_key, D.spaces)))
+
+
+def same_spaces(C, D):
+    """Whether C and D have the same ring and the same spaces, in any order."""
+    return C.context == D.context and spaces_key(C) == spaces_key(D)
+
+
 def box_monomials(ctx, bound):
     """All monomials with |exponent| <= bound per coordinate (nonnegative on
     non-inverted coordinates), in lex order."""
