@@ -6,13 +6,14 @@ row_i = sum_{t<=g_i} 2^(t*stride_i) is the mask of the cells on axis i,
 and row_i >> ((g_i - L) * stride_i) the mask of the cells 0, 1, ..., L
 steps up along it, so the cells of the interval [b, c] form the mask
 bit(b) times the product of these over the axes, with L = c_i - b_i: the
-shape of [0, c - b] (``Box.shape``), shifted up to b.  A
-Box keeps only the strides, the rows and the top slabs, at most two boxes
-of bits per axis with g_i > 0, and builds every other mask when asked.
-The characteristic poset is one such mask, and the interval search
-kernel and the prime-filtration search both work on it.  The kernel reads
-its upper corners off ``Box.at_least_top(k)``, the mask of the cells c with
-rho(c) = #{i : c_i = g_i} >= k, counted slab by slab over the top slabs.
+shape of [0, c - b] (``Box.shape``), shifted up to b.  A Box keeps only
+the strides, the rows and, once a search reads them, the top slabs, at
+most two boxes of bits per axis with g_i > 0, and builds every other mask
+when asked.  The characteristic poset is one such mask, and the interval
+search kernel and the prime-filtration search both work on it.  The kernel
+reads its upper corners off ``Box.at_least_top(k)``, the mask of the cells
+c with rho(c) = #{i : c_i = g_i} >= k, counted slab by slab over the top
+slabs.  The verifier's grid of cuts is a Box too: a space is an interval.
 
 The run axis r is the innermost axis with g_r > 0, or the last axis when
 there is none.  Every axis after it has g_i = 0, so its stride is 1: the
@@ -54,12 +55,15 @@ class Box:
         self.nbytes = cells // 8 + 1     # the bytes that hold a mask
         self.rows = [mask_of(range(0, (gi + 1) * s, s), self.nbytes) if gi else 1
                      for s, gi in zip(strides, g)]
-        # per axis with g_i > 0: its stride and the mask of its top slab, a_i = g_i
-        self.slabs = [(s, self.up([gi * (j == i) for j in range(n)]))
-                      for i, (s, gi) in enumerate(zip(strides, g)) if gi]
         self.cells = cells
         self.axis = max([i for i, gi in enumerate(g) if gi], default=n - 1)
         self.tail = (0,) * (n - 1 - self.axis)     # the cells' coordinates after r
+
+    @cached_property
+    def slabs(self):
+        """Per axis with g_i > 0: its stride and the mask of its top slab a_i = g_i."""
+        return [(s, self.up([gi * (j == i) for j in range(len(self.g))]))
+                for i, (s, gi) in enumerate(zip(self.strides, self.g)) if gi]
 
     @cached_property
     def line_starts(self):

@@ -8,6 +8,7 @@ with integer P, held in the canonical form where P is not divisible by
 here ever multiplies two graded components.
 """
 
+from collections import Counter, defaultdict
 from itertools import accumulate
 from math import comb
 from operator import attrgetter, eq
@@ -140,9 +141,9 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-def series_of_space(s):
-    """Series of a single Stanley space, as a product of one factor per
-    coordinate.
+def _space_terms(root, zplus, zminus):
+    """(numerator, pole) of the series of root*K[zplus, zminus^-1], a
+    product of one factor per coordinate.
 
     The space is a product of per-coordinate sets and absolute degree is
     additive, so its series is the product of their series.  A fixed
@@ -153,16 +154,16 @@ def series_of_space(s):
     is (1 + t - t^{|r|+1})/(1-t).  A conflict-free space is the product
     with no conflict factors, t^{|root|}/(1-t)^{|Z|}.
     """
-    root = s.root
-    conflicts = [
-        i
-        for i in range(s.context.n)
-        if (root[i] > 0 and i in s.zminus) or (root[i] < 0 and i in s.zplus)
-    ]
-    num = (0,) * sum(abs(e) for i, e in enumerate(root) if i not in conflicts) + (1,)
+    conflicts = [i for i in zminus if root[i] > 0] + [i for i in zplus if root[i] < 0]
+    num = (0,) * (sum(map(abs, root)) - sum(abs(root[i]) for i in conflicts)) + (1,)
     for i in conflicts:
         num = _poly_mul(num, (1, 1) + (0,) * (abs(root[i]) - 1) + (-1,))
-    return HilbertSeries(num, s.dimension)
+    return num, len(zplus) + len(zminus)
+
+
+def series_of_space(s):
+    """Series of a single Stanley space (``_space_terms``)."""
+    return HilbertSeries(*_space_terms(s.root, s.zplus, s.zminus))
 
 
 def series_of_laurent_ring(u, inverted, extra_vars):
@@ -182,8 +183,19 @@ def series_of_laurent_ring(u, inverted, extra_vars):
 def series_of_decomposition(D):
     """Sum of the space series over a common denominator, normalized once.
     For a valid decomposition the numerator evaluated at 1 counts the
-    spaces of maximal dimension."""
-    return _sum_over_pole([(h.numerator, h.pole) for h in map(series_of_space, D.spaces)])
+    spaces of maximal dimension.  Read off the columns: a conflict-free
+    space is one count at degree |root| in the block of its pole |Z|, as
+    ``series_of_poset`` counts runs, and only a space with a conflict
+    factor (``_space_terms``) adds a term of its own."""
+    blocks = defaultdict(Counter)
+    terms = []
+    for root, (zplus, zminus) in zip(D.roots, D.zs):
+        if any(root[i] > 0 for i in zminus) or any(root[i] < 0 for i in zplus):
+            terms.append(_space_terms(root, zplus, zminus))
+        else:
+            blocks[len(zplus) + len(zminus)][sum(map(abs, root))] += 1
+    terms += [([block[d] for d in range(max(block) + 1)], z) for z, block in blocks.items()]
+    return _sum_over_pole(terms)
 
 
 def series_of_poset(poset):

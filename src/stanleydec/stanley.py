@@ -11,15 +11,18 @@ API, by ``parsing.parse_decomposition`` from text.  Spaces the program
 builds from valid ones are valid and are not checked again.
 """
 
+from bisect import bisect_left
 from collections import defaultdict, namedtuple
 from functools import cached_property
-from itertools import accumulate, chain, compress, product, repeat
-from operator import add, attrgetter, itemgetter, not_, xor
+from itertools import chain, compress, product, repeat
+from math import prod
+from operator import add, attrgetter, itemgetter, not_
 
 from . import ring
-from ._box import mask_of
+from ._box import Box
 from .errors import (
     AnswerTooLargeError,
+    BoxTooLargeError,
     ContextMismatchError,
     MalformedInputError,
     VerificationError,
@@ -202,98 +205,78 @@ def clamp_bound(D, I, J):
     return max(map(abs, chain.from_iterable(monomials)), default=0) + 1
 
 
-def _axis_cells(bounds, low):
-    """Compress one coordinate of the box, the values from low up, to cells.
-
-    Returns (corner, bits) pairs in ascending order, one per cell: the
-    corner is the cell's lowest value and bit k of bits is set when the
-    k-th (lo, hi) constraint in bounds admits the cell's values.  The cuts
-    are low and every lo and hi+1, which the clamp box holds, with
-    low <= lo <= hi, so each constraint is constant on a cell and admits
-    one nonempty run of consecutive cells.  The constraints are grouped by
-    their distinct (lo, hi), and each group's bits are built once from its
-    indices and flipped where its run starts and where it ends; a prefix
-    XOR over the cells sets them on the run: O(bounds + cells) steps and
-    one bitset per distinct bound, not one test per constraint and cell.
-    """
-    groups = defaultdict(list)
-    for k, bound in enumerate(bounds):
-        groups[bound].append(k)
-    cuts = {low}
-    for lo, hi in groups:
-        if lo is not None:
-            cuts.add(lo)
-        if hi is not None:
-            cuts.add(hi + 1)
-    corners = sorted(cuts)
-    end = len(corners)
-    at = dict(zip(corners, range(end)))
-    flips = [0] * (end + 1)
-    for (lo, hi), ks in groups.items():
-        # no wider than its highest bit; a lone bit costs one shift
-        group = mask_of(ks, ks[-1] // 8 + 1) if len(ks) > 1 else 1 << ks[0]
-        flips[0 if lo is None else at[lo]] ^= group
-        flips[end if hi is None else at[hi + 1]] ^= group
-    return list(zip(corners, accumulate(flips[:end], xor)))
+# refused before any mask is built: the verifier peaks at about eight masks
+# of one bit per cell, 16 MB each at this size (148 MB resident in all)
+MAX_GRID_CELLS = 2**27
 
 
 def verify_decomposition(D, I, J):
     """Exact validity check of D against I/J on the clamp box.
 
     Reports the failure at the lexicographically first box monomial that
-    fails, with that monomial as witness: a monomial of I\\J covered by no
-    space (coverage), a monomial covered by two spaces (disjointness), or
-    a space monomial outside I\\J (containment).
+    fails, with that monomial as witness: a monomial covered by two spaces
+    (disjointness), else a monomial of I\\J covered by no space (coverage),
+    else a space monomial outside I\\J (containment).
 
     The box is never enumerated point by point.  Each coordinate is cut at
-    every threshold of a space region and of a generator of I or J, so
-    every membership test is constant on each cell of the resulting grid.
-    One bitset per (coordinate, cell) records which regions and generators
-    admit it; the AND over the coordinates of a cell says which regions
-    cover the cell and whether it lies in I and in J.  Cells are walked in
-    lex order of their lower corners, so the lower corner of the first
-    failing cell is the lex-first failing monomial of the box.
+    its low end, 0 or -B on an inverted axis, at every lo and hi + 1 of a
+    space and, off the inverted axes, at every generator exponent, so every
+    membership test is constant on each cell of the grid of cuts, a
+    ``_box.Box`` whose bit order is the lex order of the cells' lower
+    corners.  A space is one interval [lo, hi], the mask shape(hi - lo) <<
+    lo, and I and J are ideals.  The lowest bit covered twice, or covered
+    exactly when outside I\\J, is the lex-first failing monomial.  A grid of
+    more than MAX_GRID_CELLS cells raises BoxTooLargeError.
     """
     if D.context != I.context or I.context != J.context:
         raise ContextMismatchError("decomposition and ideals must share a ring")
     ring.require_subquotient(I, J)
     B = clamp_bound(D, I, J)
-    ctx = D.context
-    # one bit per space, then per generator of I, then per generator of J
-    roots, zs = D.roots, D.zs
-    gens = list(I.generators) + list(J.generators)
-    everything = (1 << (len(roots) + len(gens))) - 1
-    spaces_mask = (1 << len(roots)) - 1
-    I_mask = ((1 << len(I.generators)) - 1) << len(roots)
-    J_mask = everything - spaces_mask - I_mask
-    axes = []
-    for i in range(ctx.n):
-        # u*K[Z] is AtLeast u_i on zplus, AtMost u_i on zminus, Fixed
-        # elsewhere; the multiples of g are AtLeast g_i off the inverted axes
-        bounds = [(None if i in zminus else root[i], None if i in zplus else root[i])
-                  for root, (zplus, zminus) in zip(roots, zs)]
-        if i in ctx.inverted:
-            bounds += [(None, None)] * len(gens)
-            axes.append(_axis_cells(bounds, -B))
-        else:
-            bounds += [(g[i], None) for g in gens]
-            axes.append(_axis_cells(bounds, 0))
-    for cell in product(*axes):
-        bits = everything
-        for _, axis_bits in cell:
-            bits &= axis_bits
-        hits = bits & spaces_mask
-        member = bits & I_mask and not bits & J_mask
-        if hits & (hits - 1):
-            failure = "disjointness"
-        elif member and not hits:
-            failure = "coverage"
-        elif not member and hits:
-            failure = "containment"
-        else:
-            continue
-        return VerificationReport(False, failure, tuple(c for c, _ in cell), B)
-    return VerificationReport(True, "", None, B)
+    roots, zs, inverted = D.roots, D.zs, D.context.inverted
+    # u*K[Z] is AtLeast u_i on zplus, AtMost u_i on zminus, Fixed elsewhere: per
+    # axis, the cut each space starts at and the one past its end, B + 1 if none
+    axes, starts, ends = [], [], []
+    for i in range(D.context.n):
+        low = -B if i in inverted else 0
+        starts.append([low if i in zminus else root[i] for root, (_, zminus) in zip(roots, zs)])
+        ends.append([B + 1 if i in zplus else root[i] + 1 for root, (zplus, _) in zip(roots, zs)])
+        cuts = {low, *starts[-1], *ends[-1]} - {B + 1}
+        if i not in inverted:       # the multiples of g are AtLeast g_i
+            cuts.update(g[i] for g in I.generators | J.generators)
+        axes.append(sorted(cuts))
+    if prod(map(len, axes)) > MAX_GRID_CELLS:
+        raise BoxTooLargeError("the verification grid has more than %d cells" % MAX_GRID_CELLS)
+    box = Box(tuple(len(cuts) - 1 for cuts in axes))
+    # corner codes, one axis column at a time; hi is one cell below each end
+    los, his = [0] * len(roots), [-sum(box.strides)] * len(roots)
+    for cuts, s, start, end in zip(axes, box.strides, starts, ends):
+        at = dict(zip(cuts + [B + 1], range(0, (len(cuts) + 1) * s, s)))
+        los = list(map(add, los, map(at.__getitem__, start)))
+        his = list(map(add, his, map(at.__getitem__, end)))
+    # the spaces' lo codes by shape, so that each shape is built once
+    shapes = defaultdict(list)
+    for lo, hi in zip(los, his):
+        shapes[hi - lo].append(lo)
+    covered = twice = 0
+    for off, group in shapes.items():
+        shape = box.shape(off)
+        for lo in group:
+            cells = shape << lo
+            twice |= covered & cells
+            covered |= cells
+    # a generator's cell: the index of its cut off the inverted axes, 0 on them
+    I_mask, J_mask = (box.ideal([tuple([0 if i in inverted else bisect_left(cuts, g[i])
+                                        for i, cuts in enumerate(axes)]) for g in K.generators])
+                      for K in (I, J))
+    member = I_mask & ~J_mask
+    failing = twice | (member ^ covered)
+    if not failing:
+        return VerificationReport(True, "", None, B)
+    bit = (failing & -failing).bit_length() - 1
+    failure = ("disjointness" if twice >> bit & 1 else
+               "coverage" if member >> bit & 1 else "containment")
+    witness = tuple([cuts[t] for cuts, t in zip(axes, box.cell(bit))])
+    return VerificationReport(False, failure, witness, B)
 
 
 # dropped: the indices of the input spaces with Z_A not inside Z_i

@@ -1,13 +1,12 @@
 """Enumerating reference verifier for Stanley decompositions.
 
-The box walk that ``stanley.verify_decomposition`` replaced, kept as the
-oracle of the verifier parity test.  It tests every monomial of the clamp
-box, in lex order, against every space, so it returns the same
-``VerificationReport`` as the fast verifier: the failure at the lex-first
-failing box monomial, with that monomial as witness.  It costs
-(box side)^n times the number of spaces, so it is only fit for small
-instances.  ``axis_cells`` is the per-cell scan that the verifier's
-prefix-XOR axis cells replaced.
+The oracle of the verifier parity test.  ``stanley.verify_decomposition``
+reads its verdict off the masks of a grid of cuts; this walk tests every
+monomial of the clamp box, in lex order, against every space, and shares
+none of that code.  Both return the same ``VerificationReport``: the
+failure at the lex-first failing box monomial, with that monomial as
+witness.  It costs (box side)^n times the number of spaces, so it is only
+fit for small instances.
 """
 
 from stanleydec import ring, stanley
@@ -41,21 +40,3 @@ def verify_decomposition(D, I, J):
         if not member and hits:
             return VerificationReport(False, "containment", m, B)
     return VerificationReport(True, "", None, B)
-
-
-def axis_cells(bounds, low, high):
-    """``stanley._axis_cells`` by one test per constraint and cell."""
-    cuts = {low}
-    for lo, hi in bounds:
-        if lo is not None:
-            cuts.add(lo)
-        if hi is not None:
-            cuts.add(hi + 1)
-    cells = []
-    for c in sorted(x for x in cuts if low <= x <= high):
-        bits = 0
-        for k, (lo, hi) in enumerate(bounds):
-            if (lo is None or lo <= c) and (hi is None or c <= hi):
-                bits |= 1 << k
-        cells.append((c, bits))
-    return cells

@@ -582,6 +582,23 @@ class TestBatch:
         assert lines[0] == {"ok": False, "error": error}
         assert lines[1]["ok"] and lines[1]["sdepth"] == 2
 
+    @pytest.mark.parametrize("command, fields", [
+        ("verify", {}), ("localize", {"A": "{1}"}),
+    ])
+    def test_verification_grid_cap(self, command, fields):
+        """K against (1)/(x1, ..., x28) is cut at 0 and 1 on every axis, a
+        grid of 2^28 cells: refused with exit 2 before any mask is built,
+        and the stream goes on."""
+        J = "(%s)" % ", ".join("x%d" % i for i in range(1, 29))
+        huge = {"command": command, "ring": "n=28", "I": "(1)", "J": J, "D": "K", **fields}
+        stdin = json.dumps(huge) + "\n" + json.dumps(self.VALID) + "\n"
+        code, out = run(["batch"], stdin)
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert code == 2 and len(lines) == 2
+        assert lines[0] == {"ok": False,
+                            "error": "the verification grid has more than 134217728 cells"}
+        assert lines[1]["ok"] and lines[1]["sdepth"] == 2
+
     def test_huge_max_degree_keeps_stream_alive(self):
         huge = {"command": "hilbert", "ring": "n=1", "I": "(x)",
                 "options": {"max_degree": 10**12}}

@@ -303,6 +303,37 @@ class TestSeriesOfDecomposition:
             assert len(series) == 1, (I, J)
             done += 1
 
+    def test_columns_match_the_quotient(self):
+        """The sum read off the columns equals the series counted off the
+        poset: on the 20,000 singletons of (1)/(x^20000), in well under a
+        second; on the 1,331-space witness of (1)/(x^11, y^11, z^11), where
+        it also equals the sum of the spaces' own series; and on spaces that
+        pass through zero, x^a*K[x^-1] and x^(a+1)*K[x] times 1 and y over
+        K[x, x^-1, y]/(y^2), which keep their own terms."""
+        ctx = RingContext(1)
+        N = 20000
+        D = StanleyDecomposition._of_columns(
+            ctx, tuple((a,) for a in range(N)), ((frozenset(), frozenset()),) * N)
+        I, J = ring.ideal(ctx, (0,)), ring.ideal(ctx, (N,))
+        assert hilbert.series_of_decomposition(D) == hilbert.series_of_quotient(I, J)
+        ctx = RingContext(3)
+        I, J = ring.ideal(ctx, (0, 0, 0)), ring.ideal(ctx, (11, 0, 0), (0, 11, 0), (0, 0, 11))
+        D = solver.sdepth(I, J).witness
+        assert len(D.roots) == 1331
+        h = hilbert.series_of_decomposition(D)
+        assert h == hilbert.series_of_quotient(I, J)
+        assert h == sum(map(hilbert.series_of_space, D.spaces), hilbert.ZERO_SERIES)
+        ctx = RingContext(2, frozenset({0}))
+        I, J = ring.ideal(ctx, (0, 0)), ring.ideal(ctx, (0, 2))
+        for a in (-3, -1, 0, 2):
+            D = StanleyDecomposition(ctx, [space(ctx, (a + s, b), **z)
+                                           for b in (0, 1) for s, z in ((0, {"zminus": {0}}),
+                                                                        (1, {"zplus": {0}}))])
+            assert stanley.verify_decomposition(D, I, J).valid
+            h = hilbert.series_of_decomposition(D)
+            assert h == hilbert.series_of_quotient(I, J), a
+            assert h == sum(map(hilbert.series_of_space, D.spaces), hilbert.ZERO_SERIES)
+
 
 class TestSeriesOfQuotient:
     def test_matches_singleton_decomposition(self):

@@ -7,6 +7,7 @@ import stanleydec
 from stanleydec import parsing, ring, solver, stanley
 from stanleydec.errors import (
     AnswerTooLargeError,
+    BoxTooLargeError,
     ContextMismatchError,
     MalformedInputError,
     VerificationError,
@@ -477,34 +478,79 @@ class TestVerifierParity:
                 kinds.add(got.failure)
         assert kinds == {"", "coverage", "disjointness", "containment"}
 
-    def test_axis_cells_match_the_cell_scan(self):
-        """The prefix-XOR cells equal the per-cell scan on bounds inside
-        [low, high], the only ones the verifier makes: low <= lo <= hi,
-        hi + 1 <= high, runs that start at low and end at high, and None
-        on either side.  Every tenth list has hundreds of bounds over a
-        few distinct values, as a decomposition's spaces give: each copy
-        keeps its own bit."""
-        rng = random.Random(23)
-        ends = (None, -4, -3, -1, 0, 2, 4)
-        cases = set()
-        for case in range(300):
-            low, high = -4, 5
-            pool = []
-            for _ in range(rng.randint(0, 8)):
-                lo, hi = rng.choice(ends), rng.choice(ends)
-                if lo is not None and hi is not None and lo > hi:
-                    lo, hi = hi, lo
-                pool.append((lo, hi))
-                cases.add("lo = low" if lo == low else "")
-                cases.add("hi + 1 = high" if hi is not None and hi + 1 == high else "")
-                cases.add("None" if None in (lo, hi) else "")
-            bounds = pool
-            if case % 10 == 0 and pool:
-                bounds = [rng.choice(pool) for _ in range(rng.randint(100, 700))]
-                cases.add("many")
-            assert stanley._axis_cells(bounds, low) == \
-                reference_verify.axis_cells(bounds, low, high), bounds
-        assert cases == {"", "lo = low", "hi + 1 = high", "None", "many"}
+    @pytest.mark.parametrize("ring_spec, I, J, D, failure", [
+        # n = 0: the grid is one cell, ()
+        ("n=0", "(1)", "()", "K", ""),
+        ("n=0", "(1)", "()", "K + K", "disjointness"),
+        ("n=0", "(1)", "(1)", "K", "containment"),
+        ("n=0", "(1)", "()", "", "coverage"),
+        ("n=0", "(1)", "(1)", "", ""),
+        # every variable inverted: no generator cuts an axis
+        ("n=2 invert={1,2}", "(1)", "()",
+         "K[x, y] + x^-1*K[x^-1, y] + y^-1*K[x, y^-1] + x^-1*y^-1*K[x^-1, y^-1]", ""),
+        ("n=2 invert={1,2}", "(1)", "()",
+         "K[x, y] + x^-1*K[x^-1, y] + y^-1*K[x, y^-1]", "coverage"),
+        ("n=2 invert={1,2}", "(1)", "()",
+         "K[x, y] + x^-1*K[x^-1, y] + y^-1*K[x, y^-1] + x^-1*y^-1*K[x^-1, y^-1]"
+         " + x^-1*K[x^-1, y]", "disjointness"),
+        ("n=2 invert={1,2}", "(1)", "()", "x^2*K[x^-1, y] + x^3*K[x, y]"
+         " + x^2*y^-1*K[x^-1, y^-1] + x^3*y^-1*K[x, y^-1]", ""),
+        ("n=2 invert={1,2}", "(1)", "()", "x^2*K[x^-1, y] + x^3*K[x, y]", "coverage"),
+        ("n=2 invert={1,2}", "(1)", "(1)", "x^-2*y^3*K", "containment"),
+        # duplicate spaces, the first copy or a later one
+        ("n=2", "(x, y)", "(x^2, y^2)", "x*K + y*K + x*y*K + x*K", "disjointness"),
+        ("n=2", "(x, y)", "(x^2, y^2)", "x*y*K + x*K + x*y*K + y*K", "disjointness"),
+        ("n=2 invert={2}", "(x)", "()", "x*K[x, y] + x*y^-1*K[x, y^-1] + x*K[x, y]",
+         "disjointness"),
+        # spaces that reach the top cell on every axis
+        ("n=2", "(1)", "()", "K[x, y]", ""),
+        ("n=2", "(x, y)", "()", "x*K[x, y] + y*K[y]", ""),
+        ("n=2", "(x, y)", "()", "x*K[x, y] + y*K[x, y]", "disjointness"),
+        ("n=3 invert={3}", "(1)", "()", "z^-1*K[x, y, z^-1] + K[x, y, z]", ""),
+        ("n=2", "(1)", "(x^2)", "K[y] + x*K[y] + x^5*K[y]", "containment"),
+        ("n=2", "(1)", "(x^2)", "K[y] + x*K[x, y]", "containment"),
+    ])
+    def test_grid_edges(self, ring_spec, I, J, D, failure):
+        """The enumeration's report on grids the random cases may miss: no
+        axis, every axis inverted, a space listed twice and spaces whose
+        cells reach the last cut of every axis."""
+        ctx = parsing.parse_ring(ring_spec)
+        I, J = parsing.parse_ideal(I, ctx), parsing.parse_ideal(J, ctx)
+        D = parsing.parse_decomposition(D, ctx) if D else StanleyDecomposition(ctx, ())
+        report = stanley.verify_decomposition(D, I, J)
+        assert report == reference_verify.verify_decomposition(D, I, J)
+        assert report.failure == failure
+
+
+class TestVerificationGrid:
+    def test_grid_of_two_to_the_twenty_cells(self):
+        """(1)/(x1, ..., x20) is K: each axis is cut at 0 and 1, so the grid
+        has 2^20 cells.  K is its decomposition, and x1*K misses the
+        monomial 1."""
+        ctx = RingContext(20)
+        I = parsing.parse_ideal("(1)", ctx)
+        J = parsing.parse_ideal("(%s)" % ", ".join("x%d" % i for i in range(1, 21)), ctx)
+        report = stanley.verify_decomposition(parsing.parse_decomposition("K", ctx), I, J)
+        assert report == (True, "", None, 2)
+        report = stanley.verify_decomposition(parsing.parse_decomposition("x1*K", ctx), I, J)
+        assert report == (False, "coverage", (0,) * 20, 2)
+
+    def test_grid_past_the_cap_is_refused(self, monkeypatch):
+        """The grid's cells are counted from the cuts before any mask is
+        built: 3^3 = 27 cells pass a cap of 27 and are refused by a cap of
+        26, by verify and by localize, which verifies its input."""
+        ctx = RingContext(3)
+        I = parsing.parse_ideal("(1)", ctx)
+        J = parsing.parse_ideal("(x^2, y^2, z^2)", ctx)
+        D = solver.sdepth(I, J).witness
+        monkeypatch.setattr(stanley, "MAX_GRID_CELLS", 27)
+        assert stanley.verify_decomposition(D, I, J).valid
+        monkeypatch.setattr(stanley, "MAX_GRID_CELLS", 26)
+        monkeypatch.setattr(stanley, "Box", None)      # no mask may be built
+        for check in (lambda: stanley.verify_decomposition(D, I, J),
+                      lambda: stanley.localize_decomposition(D, I, J, {0})):
+            with pytest.raises(BoxTooLargeError, match="more than 26 cells"):
+                check()
 
 
 class TestLocalize:
