@@ -1,19 +1,20 @@
 """Cells of the clamp box [0, g] as the bits of one Python int.
 
 The cell a, 0 <= a <= g, has the mixed-radix code sum_i a_i * stride_i with
-the first coordinate most significant, so bit order is lex order.
-row_i = sum_{t<=g_i} 2^(t*stride_i) is the mask of the cells on axis i,
-and row_i >> ((g_i - L) * stride_i) the mask of the cells 0, 1, ..., L
-steps up along it, so the cells of the interval [b, c] form the mask
-bit(b) times the product of these over the axes, with L = c_i - b_i: the
-shape of [0, c - b] (``Box.shape``), shifted up to b.  A Box keeps only
-the strides, the rows and, once a search reads them, the top slabs, at
-most two boxes of bits per axis with g_i > 0, and builds every other mask
-when asked.  The characteristic poset is one such mask, and the interval
-search kernel and the prime-filtration search both work on it.  The kernel
-reads its upper corners off ``Box.at_least_top(k)``, the mask of the cells
-c with rho(c) = #{i : c_i = g_i} >= k, counted slab by slab over the top
-slabs.  The verifier's grid of cuts is a Box too: a space is an interval.
+the first coordinate most significant, so bit order is lex order.  A mask
+is built by shifts, one axis at a time: or-ing a mask with its copies
+shifted by stride_i, 2 stride_i, ..., d stride_i (``_fill``, which doubles
+the copies each round) adds the cells up to d steps above it along axis
+i.  The cell 0 filled by d_i on each axis is the mask of [0, d]
+(``Box.shape``); shifted up to b it is the interval [b, b + d], and with
+d = g - b the cells >= b.  A Box keeps its strides and, once a search
+reads them, the top slabs, one box of bits per axis with g_i > 0; it
+builds every other mask when asked.  The characteristic poset is one
+such mask, and the interval search kernel and the prime-filtration
+search both work on it.  The kernel reads its upper corners off
+``Box.at_least_top(k)``, the mask of the cells c with
+rho(c) = #{i : c_i = g_i} >= k, counted slab by slab over the top slabs.
+The verifier's grid of cuts is a Box too: a space is an interval.
 
 The run axis r is the innermost axis with g_r > 0, or the last axis when
 there is none.  Every axis after it has g_i = 0, so its stride is 1: the
@@ -22,6 +23,7 @@ one run of set bits at a time (``Box.runs``).
 """
 
 from functools import cached_property
+from operator import mul
 
 # codes skips each run of this many zero bytes in one step and reads the
 # bytes between them one by one: a shorter gap makes more pieces, each
@@ -34,14 +36,15 @@ for _b in range(8):
 del _b
 
 
-def mask_of(codes, nbytes):
-    """The int with the bits at the indices codes set, all below 8 * nbytes,
-    built in one buffer: or-ing in one bit at a time would copy the int
-    each time."""
-    buf = bytearray(nbytes)
-    for c in codes:
-        buf[c >> 3] |= 1 << (c & 7)
-    return int.from_bytes(buf, "little")
+def _fill(mask, s, d):
+    """mask or-ed with its copies shifted by s, 2s, ..., ds: the copies
+    double each round, and the last shift is clipped at ds."""
+    k = 1
+    while k <= d:
+        t = d + 1 - k
+        mask |= mask << (k if k < t else t) * s
+        k += k
+    return mask
 
 
 class Box:
@@ -53,8 +56,6 @@ class Box:
             strides[i] = strides[i + 1] * (g[i + 1] + 1)
         cells = strides[0] * (g[0] + 1) if n else 1
         self.nbytes = cells // 8 + 1     # the bytes that hold a mask
-        self.rows = [mask_of(range(0, (gi + 1) * s, s), self.nbytes) if gi else 1
-                     for s, gi in zip(strides, g)]
         self.cells = cells
         self.axis = max([i for i, gi in enumerate(g) if gi], default=n - 1)
         self.tail = (0,) * (n - 1 - self.axis)     # the cells' coordinates after r
@@ -62,8 +63,9 @@ class Box:
     @cached_property
     def slabs(self):
         """Per axis with g_i > 0: its stride and the mask of its top slab a_i = g_i."""
-        return [(s, self.up([gi * (j == i) for j in range(len(self.g))]))
-                for i, (s, gi) in enumerate(zip(self.strides, self.g)) if gi]
+        top = self.cells - 1
+        return [(s, self.shape(top - gi * s) << gi * s)
+                for s, gi in zip(self.strides, self.g) if gi]
 
     @cached_property
     def line_starts(self):
@@ -74,7 +76,7 @@ class Box:
 
     def code(self, a):
         """The bit index of the cell a."""
-        return sum(ai * si for ai, si in zip(a, self.strides))
+        return sum(map(mul, a, self.strides))
 
     def cell(self, bit):
         """The cell whose bit index is bit."""
@@ -116,23 +118,15 @@ class Box:
 
     def shape(self, off):
         """The mask of [0, d], d the cell at bit off: the cells of [b, c]
-        are shape(code(c) - code(b)) << code(b)."""
-        mask = 1
-        for row, s, gi in zip(self.rows, self.strides, self.g):
-            d, off = divmod(off, s)
+        are shape(code(c) - code(b)) << code(b).  The axes are filled
+        innermost first, so the mask is box-wide only in its last rounds."""
+        mask, i, g, strides = 1, len(self.g), self.g, self.strides
+        while off:
+            i -= 1
+            off, d = divmod(off, g[i] + 1)
             if d:
-                mask *= row >> (gi - d) * s
+                mask = _fill(mask, strides[i], d)
         return mask
-
-    def up(self, a):
-        """The mask of the cells >= a: the ideal x^a generates, clamped.
-        The cells a_i..g_i of each axis with a_i < g_i, shifted up to a."""
-        mask, bit = 1, 0
-        for row, s, ai, gi in zip(self.rows, self.strides, a, self.g):
-            bit += ai * s
-            if ai < gi:
-                mask *= row >> ai * s
-        return mask << bit
 
     def at_least_top(self, k):
         """The mask of the cells c with rho(c) = #{i : c_i = g_i} >= k.  An
@@ -157,19 +151,22 @@ class Box:
         return top
 
     def face(self, bit):
-        """(strides of the axes with c_i < g_i, mask of the cells equal to c there), c at bit."""
+        """(strides of the axes with c_i < g_i, mask of the cells equal to c
+        there), c at bit.  The top axes are filled innermost first, as in shape."""
         face, strides = 1, []
-        for s, row, gi in zip(self.strides, self.rows, self.g):
+        for s, gi in zip(reversed(self.strides), reversed(self.g)):
             if bit // s % (gi + 1) < gi:
                 strides.append(s)
             else:
-                face *= row
+                face = _fill(face, s, gi)
                 bit -= gi * s       # now c_i = 0: bit ends at the low corner
         return strides, face << bit
 
     def ideal(self, generators):
-        """The mask of the ideal the generators, all <= g, generate."""
-        mask = 0
+        """The mask of the ideal the generators, all <= g, generate: the
+        cells >= h are the shape of [0, g - h] shifted up to h."""
+        mask, top = 0, self.cells - 1
         for h in generators:
-            mask |= self.up(h)
+            bit = self.code(h)
+            mask |= self.shape(top - bit) << bit
         return mask

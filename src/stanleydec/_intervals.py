@@ -27,8 +27,8 @@ always fits; ``solver.max_interval_partition`` answers there without it.
 A step reads its upper corners off masks and walks no cell of the box.
 reach = ``Box.at_least_top(k)``, built once per target, holds the cells
 with rho >= k, and ``Box.shape(off)`` is the mask of [0, d], d the cell
-at bit off.  With b at bit bit and top the bit of g, shape(top - bit) << bit
-is up(b); as the state lies in the poset, the set bits of
+at bit off.  With b at bit bit and top the bit of g, the cells >= b are
+shape(top - bit) << bit; as the state lies in the poset, the set bits of
 
     (free & reach) >> bit & shape(top - bit)
 
@@ -40,10 +40,10 @@ shape(off).  The shapes are cached by offset for the call; a path step is
 
 Memory: the open path holds a state per step and a suspended step frame
 per step.  A frame keeps its offsets as a list: the candidate mask is
-popped down to 0 before the first yield, and up(b) and the shifted state
-are temporaries; no up(b) is cached.  A box-wide mask held per frame, or
-one up(b) cached per corner, costs the box size times the depth of the
-path: on S/I(C_19), 1,560 open steps of 64 KB each.
+popped down to 0 before the first yield, and shape(top - bit) and the
+shifted state are temporaries, cached nowhere.  A box-wide mask held per
+frame, or one cached per corner, costs the box size times the depth of
+the path: on S/I(C_19), 1,560 open steps of 64 KB each.
 """
 
 

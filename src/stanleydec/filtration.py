@@ -125,6 +125,7 @@ def _prime_steps(poset, Jp):
     answer and no lex-first chain.  Each L < I' has a step, a corner.
     """
     box, g = poset.box, poset.bound
+    top = box.cells - 1
     start = box.ideal(Jp.generators)
     end = start | poset.mask
 
@@ -148,7 +149,7 @@ def _prime_steps(poset, Jp):
             # (L : u) is the prime of u's corner, on the i with u + e_i in L
             primes = frozenset([i for i, (s, ui, gi) in enumerate(zip(box.strides, u, g))
                                 if ui < gi and L >> code + s & 1])
-            yield u, primes, L | box.up(u)
+            yield u, primes, L | box.shape(top - code) << code
 
     return start, end, steps
 

@@ -205,8 +205,8 @@ def clamp_bound(D, I, J):
     return max(map(abs, chain.from_iterable(monomials)), default=0) + 1
 
 
-# refused before any mask is built: the verifier peaks at about eight masks
-# of one bit per cell, 16 MB each at this size (148 MB resident in all)
+# refused before any mask is built: the verifier peaks at a few masks of
+# one bit per cell, 16 MB each at this size (105 MB resident in all)
 MAX_GRID_CELLS = 2**27
 
 

@@ -118,9 +118,13 @@ class TestAtLeastTop:
 class TestShape:
     def test_matches_the_cells_below_d(self):
         """shape(code(d)) is the mask of the cells of [0, d], on random
-        boxes with some g_i = 0, for every cell d."""
+        boxes with some g_i = 0, for every cell d; also where filling an
+        axis doubles the copies three or more times and clips the last
+        shift, g_i in {4, 5, 7, 8, 13} and 100, alone and beside other axes."""
         rng = random.Random(13)
         bounds = [(), (0,), (3,), (1, 0, 2)]
+        bounds += [(4,), (5,), (7,), (8,), (13,), (100,), (4, 0, 5), (7, 2), (1, 8, 0),
+                   (13, 1), (2, 5, 4), (8, 7)]
         bounds += [tuple(rng.choice((0, 1, 2, 3)) for _ in range(rng.randint(1, 4)))
                    for _ in range(50)]
         for g in bounds:
@@ -130,3 +134,53 @@ class TestShape:
                 want = sum(1 << box.code(c) for c in cells
                            if all(ci <= di for ci, di in zip(c, d)))
                 assert box.shape(box.code(d)) == want, (g, d)
+
+
+def random_bounds(rng, count, values):
+    return [tuple(rng.choice(values) for _ in range(rng.randint(1, 4))) for _ in range(count)]
+
+
+class TestIdeal:
+    def test_matches_the_cells_above_a_generator(self):
+        """The cells >= some generator, for random generators and for the
+        unit, the top cell and no generator, on random boxes."""
+        rng = random.Random(17)
+        for g in [(0,), (5,), (13,), (1, 0, 2)] + random_bounds(rng, 60, (0, 1, 2, 4, 5)):
+            box = Box(g)
+            cells = [box.cell(code) for code in range(box.cells)]
+            unit, top = (0,) * len(g), g
+            sets = [[], [unit], [top], [top, unit]]
+            sets += [rng.sample(cells, rng.randint(1, min(4, len(cells)))) for _ in range(5)]
+            for gens in sets:
+                want = sum(1 << box.code(c) for c in cells
+                           if any(all(ci >= hi for ci, hi in zip(c, h)) for h in gens))
+                assert box.ideal(gens) == want, (g, gens)
+
+
+class TestSlabs:
+    def test_each_slab_is_the_top_of_its_axis(self):
+        """One (stride, mask) per axis with g_i > 0, in axis order, the
+        mask holding the cells with a_i = g_i."""
+        rng = random.Random(19)
+        for g in [(0,), (7,), (0, 0), (3, 0, 8)] + random_bounds(rng, 60, (0, 1, 2, 4, 5)):
+            box = Box(g)
+            cells = [box.cell(code) for code in range(box.cells)]
+            want = [(s, sum(1 << box.code(c) for c in cells if c[i] == gi))
+                    for i, (s, gi) in enumerate(zip(box.strides, g)) if gi]
+            assert box.slabs == want, g
+
+
+class TestFace:
+    def test_matches_the_cells_that_agree_below_the_top(self):
+        """face(code(c)) for every cell c of random boxes: the strides of
+        the axes with c_i < g_i, and the cells equal to c on those axes."""
+        rng = random.Random(23)
+        for g in [(0,), (4,), (2, 0, 5)] + random_bounds(rng, 60, (0, 1, 2, 4, 5)):
+            box = Box(g)
+            cells = [box.cell(code) for code in range(box.cells)]
+            for c in cells:
+                low = [i for i, (ci, gi) in enumerate(zip(c, g)) if ci < gi]
+                strides, face = box.face(box.code(c))
+                assert sorted(strides) == sorted(box.strides[i] for i in low), (g, c)
+                want = sum(1 << box.code(a) for a in cells if all(a[i] == c[i] for i in low))
+                assert face == want, (g, c)
