@@ -82,6 +82,15 @@ class Box:
         """The cell whose bit index is bit."""
         return tuple([bit // s % (gi + 1) for s, gi in zip(self.strides, self.g)])
 
+    def decode(self, codes):
+        """The cells at the bit indices of the list codes, in its order,
+        decoded one axis at a time: one list per axis, zipped.  The box of
+        n = 0 has no axis; its one cell is ()."""
+        if not self.g:
+            return [()] * len(codes)
+        return list(zip(*[[c // s % (gi + 1) for c in codes]
+                          for s, gi in zip(self.strides, self.g)]))
+
     def codes(self, mask):
         """The set bits of mask, ascending.  Popping bits off the int is
         quadratic, so the mask is read as bytes: split at each run of _GAP

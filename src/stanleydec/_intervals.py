@@ -5,7 +5,7 @@
 interval search below and the prime-filtration search of ``filtration``,
 one call for each target, run on it.
 
-    find_partition(box, poset, k, budget) -> (status, intervals, nodes)
+    find_partition(box, poset, k, budget, first=False) -> (status, intervals, nodes)
 
 decides whether poset, the characteristic poset as a mask of the cells of
 the ``_box.Box`` box, admits a partition into intervals [b, c] whose upper
@@ -14,6 +14,10 @@ order-convex, as the monomials of I'\\J' are, so [b, c] lies in the poset
 once b and c do.  status is "found" / "infeasible" / "budget"; intervals
 is the partition, (b, c) pairs in search order, when found, else None;
 nodes counts the nodes of ``descend``, budget + 1 when the budget ran out.
+With first, each state offers only its first step: the search's first
+descent, at most one node per element, which reaches the empty set
+exactly when the search's first path does, with the same path and nodes.
+``solver`` tries it at the maximal-element bound before any series.
 
 A state is the mask of the uncovered elements.  Bit order is lex order, so
 each step covers the lowest set bit b, which is forced to be the lower
@@ -33,18 +37,24 @@ shape(top - bit) << bit; as the state lies in the poset, the set bits of
     (free & reach) >> bit & shape(top - bit)
 
 are the offsets off = code(c) - code(b) of the corners c >= b of the
-poset with rho(c) >= k, ascending, which is lex order of c.  The interval
-[b, c] is shape(off) << bit, and it fits when free >> bit covers
-shape(off).  The shapes are cached by offset for the call; a path step is
-(bit, off, state), turned into (b, c) pairs once, at the end.
+poset with rho(c) >= k, ascending, which is lex order of c.  They are
+popped one at a time, each as it is tried, so a step whose first corner
+leads to the end reads no other.  The interval [b, c] is shape(off) <<
+bit, and it fits when free >> bit covers shape(off).  The shapes are
+cached by offset for the call; a path step is (bit, off, state), turned
+into (b, c) pairs once, at the end, one axis at a time (``Box.decode``).
 
 Memory: the open path holds a state per step and a suspended step frame
-per step.  A frame keeps its offsets as a list: the candidate mask is
-popped down to 0 before the first yield, and shape(top - bit) and the
-shifted state are temporaries, cached nowhere.  A box-wide mask held per
-frame, or one cached per corner, costs the box size times the depth of
-the path: on S/I(C_19), 1,560 open steps of 64 KB each.
+per step.  A frame keeps the corners it has not tried as a mask shifted
+down past the last one tried, at most top - bit - off bits wide, and
+shape(top - bit) and the shifted state are temporaries, cached nowhere.
+A box-wide mask held per frame, or one cached per corner, costs the box
+size times the depth of the path: on S/I(C_19), 1,560 open steps of
+64 KB each.  Rebuilding the corners left on resume would hold no mask,
+but costs a shape per resume.
 """
+
+from itertools import islice
 
 
 def descend(steps, start, end, tickets):
@@ -76,10 +86,12 @@ def descend(steps, start, end, tickets):
     return []
 
 
-def find_partition(box, poset, k, budget):
+def find_partition(box, poset, k, budget, first=False):
     """(status, intervals, nodes) of the lex-first partition of the poset
     into intervals [b, c] with rho(c) >= k, within budget nodes; see the
-    module docstring."""
+    module docstring.  With first, only the first step out of each state
+    is taken, the search's first descent; its "infeasible" says only that
+    the descent stopped."""
     if not poset:
         return "found", [], 0
     reach = box.at_least_top(k)
@@ -88,16 +100,17 @@ def find_partition(box, poset, k, budget):
 
     def steps(free):
         """(bit of b, offset of c, free minus [b, c]) for the lowest
-        uncovered b and each upper corner c that fits, in lex order of c;
-        the frame keeps no mask but free and the cached shapes."""
+        uncovered b and each upper corner c that fits, in lex order of c.
+        The corners are popped off their mask as they are tried, the mask
+        shifted down past each; the frame keeps free, the corners left and
+        the cached shapes."""
         bit = (free & -free).bit_length() - 1
         cand = (free & reach) >> bit & box.shape(top - bit)
-        offs = []
-        while cand:     # few corners per step: cheaper than Box.codes' byte scan
-            off = (cand & -cand).bit_length() - 1
-            offs.append(off)
-            cand ^= 1 << off
-        for off in offs:
+        off = -1
+        while cand:
+            skip = (cand & -cand).bit_length()
+            cand >>= skip
+            off += skip
             shape = shapes.get(off)
             if shape is None:
                 shape = shapes[off] = box.shape(off)
@@ -105,10 +118,11 @@ def find_partition(box, poset, k, budget):
                 yield bit, off, free ^ shape << bit
 
     tickets = iter(range(budget))
-    path = descend(steps, poset, 0, tickets)
+    path = descend((lambda free: islice(steps(free), 1)) if first else steps, poset, 0, tickets)
     if path is None:
         return "budget", None, budget + 1
     nodes = next(tickets, budget)    # the first ticket not taken
     if not path:
         return "infeasible", None, nodes
-    return "found", [(box.cell(bit), box.cell(bit + off)) for bit, off, _ in path], nodes
+    return "found", list(zip(box.decode([bit for bit, _, _ in path]),
+                             box.decode([bit + off for bit, off, _ in path]))), nodes

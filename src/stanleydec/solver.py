@@ -94,7 +94,8 @@ def maximal_element_bound(poset):
     """The least rho(c) over the maximal elements c of a nonempty poset, an
     order-convex mask, bounds k: the interval holding c has the corner c."""
     box = poset.box
-    return min(sum(map(eq, box.cell(c), poset.bound)) for c in box.codes(box.maximal(poset.mask)))
+    cells = box.decode(list(box.codes(box.maximal(poset.mask))))
+    return min(sum(map(eq, c, poset.bound)) for c in cells)
 
 
 def max_interval_partition(poset, budget=DEFAULT_BUDGET):
@@ -104,11 +105,15 @@ def max_interval_partition(poset, budget=DEFAULT_BUDGET):
 
     The answer lies between two bounds.  Below it is low = min rho(a) over
     the elements (``least_rho``): the singleton partition reaches it.
-    Above it is the least of ``maximal_element_bound`` and
-    ``hilbert.hdepth_bound``, whose series ``hilbert.series_of_poset``
-    sums only when the first bound is above low, as otherwise no target
-    is left to try.  The decision problem is tried for each
-    target k from the upper bound down to low + 1, and no k above that
+    Above it is the least of ``maximal_element_bound``, top, and
+    ``hilbert.hdepth_bound``; when top <= low no target is left to try.
+    Otherwise the search's first descent at k = top, one step out of each
+    state, comes first: when it reaches the empty set, top is the answer
+    and the path is the search's own first path, which a search from the
+    least bound finds too, as hdepth >= sdepth = top.  If it does not,
+    ``hilbert.series_of_poset`` is summed and the decision problem is
+    tried for each target k from the upper bound down to low + 1; the
+    descent's nodes are not deducted from the budget.  No k above that
     bound is feasible, so the first feasible k and its witness, the
     lexicographically smallest optimal partition, are those a start at
     k = n finds.  When none is feasible the answer is low with the
@@ -136,6 +141,9 @@ def _best_partition(poset, budget):
     top = maximal_element_bound(poset)
     if top <= low:
         return low, None
+    status, intervals, _ = find_partition(poset.box, poset.mask, top, budget, first=True)
+    if status == "found":
+        return top, tuple(intervals)
     bounds = {"the maximal elements": top,
               "the Hilbert depth": hilbert.hdepth_bound(hilbert.series_of_poset(poset))}
     start = min(bounds.values())

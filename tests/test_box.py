@@ -33,6 +33,19 @@ class TestCodes:
                 assert list(box.codes(mask)) == naive_codes(box, mask), (gap, low, high)
 
 
+class TestDecode:
+    def test_matches_the_cell_of_each_code(self):
+        """The cells of random lists of codes, repeats and disorder
+        included, as Box.cell decodes them one by one, on boxes with and
+        without axes of g_i = 0, and the one cell () of n = 0."""
+        rng = random.Random(7)
+        for _ in range(100):
+            box = Box(tuple(rng.choice((0, 1, 2, 5)) for _ in range(rng.randint(1, 4))))
+            codes = [rng.randrange(box.cells) for _ in range(rng.randint(0, 20))]
+            assert box.decode(codes) == [box.cell(c) for c in codes]
+        assert Box(()).decode([0, 0]) == [(), ()]
+
+
 def naive_runs(box, mask):
     """(head, first, last) for each maximal run of set cells along the run
     axis, merged from the decoded cells one by one."""

@@ -390,6 +390,31 @@ def bounds(poset):
             hilbert.hdepth_bound(hilbert.series_of_poset(poset)))
 
 
+def bound_first(poset, budget):
+    """``solver._best_partition`` as it ran before the first descent: both
+    bounds summed, then the targets from the lesser down to low + 1, the
+    budget shared.  (k, partition), None for the singletons, or the text
+    and the nodes by target of the budget error."""
+    low = solver.least_rho(poset)
+    named = {"the maximal elements": solver.maximal_element_bound(poset)}
+    if named["the maximal elements"] <= low:
+        return low, None
+    named["the Hilbert depth"] = hilbert.hdepth_bound(hilbert.series_of_poset(poset))
+    start = min(named.values())
+    spent = {}
+    for k in range(start, low, -1):
+        status, intervals, nodes = _intervals.find_partition(
+            poset.box, poset.mask, k, budget - sum(spent.values()))
+        spent[k] = nodes
+        if status == "budget":
+            setters = " and ".join(name for name, b in named.items() if b == start)
+            return ("interval search budget exceeded after %d nodes, from k = %d set by %s"
+                    % (sum(spent.values()), start, setters), spent)
+        if status == "found":
+            return k, tuple(intervals)
+    return low, None
+
+
 def cycle_poset(n):
     """The poset of S/I(C_n), C_n the n-cycle: I = (1), J = (x1*x2, ..., xn*x1)."""
     J = "(%s)" % ", ".join("x%d*x%d" % (i, i % n + 1) for i in range(1, n + 1))
@@ -398,17 +423,28 @@ def cycle_poset(n):
 
 class TestCycleFamily:
     @pytest.mark.parametrize("n, k, nodes, digest", [
+        (10, 4, 29, "19fafbcc428408677a8b03b3174430b8b094d4ffa47b5fbacbebbe3fa31be226"),
         (13, 5, 106, "9ed307e3e4f7cdf732cad52f56b258287058613f54eba255cd6e4afce4e11670"),
         (16, 6, 404, "03e4ed307bf6d75b1e66f660d070d4ab5c7110b82b1c3899e50c59644d221c62"),
-    ], ids=["C_13", "C_16"])
+        (17, 6, 935, "bd61d5a17106086dbdea582ac998962b8d627fde88721bff13c0705bf2171d7d"),
+    ], ids=["C_10", "C_13", "C_16", "C_17"])
     def test_witness_and_nodes_at_the_answer(self, n, k, nodes, digest):
-        """The search on S/I(C_13) and S/I(C_16) at their sdepth, 5 and 6:
-        the node count and the sha256 of the repr of the intervals, as the
-        kernel that walked the box above each lower corner gave them."""
+        """The search on S/I(C_n) at its sdepth: the node count and the
+        sha256 of the repr of the intervals, as the kernel that walked the
+        box above each lower corner gave them (C_13, C_16) and as the kernel
+        that listed every corner before its first step gave them (C_10,
+        C_17)."""
         poset = cycle_poset(n)
         status, intervals, spent = _intervals.find_partition(poset.box, poset.mask, k, 10**6)
         assert (status, spent) == ("found", nodes)
         assert hashlib.sha256(repr(intervals).encode()).hexdigest() == digest
+
+    def test_refutation_runs_out_of_budget(self):
+        """k = 7 on S/I(C_16), one above its sdepth, is not refuted within
+        20,000 nodes."""
+        poset = cycle_poset(16)
+        assert _intervals.find_partition(poset.box, poset.mask, 7, 20000) == (
+            "budget", None, 20001)
 
 
 class TestBound:
@@ -461,6 +497,46 @@ class TestBound:
         poset = parsed_poset(n, I, J)
         assert bounds(poset) == (b_max, b_H)
         assert solver.max_interval_partition(poset)[0] == value
+
+    def test_first_descent_within_the_budget(self):
+        """(x*y)/(x^2*y^3) has sdepth 1 = the maximal-element bound, reached
+        by the first descent in 3 nodes: budget 3 answers, and at budget 2
+        the error is the one the search at k = 1 gives without the descent."""
+        poset = parsed_poset(2, "(x*y)", "(x^2*y^3)")
+        assert _intervals.find_partition(poset.box, poset.mask, 1, 10, first=True)[::2] == (
+            "found", 3)
+        assert solver.max_interval_partition(poset, budget=3) == (
+            1, (((1, 1), (1, 3)), ((2, 1), (2, 1)), ((2, 2), (2, 2))))
+        with pytest.raises(BudgetExceededError) as info:
+            solver.max_interval_partition(poset, budget=2)
+        assert info.value.nodes_by_target == {1: 3}
+        assert str(info.value) == (
+            "interval search budget exceeded after 3 nodes, from k = 1 set by "
+            "the maximal elements and the Hilbert depth")
+
+    def test_first_descent_matches_bound_first(self):
+        """The same (k, partition), or the same budget error, as the flow
+        that sums both bounds before any search, on random quotients with
+        n = 1..5, with and without inverted variables, at budgets 1..50."""
+        rng = random.Random(37)
+        checked = errors = 0
+        while checked < 300:
+            n = checked % 5 + 1
+            inverted = None if checked % 2 else frozenset()
+            ctx, I, J = random_quotient(rng, n=n, inverted=inverted,
+                                        max_exp=3 if n <= 3 else 2)
+            poset = contracted_poset(I, J)
+            if len(poset.elements) > 80:
+                continue
+            budget = rng.randint(1, 50)
+            try:
+                got = solver._best_partition(poset, budget)
+            except BudgetExceededError as exc:
+                got = str(exc), exc.nodes_by_target
+                errors += 1
+            assert got == bound_first(poset, budget), (I, J, budget)
+            checked += 1
+        assert errors
 
     def test_budget_error_says_where_the_nodes_went(self):
         """(x, y, z)/(y^2 z^2) has both bounds 2 and sdepth 1: k = 2 takes
@@ -547,7 +623,8 @@ class TestSingletonLevel:
     def test_series_only_when_a_target_is_left(self, monkeypatch):
         """The Hilbert bound is summed only when the maximal elements leave
         a target above low: not for the 1331 singletons of (1)/(x^11, y^11,
-        z^11), once for the maximal ideal, whose search starts at 2."""
+        z^11), once for the maximal ideal, whose first descent at 3 stops
+        and whose search starts at 2."""
         calls = []
         series_of_poset = hilbert.series_of_poset
 
@@ -563,6 +640,19 @@ class TestSingletonLevel:
         assert solver.sdepth(ring.ideal(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1)),
                              MonomialIdeal(ctx)).value == 2
         assert len(calls) == 1
+
+    def test_no_series_when_the_first_descent_answers(self, monkeypatch):
+        """The maximal elements of (y*z, x*y, x^2*z^2)/(x*y^2*z, x^2*y*z)
+        bound k by 1 > low = 0, and the first descent at k = 1 reaches the
+        empty set in 8 nodes: the Hilbert bound is not summed."""
+        def no_series(poset):
+            raise AssertionError("the series was summed")
+
+        poset = parsed_poset(3, "(y*z, x*y, x^2*z^2)", "(x*y^2*z, x^2*y*z)")
+        assert _intervals.find_partition(poset.box, poset.mask, 1, 10, first=True)[::2] == (
+            "found", 8)
+        monkeypatch.setattr(hilbert, "series_of_poset", no_series)
+        assert solver.max_interval_partition(poset, budget=8)[0] == 1
 
     def test_sdepth_matches_a_search_from_n(self):
         """Value and witness as the oracle's first feasible k from k = n,
