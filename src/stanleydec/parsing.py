@@ -259,10 +259,43 @@ def parse_decomposition(text, ctx):
 
 def decomposition_str(D):
     """The spaces of D joined by ' + ', each K text written once per
-    distinct Z."""
+    distinct Z; a decomposition built from runs is written one run item
+    at a time (``_run_texts``).  A root is the factors of its nonzero
+    entries, each followed by '*' (``_root_str``), so t is written as its
+    factor and '*', and as '' when it is 0."""
     ctx = D.context
-    tails = {z: _k_str(*z, ctx) for z in set(D.zs)}
-    return " + ".join([_root_str(root, ctx) + tails[z] for root, z in zip(D.roots, D.zs)])
+    if D.runs is None:
+        tails = {z: _k_str(*z, ctx) for z in set(D.zs)}
+        return " + ".join([_root_str(root, ctx) + tails[z] for root, z in zip(D.roots, D.zs)])
+    r = len(D.runs[0][0]) if D.runs else 0
+    name, zeros = var_name(r, ctx), (0,) * ctx.n
+    return "".join(_run_texts(
+        D.runs, " + ", lambda t: "" if t == 0 else name + "*" if t == 1 else "%s^%d*" % (name, t),
+        lambda head: _root_str(head + zeros[r:], ctx),
+        lambda tail, z: _root_str(zeros[:r + 1] + tail, ctx) + _k_str(*z, ctx)))
+
+
+def _run_texts(runs, sep, digit, pre_of, post_of):
+    """The parts to join of the text of run items (``StanleyDecomposition.
+    _of_runs``), with sep between spaces: an item is pre + d + post per
+    t and copy, pre = pre_of(head), d = digit(t), post = post_of(tail, Z).
+    One join writes an item but its first pre and last post, with the text
+    between two d's as separator; with several copies, each d is first
+    made d + mid + ... + d.  The items of one Z share their posts."""
+    lo = min([first for _, first, _, _ in runs], default=0)
+    digits = list(map(digit, range(lo, max([last for _, _, last, _ in runs], default=-1) + 1)))
+    posts_of = {}
+    parts = []
+    for head, first, last, copies in runs:
+        posts = posts_of.get(copies)
+        if posts is None:
+            posts = posts_of[copies] = [post_of(tail, z) for tail, z in copies]
+        pre, ds = pre_of(head), digits[first - lo:last - lo + 1]
+        if len(posts) > 1:
+            mids = [""] + [post + sep + pre for post in posts[:-1]] + [""]
+            ds = [d.join(mids) for d in ds]
+        parts += pre, (posts[-1] + sep + pre).join(ds), posts[-1], sep
+    return parts[:-1]
 
 
 # --------------------------------------------------------------- series
@@ -317,18 +350,42 @@ class JSONText(str):
     __slots__ = ()
 
 
+@functools.lru_cache(maxsize=256)
+def _ring_json(ctx):
+    """The JSON text of a ring: a request stream asks for few rings."""
+    return json.dumps(ring_to_json(ctx), sort_keys=True)
+
+
+@functools.lru_cache(maxsize=1024)
+def _z_json(z):
+    """The JSON text of the Z of a space, a (zplus, zminus) pair, after
+    its root: a request stream shares few Z over its answers."""
+    return '"zminus": [%s], "zplus": [%s]}' % (_one_based(z[1]), _one_based(z[0]))
+
+
 def decomposition_to_json(D):
     """The ring and, per space, its root and the sorted 1-based indices of
-    zplus and zminus, as JSONText with the keys in sorted order.  There is
-    one format per distinct Z, with a %d per root entry, so a bool entry is
-    1 or 0.  The ring and the formats of the spaces, in order, are joined
-    into one template, which one % fills in with all the roots' entries;
-    the template is gone before JSONText copies the answer."""
+    zplus and zminus, as JSONText with the keys in sorted order.
+
+    A decomposition built from runs is written one run item at a time
+    (``_run_texts``), with the digits of t.  Otherwise there is one format per
+    distinct Z, with a %d per root entry, so a bool entry is 1 or 0.  The
+    ring and the formats of the spaces, in order, are joined into one
+    template, which one % fills in with all the roots' entries; the
+    template is gone before JSONText copies the answer."""
+    ring = '{"ring": %s, "spaces": [' % _ring_json(D.context)
+    if D.runs is not None:
+        r = len(D.runs[0][0]) if D.runs else 0
+        pre = '{"root": [' + "%d, " * r         # all heads have r entries
+        post = ", %d" * (D.context.n - r - 1) + "], "
+        parts = _run_texts(D.runs, ", ", str, pre.__mod__,
+                           lambda tail, z: post % tail + _z_json(z))
+        text = "".join([ring, *parts, "]}"])
+        del parts       # gone before JSONText copies the answer
+        return JSONText(text)
     head = ', {"root": [%s], ' % ", ".join(["%d"] * D.context.n)
-    formats = {z: head + '"zminus": [%s], "zplus": [%s]}' % (_one_based(z[1]), _one_based(z[0]))
-               for z in set(D.zs)}
+    formats = {z: head + _z_json(z) for z in set(D.zs)}
     texts = map(formats.__getitem__, D.zs)
-    ring = '{"ring": %s, "spaces": [' % json.dumps(ring_to_json(D.context), sort_keys=True)
     # each format opens with the ", " after the space before it, which the
     # first space's format drops; with no space there is none
     first = next(texts, ", ")[2:]

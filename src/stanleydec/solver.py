@@ -52,10 +52,11 @@ class CharacteristicPoset(ring._Frozen):
     @cached_property
     def elements(self):
         """The lex-sorted exponent vectors of I'\\J' below g, built on first
-        use, one tuple per cell from the runs of the mask.  Only the
-        singleton partition of ``max_interval_partition`` lists them: the
-        commands, the bounds, the searches and the lift read the mask."""
-        return tuple(_singleton_bases(self)[0])
+        use: the roots of the singleton lift over the poset's own ring.
+        Only the singleton partition of ``max_interval_partition`` lists
+        them: the commands, the bounds, the searches and the lift read the
+        mask."""
+        return _singleton_lift(self, self.context).roots
 
 
 def build_characteristic_poset(Ip, Jp):
@@ -194,36 +195,6 @@ def _bases(poset, partition):
     return roots, zpluses
 
 
-def _singleton_bases(poset):
-    """``_bases`` of the singleton partition, every element [a, a] in lex
-    order, read off the runs of the poset's mask without listing its
-    elements.  A run, head + (t,) + tail for first <= t <= last, shares
-    Z = {i < r : head_i = g_i} and every axis after the run axis r, where
-    g_i = 0; its last cell also has r in Z when it reaches g_r."""
-    g, box = poset.bound, poset.box
-    if not g:           # n = 0: the one cell () is no run
-        roots = [()] if poset.mask else []
-        return roots, [frozenset()] * len(roots)
-    r = box.axis
-    top, after = g[r], range(r + 1, len(g))
-    cells = [(t,) + box.tail for t in range(top + 1)]    # a_r onwards
-    zs = {}
-    roots, zpluses = [], []
-    for head, first, last in box.runs(poset.mask):
-        pattern = tuple(map(eq, head, g))
-        pair = zs.get(pattern)
-        if pair is None:
-            z = frozenset(chain(compress(range(r), pattern), after))
-            pair = zs[pattern] = z, z | {r}
-        roots += map(head.__add__, cells[first:last + 1])
-        if last == top:
-            zpluses += repeat(pair[0], last - first)
-            zpluses.append(pair[1])
-        else:
-            zpluses += repeat(pair[0], last - first + 1)
-    return roots, zpluses
-
-
 def partition_to_decomposition(poset, partition):
     """Map an interval partition to the Stanley decomposition it encodes,
     over the poset's ring, spaces sorted by key (see ``_bases``)."""
@@ -240,25 +211,49 @@ class SdepthResult(namedtuple("SdepthResult", "value witness")):
 def _embed_and_invert(poset, partition, ctx):
     """The decomposition of I/J over ctx that an interval partition of the
     poset of its contraction encodes, spaces sorted by key; None stands
-    for the singleton partition.  Each space of ``_bases`` is fanned out
-    over the inverted variables of ctx, with x or x^-1 for each, built
-    once, straight from its interval.
-
-    The singletons over a polynomial ring are taken as ``_singleton_bases``
-    lists them, with no copy and no sort: the runs come in bit order, which
-    is lex order, and t rises within a run, so the roots already ascend.
-    They are no more than the MAX_BOX_CELLS cells of the box, which is
-    MAX_SPACES, so their count needs no check."""
-    if partition is None and not ctx.inverted:
-        roots, zpluses = _singleton_bases(poset)
-        pairs = {zplus: (zplus, frozenset()) for zplus in set(zpluses)}
-        return stanley.StanleyDecomposition._of_columns(
-            ctx, tuple(roots), tuple(map(pairs.__getitem__, zpluses)))
-    roots, zpluses = (_singleton_bases(poset) if partition is None
-                      else _bases(poset, partition))
+    for the singleton partition (``_singleton_lift``).  Each space of
+    ``_bases`` is fanned out over the inverted variables of ctx, with x or
+    x^-1 for each, built once, straight from its interval, and the spaces
+    are sorted."""
+    if partition is None:
+        return _singleton_lift(poset, ctx)
+    roots, zpluses = _bases(poset, partition)
     # every space holds its root and the spaces are disjoint, so no two
     # share a root
     return stanley._sorted_by_root(ctx, *stanley._fan_out(ctx, roots, zpluses))
+
+
+def _singleton_lift(poset, ctx):
+    """``_embed_and_invert`` of the singleton partition: the runs of the
+    poset's mask, in bit order, which is lex order, fanned out by
+    ``stanley._fan_out_runs``.  A run head + (t,) + tail, first <= t <=
+    last, shares Z = {i < r : head_i = g_i} and every axis after the run
+    axis r, where g_i = 0; its cell t = g_r also has r in Z, so that cell
+    is a run of its own.  More than MAX_SPACES spaces, the elements times
+    2^|A|, raise AnswerTooLargeError before a run is read."""
+    g = poset.bound
+    if not g:
+        # n = 0: the box's one cell () is no run, and the mask is 0 or 1
+        return stanley.StanleyDecomposition._of_columns(
+            ctx, ((),) * poset.mask, ((frozenset(), frozenset()),) * poset.mask)
+    stanley._refuse_too_many(poset.mask.bit_count(), ctx.inverted)
+    r = poset.box.axis
+    after = range(r + 1, len(g))
+    zs = {}
+    runs = []
+    for head, first, last in poset.box.runs(poset.mask):
+        pattern = tuple(map(eq, head, g))
+        pair = zs.get(pattern)
+        if pair is None:
+            z = frozenset(chain(compress(range(r), pattern), after))
+            pair = zs[pattern] = z, z | {r}
+        if last < g[r]:
+            runs.append((head, first, last, pair[0]))
+            continue
+        if first < last:
+            runs.append((head, first, last - 1, pair[0]))
+        runs.append((head, last, last, pair[1]))
+    return stanley._fan_out_runs(ctx, r, runs)
 
 
 def _poset_of(I, J, message):

@@ -78,13 +78,17 @@ def space_contains(s, m):
 class StanleyDecomposition(ring._Frozen):
     """The spaces of a decomposition as two columns: ``roots``, the root of
     each space, and ``zs``, its (zplus, zminus) pair of frozensets.  Every
-    command reads the columns; ``spaces``, the StanleySpace objects, is
-    built from them on first read and kept.  Two decompositions are equal
-    when their rings and their columns are, that is, when their spaces are,
-    in order."""
+    command reads the columns.  A decomposition built from runs
+    (``_of_runs``), the singleton answer, keeps its ``runs`` and builds its
+    columns on first read; the writers of ``parsing`` read the runs and
+    build no column.  ``runs`` is None on any other decomposition.
+    ``spaces``, the StanleySpace objects, is built from the columns on
+    first read and kept.  Two decompositions are equal when their rings and
+    their columns are, that is, when their spaces are, in order."""
 
     _key = attrgetter("context", "roots", "zs")
     _shown = ("context", "spaces")
+    runs = None
 
     def __init__(self, context, spaces):
         spaces = tuple(spaces)
@@ -102,13 +106,33 @@ class StanleyDecomposition(ring._Frozen):
         """The decomposition of the tuples roots and zs of valid spaces of
         context, which are not checked again: those
         ``parsing.parse_decomposition`` checked as it read them, or those
-        ``_fan_out``, ``adjoin_variable`` and the singleton lift of
-        ``solver._embed_and_invert`` built from valid spaces."""
+        ``_fan_out`` and ``adjoin_variable`` built from valid spaces."""
         D = object.__new__(cls)
         object.__setattr__(D, "context", context)
         object.__setattr__(D, "roots", roots)
         object.__setattr__(D, "zs", zs)
         return D
+
+    @classmethod
+    def _of_runs(cls, context, runs):
+        """The decomposition of the run items of ``_fan_out_runs``, in root
+        order: an item (head, first, last, copies) is the spaces
+        (head + (t,) + tail) * K[Z], first <= t <= last, each t giving one
+        per (tail, Z) of copies in turn."""
+        D = object.__new__(cls)
+        object.__setattr__(D, "context", context)
+        object.__setattr__(D, "runs", runs)
+        return D
+
+    @cached_property
+    def roots(self):
+        return tuple([head + (t,) + tail for head, first, last, copies in self.runs
+                      for t in range(first, last + 1) for tail, _ in copies])
+
+    @cached_property
+    def zs(self):
+        return tuple([z for _, first, last, copies in self.runs
+                      for _ in range(first, last + 1) for _, z in copies])
 
     @cached_property
     def spaces(self):
@@ -124,10 +148,11 @@ def sdepth_of(D):
     return min(len(zplus) + len(zminus) for zplus, zminus in set(D.zs))
 
 
-# a decompose answer peaks at about 220 bytes per space, its printed line
-# included: 215 MB resident for the 970,299 singletons of
-# (1)/(x^99, y^99, z^99), in JSON and in text; the singletons of a box of
-# solver.MAX_BOX_CELLS cells are as many
+# a decompose answer written from its columns peaks at about 220 bytes per
+# space, its printed line included, as the 970,299 singletons of
+# (1)/(x^99, y^99, z^99) did, 215 MB resident in JSON and in text; written
+# from their runs they take 112 MB in JSON and 52 MB in text.  The
+# singletons of a box of solver.MAX_BOX_CELLS cells are as many
 MAX_SPACES = 10**6
 
 
@@ -150,9 +175,7 @@ def _fan_out(ctx, roots, zpluses):
     if not count:       # no space: the 2^|A| subsets are not built
         return (), ()
     A = sorted(ctx.inverted)
-    if count << len(A) > MAX_SPACES:
-        raise AnswerTooLargeError(
-            "the answer would have more than %d Stanley spaces" % MAX_SPACES)
+    _refuse_too_many(count, A)
     subsets = [frozenset(compress(A, bits)) for bits in product((False, True), repeat=len(A))]
     step = len(subsets)
     distinct = set(zpluses)
@@ -168,6 +191,59 @@ def _fan_out(ctx, roots, zpluses):
         z_of = {zplus: (zplus - L, L) for zplus in distinct}
         out_zs[j::step] = list(map(z_of.__getitem__, zpluses))
     return tuple(out_roots), tuple(out_zs)
+
+
+def _refuse_too_many(count, A):
+    """Raise AnswerTooLargeError when count spaces, each fanned out over
+    the 2^|A| subsets of A, are more than MAX_SPACES."""
+    if count << len(A) > MAX_SPACES:
+        raise AnswerTooLargeError(
+            "the answer would have more than %d Stanley spaces" % MAX_SPACES)
+
+
+def _fan_out_runs(ctx, r, runs):
+    """``_fan_out`` of the spaces of runs, a list of (head, first, last,
+    zplus) in root order with r-long heads: the spaces (head + (t,) +
+    zeros) * K[zplus], first <= t <= last.  Returns them as the
+    decomposition of ctx built from run items (``_of_runs``), no space
+    built.  The caller refuses too many spaces (``_refuse_too_many``).
+
+    The subset L of A takes -1 on L from the head, from t and from the
+    tail of zeros.  So a run gives one item per subset of the inverted
+    axes before r and, when r is inverted (the box then has one cell),
+    per t = -1 or 0; each t gives one copy (tail, (zplus - L, L)) per
+    subset of those after r, -1 first.  No two items share head and first,
+    so sorting the items, needed only with an inverted axis before r,
+    sorts the spaces."""
+    A = sorted(ctx.inverted)
+    # per subset L of the inverted axes after r, -1 first: (tail', L)
+    tails = [((0,) * (ctx.n - r - 1), frozenset())]
+    for i in reversed(A):
+        if i > r:
+            j = i - r - 1
+            tails = [(tail[:j] + (-1,) + tail[j + 1:], L | {i}) for tail, L in tails] + tails
+    # per subset of the inverted axes up to r: the shift of the head, that
+    # of t, and the (tail', L) of its copies
+    layouts = [((0,) * r, 0, tails)]
+    if r in ctx.inverted:
+        layouts.insert(0, ((0,) * r, -1, [(tail, L | {r}) for tail, L in tails]))
+    before = [i for i in A if i < r]
+    for i in before:
+        layouts += [(shift[:i] + (-1,) + shift[i + 1:], d, [(tail, L | {i}) for tail, L in fanned])
+                    for shift, d, fanned in layouts]
+    copies_of = {}      # the copies of one zplus and layout, built once
+    items = []
+    for head, first, last, zplus in runs:
+        for j, (shift, d, fanned) in enumerate(layouts):
+            copies = copies_of.get((zplus, j))
+            if copies is None:
+                copies = copies_of[zplus, j] = tuple(
+                    [(tail, (zplus - L, L)) for tail, L in fanned])
+            items.append((tuple(map(add, head, shift)) if before else head,
+                          first + d, last + d, copies))
+    if before:
+        items.sort()
+    return StanleyDecomposition._of_runs(ctx, items)
 
 
 def _sorted_by_root(ctx, roots, zs):

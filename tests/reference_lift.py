@@ -5,6 +5,9 @@ sort of ``solver._embed_and_invert`` replaced with bulk operations, kept
 as the oracle of the lift parity test: every interval builds its own Z
 and runs ``itertools.product`` over its roots, every space is shifted one
 coordinate at a time, and the spaces are sorted by ``util.space_key``.
+Of the singleton partition it is also the oracle of the answer built from
+runs (``stanley._fan_out_runs``): its columns, and the JSON and text that
+the run writers of ``parsing`` write without them.
 """
 
 from itertools import product

@@ -732,9 +732,8 @@ class TestBatch:
     def test_max_spaces_decompose_answers_in_bounded_memory(self):
         """The 999,998 singletons of (x)/(x^999999), near MAX_SPACES, about
         47 MB of JSON, in a process capped at 256 MB, which then answers a
-        short request: the lift takes them in root order without a copy or
-        a sort, one % writes them, and the report is gone before the line
-        is written."""
+        short request: the lift keeps them as one run, one join writes
+        them, and the report is gone before the line is written."""
         code, out, stderr = self.answer_capped([
             {"command": "decompose", "ring": "n=1", "I": "(x)", "J": "(x^999999)"},
             self.VALID,
@@ -745,6 +744,25 @@ class TestBatch:
                             for a in range(1, 999999)])
         assert answer == ('{"decomposition": {"ring": {"invert": [], "n": 1}, "spaces": [%s]}, '
                           '"ok": true, "sdepth": 0}' % spaces)
+        assert json.loads(short)["sdepth"] == 2
+
+    def test_max_spaces_inverted_decompose_answers_in_bounded_memory(self):
+        """The same over K[x, y, y^-1]: the 499,999 singletons of
+        (1)/(x^499999) fan out to 999,998 spaces, about 47 MB of JSON,
+        answered in a process capped at 256 MB.  The lift keeps one run
+        item with two copies per t, in root order: no space is fanned out
+        into a copy of the answer and none is sorted."""
+        code, out, stderr = self.answer_capped([
+            {"command": "decompose", "ring": "n=2 invert={2}", "I": "(1)", "J": "(x1^499999)"},
+            self.VALID,
+        ], limit=256 << 20)
+        assert code == 0, stderr
+        answer, short = out.splitlines()
+        spaces = ", ".join(['{"root": [%d, -1], "zminus": [2], "zplus": []}, '
+                            '{"root": [%d, 0], "zminus": [], "zplus": [2]}' % (a, a)
+                            for a in range(499999)])
+        assert answer == ('{"decomposition": {"ring": {"invert": [2], "n": 2}, "spaces": [%s]}, '
+                          '"ok": true, "sdepth": 1}' % spaces)
         assert json.loads(short)["sdepth"] == 2
 
     def test_too_many_spaces_answers_in_bounded_memory(self):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 from itertools import product
 from operator import eq
@@ -8,6 +9,7 @@ import pytest
 
 from stanleydec import _intervals, cli, filtration, hilbert, parsing, ring, solver, stanley
 from stanleydec.errors import (
+    AnswerTooLargeError,
     BoxTooLargeError,
     BudgetExceededError,
     ContextMismatchError,
@@ -16,6 +18,7 @@ from stanleydec.errors import (
 from stanleydec.ring import MonomialIdeal, RingContext
 
 import reference_intervals
+import reference_json
 import reference_lift
 from reference_poset import characteristic_cells
 from util import (
@@ -775,26 +778,30 @@ class TestLiftParity:
         assert wide > 60 and inverted_cases > 60 and reach == {True, False}
 
 
-class TestPlainSingletonLift:
-    """Over a polynomial ring the singleton answer is taken as the runs of
-    the mask build it, already in root order: no fan-out and no sort."""
+class TestSingletonLift:
+    """The singleton answer is built from the runs of the mask, in root
+    order, over any ring: no space is fanned out or sorted, and its writers
+    read the runs, not the columns."""
 
     # (ring, I, J, sdepth): Artinian boxes, zero axes after the run axis,
-    # runs that reach g_r and runs that stop short of it, and n = 0
+    # runs that reach g_r and runs that stop short of it, n = 0, and
+    # inverted axes before, after and on the run axis
     CASES = [("n=3", "(1)", "(x^2, y^3)", 1),
              ("n=0", "(1)", "(0)", 0),
              ("n=1", "(x)", "(x^40)", 0),
              ("n=2", "(1)", "(x^3, y^2)", 0),
              ("n=3", "(1)", "(x^4, y^4, z^4)", 0),
              ("n=4", "(x2)", "(x1^2*x2, x2^3, x2*x3^2)", 1),
-             ("n=3", "(x*y, z)", "(x^2*y, x*y^2, z^2)", 0)]
+             ("n=3", "(x*y, z)", "(x^2*y, x*y^2, z^2)", 0),
+             ("n=3 invert={1}", "(1)", "(y^3, z^2)", 1),
+             ("n=3 invert={3}", "(1)", "(x^2, y^3)", 1),
+             ("n=4 invert={1,4}", "(x2)", "(x2^2, x2*x3^3)", 2),
+             ("n=2 invert={1,2}", "(1)", "(0)", 2)]
 
     def test_no_fan_out_and_no_sort(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the plain singleton lift needs no fan-out or sort")
+            raise AssertionError("the singleton lift needs no fan-out or sort of spaces")
 
-        # _fan_out counted the spaces; a poset has at most MAX_BOX_CELLS
-        assert solver.MAX_BOX_CELLS <= stanley.MAX_SPACES
         monkeypatch.setattr(stanley, "_fan_out", refuse)
         monkeypatch.setattr(stanley, "_sorted_by_root", refuse)
         for ring_text, I_text, J_text, value in self.CASES:
@@ -811,23 +818,97 @@ class TestPlainSingletonLift:
                     command, {"ring": ring_text, "I": I_text, "J": J_text})
                 assert (code, report["sdepth"]) == (0, value), (ring_text, I_text, J_text)
 
-    def test_inverted_rings_and_intervals_still_sort(self, monkeypatch):
-        """The singletons of an inverted ring are fanned out and sorted, and
-        so are the spaces of an interval partition over a plain ring."""
+    def test_only_interval_partitions_sort(self, monkeypatch):
+        """The spaces of an interval partition are fanned out and sorted;
+        the singletons of an inverted ring are not."""
         calls = []
         sort = stanley._sorted_by_root
         monkeypatch.setattr(stanley, "_sorted_by_root",
                             lambda *args: calls.append(args[0]) or sort(*args))
-        for ring_text, I_text, J_text, value in (("n=2 invert={2}", "(1)", "(x^3)", 1),
-                                                  ("n=3", "(x, y, z)", "(0)", 2)):
+        for ring_text, I_text, J_text, value, sorts in (
+                ("n=2 invert={2}", "(1)", "(x^3)", 1, False),
+                ("n=3", "(x, y, z)", "(0)", 2, True),
+                ("n=4 invert={1}", "(x2, x3, x4)", "(0)", 3, True)):
             ctx = parsing.parse_ring(ring_text)
             I, J = parsing.parse_ideal(I_text, ctx), parsing.parse_ideal(J_text, ctx)
             poset = contracted_poset(I, J)
             k, partition = solver.max_interval_partition(poset)
             res = solver.sdepth(I, J)
-            assert res.value == k == value and calls == [ctx]
+            assert res.value == k == value and calls == [ctx] * sorts
             assert res.witness.spaces == reference_lift.lift(poset, partition, ctx).spaces
             calls.clear()
+
+    @staticmethod
+    def quotients():
+        """Random quotients with n = 0..5 and every kind of inverted set,
+        and the box of one cell with and without inverted axes."""
+        rng = random.Random(71)
+        cases = []
+        for case in range(300):
+            n = case % 6
+            A = frozenset(i for i in range(n) if rng.random() < 0.4)
+            cases.append(random_quotient(rng, n=n, inverted=A, max_exp=rng.choice((2, 3, 5))))
+        for ring_text in ("n=1", "n=1 invert={1}", "n=3 invert={1,3}", "n=4 invert={2}"):
+            ctx = parsing.parse_ring(ring_text)
+            cases.append((ctx, parsing.parse_ideal("(1)", ctx), parsing.parse_ideal("(0)", ctx)))
+        return cases
+
+    def test_run_answer_matches_the_columns(self):
+        """On each quotient, the singleton answer built from runs writes
+        the JSON line of the dict writers over the reference lift and the
+        text of the column writer; its columns are the reference lift's,
+        and it compares, hashes, prints and pickles as the decomposition
+        built from them.  Inverted axes come before, after and on the run
+        axis r, runs reach g_r, and boxes have one cell."""
+        seen = set()
+        for ctx, I, J in self.quotients():
+            poset = contracted_poset(I, J)
+            expected = reference_lift.lift(poset, singleton_partition(poset), ctx)
+            got = solver._embed_and_invert(poset, None, ctx)
+            line = cli._json_line({"decomposition": lambda: parsing.decomposition_to_json(got)}, 0)
+            assert line == reference_json.json_line(
+                {"decomposition": reference_json.decomposition_to_json(expected)}, 0), (I, J)
+            assert parsing.decomposition_str(got) == parsing.decomposition_str(expected), (I, J)
+            assert got.roots == expected.roots and got.zs == expected.zs
+            columns = stanley.StanleyDecomposition._of_columns(ctx, expected.roots, expected.zs)
+            assert got == columns and hash(got) == hash(columns) and repr(got) == repr(columns)
+            assert pickle.loads(pickle.dumps(got)) == columns
+            if poset.bound:
+                r, g = poset.box.axis, poset.bound
+                seen |= {"before" if i < r else "after" if i > r else "on" for i in ctx.inverted}
+                seen |= {"reach" for _, _, last in poset.box.runs(poset.mask) if last == g[r]}
+                seen |= {"one cell"} if poset.box.cells == 1 else set()
+            else:
+                seen.add("n = 0")
+        assert seen == {"before", "after", "on", "reach", "one cell", "n = 0"}
+
+    def test_writers_build_no_column(self):
+        """Writing a singleton answer as JSON or as text reads its runs and
+        builds neither column."""
+        for ring_text, I_text, J_text, _ in self.CASES[2:]:
+            ctx = parsing.parse_ring(ring_text)
+            I, J = parsing.parse_ideal(I_text, ctx), parsing.parse_ideal(J_text, ctx)
+            witness = solver.sdepth(I, J).witness
+            parsing.decomposition_to_json(witness)
+            parsing.decomposition_str(witness)
+            assert witness.runs is not None
+            assert "roots" not in witness.__dict__ and "zs" not in witness.__dict__
+
+    def test_too_many_spaces_refused_before_any_is_built(self, monkeypatch):
+        """count << |A| over MAX_SPACES raises AnswerTooLargeError before
+        a run is read; at MAX_SPACES the answer is built."""
+        def refuse(*args):
+            raise AssertionError("runs read")
+
+        ctx = parsing.parse_ring("n=3 invert={1,3}")
+        I, J = parsing.parse_ideal("(1)", ctx), parsing.parse_ideal("(y^5)", ctx)
+        poset = contracted_poset(I, J)
+        monkeypatch.setattr(stanley, "MAX_SPACES", 20)
+        assert len(solver._embed_and_invert(poset, None, ctx).roots) == 20
+        monkeypatch.setattr(stanley, "MAX_SPACES", 19)
+        monkeypatch.setattr(poset.box.__class__, "runs", refuse)
+        with pytest.raises(AnswerTooLargeError, match="more than 19 Stanley spaces"):
+            solver._embed_and_invert(poset, None, ctx)
 
 
 class TestSdepth:
